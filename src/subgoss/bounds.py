@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import InvalidConfigError
+from .errors import InvalidConfigError, InvariantViolationError
 
 
 @dataclass(frozen=True)
@@ -65,10 +65,6 @@ def h_of_bt(b: float, T: int) -> float:
     return b * (1.0 + (T - 1) * (b - 1.0))
 
 
-def _budget_factor(b: float, m: int, per_agent_subspaces: float) -> float:
-    return 8.0 * m * per_agent_subspaces
-
-
 def tau0(b: float, m: int, K: int, N: int) -> int:
     """Smallest phase index from which the phase always outlasts its theoretical explore budget.
 
@@ -92,7 +88,10 @@ def tau0(b: float, m: int, K: int, N: int) -> int:
             break
     # integer granularity can land one phase above the analytic bound at large b
     bound = 2.0 * math.log(16.0 * m * (K / N + 2.0)) / math.log(b) + 1.0
-    assert result <= bound + 1.0 + 1e-9, (result, bound)
+    if result > bound + 1.0 + 1e-9:
+        raise InvariantViolationError(
+            f"tau0 scan gave {result}, above the analytic bound {bound:.6g} + 1"
+        )
     return result
 
 
@@ -155,11 +154,6 @@ def lemma3_tail(Delta: float, m: int, b: float, j: int) -> float:
     if Delta <= 0:
         raise InvalidConfigError("Delta must be positive")
     return 4.0 * m * math.exp(-(Delta * Delta / m) * b ** ((j - 1) / 2.0))
-
-
-def lemma_tails(eps: float, m: int, b: float, j: int, Delta: float):
-    """(Lemma-2 phase tail at eps, Lemma-3 tail at Delta) for phase j."""
-    return lemma2_tail_phase(eps, m, b, j), lemma3_tail(Delta, m, b, j)
 
 
 def collaboration_ratio(

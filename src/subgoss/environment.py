@@ -1,4 +1,4 @@
-"""Problem instance generation and reward sampling.
+"""Problem instance generation, subspace gaps and serialization.
 
 Instances follow the synthetic protocol: K random m-dimensional subspaces
 (SVD bases of Gaussian matrices), a hidden vector obtained by projecting a
@@ -179,24 +179,6 @@ def resample_actions(instance: ProblemInstance, n_actions: int, rng: np.random.G
     return np.vstack([randoms, columns])
 
 
-def reward(instance: ProblemInstance, a: np.ndarray, rng: np.random.Generator) -> float:
-    """<a, theta*> plus Gaussian noise of the instance's standard deviation."""
-    a = np.asarray(a, dtype=float)
-    if a.shape != (instance.d,):
-        raise InvalidDimensionError("action dimension mismatch")
-    noise = instance.noise_std * rng.standard_normal() if instance.noise_std > 0 else 0.0
-    return float(a @ instance.theta_star + noise)
-
-
-def optimal_action(instance: ProblemInstance):
-    """(best action vector, best value); ties broken by lowest action index."""
-    if instance.action_set.shape[0] == 0:
-        raise InvalidConfigError("empty action set")
-    values = instance.action_set @ instance.theta_star
-    idx = int(np.argmax(values))
-    return instance.action_set[idx], float(values[idx])
-
-
 def compute_gap(instance: ProblemInstance) -> GapReport:
     """Per-subspace gaps ||P_true theta* - P_k theta*|| and their minimum over wrong subspaces."""
     theta = instance.theta_star
@@ -211,14 +193,6 @@ def compute_gap(instance: ProblemInstance) -> GapReport:
             "two subspaces explain theta_star equally well (zero gap)"
         )
     return GapReport(delta=delta, per_subspace=gaps)
-
-
-def misspecification(instance: ProblemInstance) -> float:
-    """Distance from theta* to its projection onto the declared true subspace (diagnostic)."""
-    resid = instance.theta_star - project(
-        instance.subspaces.bases[instance.true_index], instance.theta_star
-    )
-    return float(np.linalg.norm(resid))
 
 
 def instance_to_dict(instance: ProblemInstance) -> dict:

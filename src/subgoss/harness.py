@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -36,6 +37,33 @@ _ROLE_ACTIONS = 3
 POLICIES = ("subgoss_multi", "subgoss_single", "oful", "genie")
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def _is_real(x) -> bool:
+    return _is_int(x) or isinstance(x, (float, np.floating)) and math.isfinite(x)
+
+
+# (fields, test, requirement) of every RunConfig field
+_FIELD_CHECKS = (
+    (("d", "K"), lambda v: _is_int(v) and v >= 2, "an integer >= 2"),
+    (("m", "T", "N", "n_seeds"), lambda v: _is_int(v) and v >= 1, "an integer >= 1"),
+    (("master_seed", "true_index"), lambda v: _is_int(v) and v >= 0, "an integer >= 0"),
+    (("n_extra_actions",), lambda v: v is None or _is_int(v) and v >= 1, "null or an integer >= 1"),
+    (("b",), lambda v: _is_real(v) and v > 1, "a number > 1"),
+    (("lam", "s_bound"), lambda v: _is_real(v) and v > 0, "a number > 0"),
+    (("noise_std",), lambda v: _is_real(v) and v >= 0, "a number >= 0"),
+    (("track_coverage", "log_plays", "resample_actions_per_step"),
+     lambda v: isinstance(v, bool), "true or false"),
+    (("gossip",), lambda v: isinstance(v, str), "'complete' or a file path"),
+    (("explore_budget_mode",), lambda v: v in ("theoretical", "experimental"),
+     "'theoretical' or 'experimental'"),
+    (("delta_mode",), lambda v: v in ("one_over_T", "fixed"), "'one_over_T' or 'fixed'"),
+    (("policy",), lambda v: v in POLICIES, f"one of {POLICIES}"),
+)
+
+
 @dataclass(frozen=True)
 class RunConfig:
     d: int
@@ -61,15 +89,19 @@ class RunConfig:
     resample_actions_per_step: bool = False
 
     def __post_init__(self):
-        if self.policy not in POLICIES:
+        """Type and domain checks of every field, so a bad config fails before any run."""
+        for names, ok, need in _FIELD_CHECKS:
+            for name in names:
+                value = getattr(self, name)
+                if not ok(value):
+                    raise InvalidConfigError(f"{name} must be {need}, got {value!r}")
+        if self.m >= self.d or self.true_index >= self.K:
             raise InvalidConfigError(
-                f"unknown policy {self.policy!r}; choose from {POLICIES}"
+                f"need m < d and true_index < K, got m={self.m}, d={self.d}, "
+                f"true_index={self.true_index}, K={self.K}"
             )
-        if self.delta_mode == "fixed":
-            if self.delta is None or not 0 < self.delta < 1:
-                raise InvalidConfigError("fixed delta_mode needs delta in (0, 1)")
-        elif self.delta_mode != "one_over_T":
-            raise InvalidConfigError("delta_mode must be 'one_over_T' or 'fixed'")
+        if self.delta_mode == "fixed" and not (_is_real(self.delta) and 0 < self.delta < 1):
+            raise InvalidConfigError("fixed delta_mode needs delta in (0, 1)")
         if self.policy == "subgoss_multi":
             if self.N < 2:
                 raise InvalidConfigError("subgoss_multi needs N >= 2")
@@ -77,8 +109,6 @@ class RunConfig:
                 raise InvalidConfigError(
                     f"K={self.K} must be an integral multiple of N={self.N}"
                 )
-        if self.n_seeds < 1:
-            raise InvalidConfigError("need at least one seed")
 
     @property
     def extra_actions(self) -> int:
@@ -199,7 +229,11 @@ def _worker(args):
 def run(config: RunConfig) -> list:
     """All seeds of a config; SUBGOSS_WORKERS > 1 dispatches seeds to a process pool."""
     seeds = list(range(config.n_seeds))
-    workers = int(os.environ.get("SUBGOSS_WORKERS", "1"))
+    raw = os.environ.get("SUBGOSS_WORKERS", "1")
+    try:
+        workers = int(raw)
+    except ValueError:
+        raise InvalidConfigError(f"SUBGOSS_WORKERS must be an integer, got {raw!r}") from None
     if workers > 1 and len(seeds) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_worker, [(config, s) for s in seeds]))

@@ -10,8 +10,10 @@ pseudo-inverting the d x d matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import (
     InsufficientSamplesError,
@@ -20,6 +22,14 @@ from .errors import (
 )
 
 ORTHO_TOL = 1e-10
+
+
+# The LAPACK gesv gufuncs behind np.linalg.solve, called directly: the same
+# factorization and the same bits, without the wrapper's per-call type and
+# shape checks, which cost more than an m x m solve itself. Callers pass
+# float64 arrays and a positive definite matrix, so no singular case arises.
+_solve_vec = partial(_umath_linalg.solve1, signature="dd->d")  # A x = b, b a vector
+_solve_mat = partial(_umath_linalg.solve, signature="dd->d")  # A X = B, B a matrix
 
 
 @dataclass(frozen=True)
@@ -95,22 +105,17 @@ class ExploreStats:
         self.reward_sum[column] += reward
         self.count[column] += 1
 
-    def copy(self) -> "ExploreStats":
-        out = ExploreStats(len(self.count))
-        out.reward_sum[:] = self.reward_sum
-        out.count[:] = self.count
-        return out
-
 
 def explore_estimate(stats: ExploreStats, basis: Basis) -> np.ndarray:
     """Least-squares estimate from explore plays: U ybar with ybar the per-column reward mean.
 
     Equals the unconstrained least-squares solution for the round-robin design
-    whose columns are basis vectors.
+    whose columns are basis vectors. Columns not yet played get a zero mean,
+    which happens in phases too short to cover every column.
     """
-    if np.any(stats.count == 0):
-        raise InsufficientSamplesError("every basis column needs at least one explore play")
-    ybar = stats.reward_sum / stats.count
+    if stats.total_count == 0:
+        raise InsufficientSamplesError("no explore play recorded yet")
+    ybar = np.where(stats.count > 0, stats.reward_sum / np.maximum(stats.count, 1), 0.0)
     return basis.columns @ ybar
 
 
@@ -118,7 +123,8 @@ class LinUcbStats:
     """Projected-LinUCB statistics of one subspace in m coordinates.
 
     gram = lambda*I_m + sum x x^T and moment = sum x*r over recorded plays,
-    where x = U^T a are the subspace coordinates of the played action.
+    where x = U^T a are the subspace coordinates of the played action. The
+    ambient baseline keeps the same statistics in d coordinates, with x = a.
     """
 
     __slots__ = ("gram", "moment", "count", "lam")
@@ -132,57 +138,25 @@ class LinUcbStats:
         self.lam = float(lam)
 
     def add_play_coords(self, x: np.ndarray, reward: float) -> None:
-        self.gram += np.outer(x, x)
+        self.gram += x[:, None] * x
         self.moment += reward * x
         self.count += 1
 
     def theta_hat(self) -> np.ndarray:
         """Ridge estimate in subspace coordinates."""
-        return np.linalg.solve(self.gram, self.moment)
-
-    def copy(self) -> "LinUcbStats":
-        out = LinUcbStats.__new__(LinUcbStats)
-        out.gram = self.gram.copy()
-        out.moment = self.moment.copy()
-        out.count = self.count
-        out.lam = self.lam
-        return out
-
-
-def record_linucb_play(
-    stats: LinUcbStats, basis: Basis, a: np.ndarray, reward: float
-) -> LinUcbStats:
-    """Return a new statistics object with the play (a, reward) folded in."""
-    a = np.asarray(a, dtype=float)
-    if a.shape != (basis.d,):
-        raise InvalidDimensionError(f"expected vector of length {basis.d}, got {a.shape}")
-    out = stats.copy()
-    out.add_play_coords(basis.columns.T @ a, reward)
-    return out
+        return _solve_vec(self.gram, self.moment)
 
 
 def ucb_scores(stats: LinUcbStats, coords: np.ndarray, beta: float) -> np.ndarray:
-    """Optimistic scores for a batch of actions given as m x n subspace coordinates.
+    """Optimistic scores for a batch of actions given as m x n coordinates.
 
     score_i = <theta_hat, x_i> + beta * ||x_i||_{gram^-1}, the closed form of the
-    maximum of <theta, x_i> over the confidence ellipsoid of radius beta.
+    maximum of <theta, x_i> over the confidence ellipsoid of radius beta. This is
+    the one scoring rule of every policy; the Gram matrix needs no check here,
+    since it starts at lambda*I with lambda > 0 and only gains x x^T terms.
     """
-    try:
-        np.linalg.cholesky(stats.gram)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalDegeneracyError("projected Gram matrix is not positive definite") from exc
-    th = np.linalg.solve(stats.gram, stats.moment)
-    y = np.linalg.solve(stats.gram, coords)
+    th = _solve_vec(stats.gram, stats.moment)
+    y = _solve_mat(stats.gram, coords)
     quad = np.einsum("ij,ij->j", coords, y)
     return th @ coords + beta * np.sqrt(np.maximum(quad, 0.0))
 
-
-def ucb_score(stats: LinUcbStats, basis: Basis, a: np.ndarray, beta: float) -> float:
-    """Optimistic score of a single ambient-space action."""
-    if beta < 0:
-        raise NumericalDegeneracyError("beta must be nonnegative")
-    a = np.asarray(a, dtype=float)
-    if a.shape != (basis.d,):
-        raise InvalidDimensionError(f"expected vector of length {basis.d}, got {a.shape}")
-    x = basis.columns.T @ a
-    return float(ucb_scores(stats, x[:, None], beta)[0])

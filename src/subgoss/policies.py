@@ -20,22 +20,12 @@ from .errors import (
     InvariantViolationError,
     ProtocolError,
 )
-from .linalg import ExploreStats, LinUcbStats
+from .linalg import ExploreStats, LinUcbStats, explore_estimate, ucb_scores
 from .network import GossipMatrix, sample_neighbor
 
 
 # ---------------------------------------------------------------------------
 # phase arithmetic
-
-
-def phase_boundaries(b: float, j: int) -> tuple:
-    """Inclusive (start, end) time slots of phase j; phase lengths are ceil(b**(j-1))."""
-    if b <= 1 or j < 1:
-        raise InvalidConfigError("need b > 1 and j >= 1")
-    start = 1
-    for l in range(1, j):
-        start += math.ceil(b ** (l - 1))
-    return start, start + math.ceil(b ** (j - 1)) - 1
 
 
 @dataclass(frozen=True)
@@ -51,18 +41,13 @@ class PhaseSchedule:
             raise InvalidConfigError(
                 f"unknown explore budget mode {self.explore_budget_mode!r}"
             )
+        if not self.b > 1 or self.j < 1:
+            raise InvalidConfigError(f"need b > 1 and j >= 1, got b={self.b}, j={self.j}")
 
     @property
     def phase_length(self) -> int:
+        """Phase j spans ceil(b**(j-1)) slots."""
         return math.ceil(self.b ** (self.j - 1))
-
-    @property
-    def phase_start(self) -> int:
-        return phase_boundaries(self.b, self.j)[0]
-
-    @property
-    def phase_end(self) -> int:
-        return phase_boundaries(self.b, self.j)[1]
 
     def explore_budget(self, m: int) -> int:
         """Per-subspace explore slots for this phase."""
@@ -149,15 +134,6 @@ def explore_plan(state: AgentState, m: int) -> list:
     return plan
 
 
-def _partial_estimate(stats: ExploreStats, columns: np.ndarray):
-    """Estimate with zero-filled means for not-yet-played columns; None if never played."""
-    if stats.total_count == 0:
-        return None, -np.inf
-    ybar = np.where(stats.count > 0, stats.reward_sum / np.maximum(stats.count, 1), 0.0)
-    theta = columns @ ybar
-    return theta, float(np.linalg.norm(theta))
-
-
 def end_explore_update(state: AgentState, bases, strict: bool = True) -> AgentState:
     """Refresh explore estimates for every active subspace and pick the largest-norm one.
 
@@ -176,38 +152,14 @@ def end_explore_update(state: AgentState, bases, strict: bool = True) -> AgentSt
                 )
             estimates[k] = (None, -np.inf)
             continue
-        theta, norm = _partial_estimate(stats, bases[k].columns)
+        theta = explore_estimate(stats, bases[k])
+        norm = float(np.linalg.norm(theta))
         estimates[k] = (theta, norm)
         if norm > best_norm:  # ties keep the lower id (sorted iteration)
             best, best_norm = k, norm
     if best is None:
         best = min(state.active_set)
     return replace(state, last_estimates=estimates, best_estimate_id=best)
-
-
-def exploit_step(
-    state: AgentState,
-    bases,
-    actions: np.ndarray,
-    delta: float,
-    lam: float,
-    s_bound: float = 1.0,
-) -> int:
-    """Index of the optimistic action on the best-estimate subspace; records nothing."""
-    if state.best_estimate_id is None:
-        raise InvariantViolationError("exploit before any explore estimate")
-    k = state.best_estimate_id
-    basis = bases[k]
-    stats = state.linucb.get(k)
-    if stats is None:
-        stats = LinUcbStats(basis.m, lam)
-    bval = bounds.beta(delta, basis.m, lam, stats.count, s_bound)
-    coords = basis.columns.T @ np.asarray(actions, dtype=float).T
-    th = np.linalg.solve(stats.gram, stats.moment)
-    y = np.linalg.solve(stats.gram, coords)
-    quad = np.einsum("ij,ij->j", coords, y)
-    scores = th @ coords + bval * np.sqrt(np.maximum(quad, 0.0))
-    return int(np.argmax(scores))
 
 
 def gossip_exchange(states, gossip_matrix: GossipMatrix, rng) -> list:
@@ -270,7 +222,6 @@ class PolicyParams:
     s_bound: float = 1.0
     log_plays: bool = False
     resample_actions_per_step: bool = False
-    n_resample_actions: int = 0  # used when resampling; 0 keeps the instance count
 
     def delta_value(self) -> float:
         if self.delta is not None:
@@ -307,16 +258,11 @@ class RunResult:
 
 def detect_freeze(recommendations, true_index: int) -> int | None:
     """First phase (1-based) from which every agent's best id stays the true one."""
-    n = len(recommendations)
-    if n == 0:
-        return None
-    good = [all(r == true_index for r in phase_recs) for phase_recs in recommendations]
     freeze = None
-    for j in range(n, 0, -1):
-        if good[j - 1]:
-            freeze = j
-        else:
+    for j in range(len(recommendations), 0, -1):
+        if not all(r == true_index for r in recommendations[j - 1]):
             break
+        freeze = j
     return freeze
 
 
@@ -325,14 +271,16 @@ def detect_freeze(recommendations, true_index: int) -> int | None:
 
 
 class _EnvView:
-    """Cached projections of a fixed action set, or per-step resampled ones."""
+    """Cached projections of a fixed action set, or per-step resampled ones.
+
+    Every action set holds n_random random rows followed by the K*m basis
+    columns, subspace by subspace.
+    """
 
     def __init__(self, instance: ProblemInstance, params: PolicyParams, action_rng_key=None):
         self.instance = instance
         self.resample = params.resample_actions_per_step
-        self.n_resample = params.n_resample_actions or (
-            instance.action_set.shape[0] - instance.K * instance.m
-        )
+        self.n_random = instance.action_set.shape[0] - instance.K * instance.m
         self.key = action_rng_key
         self._cache = {}
         if not self.resample:
@@ -349,7 +297,7 @@ class _EnvView:
             return self._fixed
         if t not in self._cache:
             rng = np.random.default_rng(np.random.SeedSequence((self.key, t)))
-            actions = resample_actions(self.instance, self.n_resample, rng)
+            actions = resample_actions(self.instance, self.n_random, rng)
             if len(self._cache) > 4:
                 self._cache.clear()
             self._cache[t] = self._build(actions)
@@ -377,30 +325,21 @@ def _run_subgoss(
     gossip_rng,
     seed=None,
     action_key=None,
-    full_active: bool = False,
 ) -> RunResult:
+    """Phased play of N agents; without a gossip graph, one agent holding all K subspaces."""
     K, m, T = instance.K, instance.m, params.T
     bases = instance.subspaces.bases
     delta = params.delta_value()
     lam, S, b = params.lam, params.s_bound, params.b
 
-    if full_active:
-        n_agents = 1
-        agents = [
-            AgentState(
-                id=0,
-                n_subspaces=K,
-                sticky_set=frozenset(range(K)),
-                active_set=tuple(range(K)),
-            )
-        ]
-    else:
-        n_agents = gossip.n_agents if gossip else 1
-        agents = init_agents(K, n_agents)
+    n_agents = gossip.n_agents if gossip else 1
+    agents = init_agents(K, n_agents)
 
+    columns = np.vstack([bs.columns.T for bs in bases])
+    if not np.array_equal(instance.action_set[-len(columns):], columns):
+        raise InvalidConfigError("explore plays need the K*m basis columns as the last actions")
     env = _EnvView(instance, params, action_key)
     noise = _noise_streams(instance, n_agents, T, noise_rngs)
-    basis_theta = [bs.columns.T @ instance.theta_star for bs in bases]
 
     inst_regret = np.zeros((n_agents, T))
     comm_count = np.zeros(n_agents, dtype=np.int64)
@@ -412,11 +351,10 @@ def _run_subgoss(
     j = 1
     start = 1
     while start <= T:
-        phase_len = math.ceil(b ** (j - 1))
-        end_full = start + phase_len - 1
+        schedule = PhaseSchedule(b=b, j=j, explore_budget_mode=params.explore_budget_mode)
+        end_full = start + schedule.phase_length - 1
         end = min(end_full, T)
         slots = end - start + 1
-        schedule = PhaseSchedule(b=b, j=j, explore_budget_mode=params.explore_budget_mode)
 
         for i in range(n_agents):
             ag = agents[i]
@@ -428,7 +366,9 @@ def _run_subgoss(
                 t = start + s
                 k, col = plan[s]
                 _, values, vstar, _ = env.at(t)
-                a_val = float(basis_theta[k][col])
+                # the played column's row in the action set, so that vstar, the
+                # maximum of the same values array, never falls below it
+                a_val = float(values[env.n_random + k * m + col])
                 r = a_val + nz[t]
                 stats = ag.explore.get(k)
                 if stats is None:
@@ -458,11 +398,7 @@ def _run_subgoss(
                     _, values, vstar, coords = env.at(t)
                     X = coords[k]
                     bval = bounds.beta(delta, m, lam, stats.count, S)
-                    th = np.linalg.solve(stats.gram, stats.moment)
-                    y = np.linalg.solve(stats.gram, X)
-                    quad = np.einsum("ij,ij->j", X, y)
-                    scores = th @ X + bval * np.sqrt(np.maximum(quad, 0.0))
-                    idx = int(np.argmax(scores))
+                    idx = int(ucb_scores(stats, X, bval).argmax())
                     r = float(values[idx]) + nz[t]
                     stats.add_play_coords(X[:, idx], r)
                     inst_regret[i, t - 1] = vstar - values[idx]
@@ -516,46 +452,53 @@ def run_subgoss_multi(
     instance, params, gossip: GossipMatrix, noise_rngs, gossip_rng, seed=None, action_key=None
 ) -> RunResult:
     """N collaborating agents on a gossip graph."""
-    return _run_subgoss(
-        instance, params, gossip, noise_rngs, gossip_rng, seed, action_key, full_active=False
-    )
+    return _run_subgoss(instance, params, gossip, noise_rngs, gossip_rng, seed, action_key)
 
 
 def run_single_agent_subgoss(instance, params, noise_rng, seed=None, action_key=None) -> RunResult:
     """One agent searching all K subspaces, no communication."""
-    return _run_subgoss(
-        instance, params, None, [noise_rng], None, seed, action_key, full_active=True
-    )
+    return _run_subgoss(instance, params, None, [noise_rng], None, seed, action_key)
 
 
 def run_genie(
     instance, params, noise_rng, seed=None, action_key=None, track_coverage: bool = False
 ) -> RunResult:
     """Projected optimistic play on the true subspace from t = 1; no exploration or gossip."""
-    m, T = instance.m, params.T
-    basis = instance.subspaces.bases[instance.true_index]
+    return _run_linucb(
+        instance, params, noise_rng, seed, action_key, instance.true_index, track_coverage
+    )
+
+
+def run_oful_baseline(instance, params, noise_rng, seed=None, action_key=None) -> RunResult:
+    """Ambient-dimension optimistic baseline (OFUL): identity projector, d-dimensional Gram."""
+    return _run_linucb(instance, params, noise_rng, seed, action_key, None)
+
+
+def _run_linucb(
+    instance, params, noise_rng, seed, action_key, k, track_coverage: bool = False
+) -> RunResult:
+    """Optimistic play from t = 1 in the coordinates of subspace k, or of R^d when k is None."""
+    T = params.T
+    dim = instance.d if k is None else instance.m
     delta = params.delta_value()
     lam, S = params.lam, params.s_bound
     env = _EnvView(instance, params, action_key)
     nz = _noise_streams(instance, 1, T, [noise_rng])[0]
-    theta_m = basis.columns.T @ instance.theta_star
+    if track_coverage:
+        theta_k = instance.subspaces.bases[k].columns.T @ instance.theta_star
 
-    stats = LinUcbStats(m, lam)
+    stats = LinUcbStats(dim, lam)
     inst_regret = np.zeros((1, T))
     covered = True
     for t in range(1, T + 1):
-        _, values, vstar, coords = env.at(t)
-        X = coords[instance.true_index]
-        bval = bounds.beta(delta, m, lam, stats.count, S)
-        th = np.linalg.solve(stats.gram, stats.moment)
+        actions, values, vstar, coords = env.at(t)
+        X = actions.T if k is None else coords[k]
+        bval = bounds.beta(delta, dim, lam, stats.count, S)
         if track_coverage:
-            diff = th - theta_m
+            diff = stats.theta_hat() - theta_k
             if math.sqrt(float(diff @ stats.gram @ diff)) > bval:
                 covered = False
-        y = np.linalg.solve(stats.gram, X)
-        quad = np.einsum("ij,ij->j", X, y)
-        scores = th @ X + bval * np.sqrt(np.maximum(quad, 0.0))
-        idx = int(np.argmax(scores))
+        idx = int(ucb_scores(stats, X, bval).argmax())
         r = float(values[idx]) + nz[t]
         stats.add_play_coords(X[:, idx], r)
         inst_regret[0, t - 1] = vstar - values[idx]
@@ -569,43 +512,4 @@ def run_genie(
         comm_count=np.zeros(1, dtype=np.int64),
         events=[],
         coverage_ok=covered if track_coverage else None,
-    )
-
-
-def run_oful_baseline(instance, params, noise_rng, seed=None, action_key=None) -> RunResult:
-    """Ambient-dimension optimistic baseline: identity projector, d-dimensional Gram."""
-    d, T = instance.d, params.T
-    delta = params.delta_value()
-    lam, S = params.lam, params.s_bound
-    env = _EnvView(instance, params, action_key)
-    nz = _noise_streams(instance, 1, T, [noise_rng])[0]
-
-    gram = lam * np.eye(d)
-    moment = np.zeros(d)
-    inst_regret = np.zeros((1, T))
-    count = 0
-    for t in range(1, T + 1):
-        actions, values, vstar, _ = env.at(t)
-        X = actions.T  # d x nA
-        bval = bounds.beta(delta, d, lam, count, S)
-        th = np.linalg.solve(gram, moment)
-        y = np.linalg.solve(gram, X)
-        quad = np.einsum("ij,ij->j", X, y)
-        scores = th @ X + bval * np.sqrt(np.maximum(quad, 0.0))
-        idx = int(np.argmax(scores))
-        a = X[:, idx]
-        r = float(values[idx]) + nz[t]
-        gram += np.outer(a, a)
-        moment += r * a
-        count += 1
-        inst_regret[0, t - 1] = vstar - values[idx]
-
-    return RunResult(
-        inst_regret=inst_regret,
-        seed=seed,
-        n_phases=0,
-        freeze_phase=None,
-        recommendations=[],
-        comm_count=np.zeros(1, dtype=np.int64),
-        events=[],
     )

@@ -18,7 +18,6 @@ from subgoss.bounds import (
     lemma2_tail_count,
     lemma2_tail_phase,
     lemma3_tail,
-    lemma_tails,
     projected_linucb_bound,
     single_agent_bound,
     tau0,
@@ -211,11 +210,6 @@ class TestLemmaTails:
     def test_lemma3_form(self):
         got = lemma3_tail(0.4, 2, 2.0, 5)
         assert got == pytest.approx(4 * 2 * math.exp(-(0.16 / 2) * 4.0), rel=1e-12)
-
-    def test_pair_helper(self):
-        l2, l3 = lemma_tails(0.3, 2, 2.0, 7, 0.6)
-        assert l2 == lemma2_tail_phase(0.3, 2, 2.0, 7)
-        assert l3 == lemma3_tail(0.6, 2, 2.0, 7)
 
     def test_lemma3_vs_lemma2_at_half_gap(self):
         # proof-step relation: lemma3(Delta) <= 2 * lemma2_phase(Delta/2)

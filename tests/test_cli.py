@@ -3,6 +3,8 @@
 import json
 import math
 
+import pytest
+
 from subgoss import bounds as bounds_mod
 from subgoss.cli import main
 from subgoss.harness import instance_gap, load_config, parse_aggregate_csv
@@ -37,6 +39,28 @@ class TestValidate:
         g.write_text(json.dumps([[0.9, 0.0], [1.0, 0.0]]))
         cfg = write_config(tmp_path, gossip=str(g))
         assert main(["validate", "--config", str(cfg)]) == 2
+
+
+@pytest.mark.parametrize(
+    "overrides, env, message",
+    [
+        ({"T": "100"}, None, "T must be an integer"),
+        ({"T": 0}, None, "T must be an integer >= 1"),
+        ({"n_seeds": 1.5}, None, "n_seeds must be an integer"),
+        ({"b": 1.0}, None, "b must be a number > 1"),
+        ({"lambda": 0}, None, "lam must be a number > 0"),
+        ({}, "abc", "SUBGOSS_WORKERS must be an integer"),
+    ],
+    ids=["T-string", "T-zero", "n_seeds-float", "b-one", "lambda-zero", "workers-abc"],
+)
+def test_malformed_input_is_exit_2(tmp_path, capsys, monkeypatch, overrides, env, message):
+    if env is not None:
+        monkeypatch.setenv("SUBGOSS_WORKERS", env)
+    cfg = write_config(tmp_path, **overrides)
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and message in err
+    assert not (tmp_path / "x.csv").exists()
 
 
 class TestArgParsing:

@@ -1,5 +1,7 @@
 """Instance generation, rewards, gaps, and serialization."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -12,10 +14,7 @@ from subgoss.environment import (
     instance_from_dict,
     instance_to_dict,
     load_instance,
-    misspecification,
-    optimal_action,
     resample_actions,
-    reward,
     save_instance,
 )
 from subgoss.errors import (
@@ -25,6 +24,7 @@ from subgoss.errors import (
     InvalidDimensionError,
 )
 from subgoss.linalg import Basis, project, random_orthonormal_basis
+from subgoss.policies import PolicyParams, _EnvView, run_single_agent_subgoss
 
 
 def rng_for(seed):
@@ -110,62 +110,58 @@ class TestGenerateInstance:
 
 
 class TestReward:
-    def test_zero_action(self):
-        inst = small_instance(noise_std=0.0)
-        assert reward(inst, np.zeros(6), rng_for(0)) == 0.0
+    """The rewards the runners draw: the played action's value plus the agent's noise."""
+
+    def logged_plays(self, inst, T):
+        res = run_single_agent_subgoss(
+            inst, PolicyParams(T=T, log_plays=True), rng_for(123), seed=0, action_key=0
+        )
+        bases = inst.subspaces.bases
+        out = []
+        for e in res.events:
+            if e["event"] == "explore_play":
+                a = bases[e["subspace"]].columns[:, e["column"]]
+            elif e["event"] == "exploit_play":
+                a = inst.action_set[e["action"]]
+            else:
+                continue
+            out.append((a, e["reward"]))
+        return out
 
     def test_aligned_action_noiseless(self):
         inst = small_instance(noise_std=0.0)
-        a = inst.theta_star / np.linalg.norm(inst.theta_star)
-        got = reward(inst, a, rng_for(0))
-        assert abs(got - np.linalg.norm(inst.theta_star)) < 1e-12
+        aligned = inst.theta_star / np.linalg.norm(inst.theta_star)
+        inst = replace(inst, action_set=np.vstack([aligned, inst.action_set[1:]]))
+        plays = self.logged_plays(inst, 400)
+        assert all(abs(r - a @ inst.theta_star) < 1e-12 for a, r in plays)
+        aligned_rewards = [r for a, r in plays if np.array_equal(a, aligned)]
+        assert aligned_rewards  # the optimistic rule settles on the best action
+        assert all(abs(r - np.linalg.norm(inst.theta_star)) < 1e-12 for r in aligned_rewards)
 
     def test_mean_matches_inner_product(self):
         inst = small_instance(noise_std=1.0)
-        a = inst.action_set[0]
-        r = rng_for(123)
-        samples = np.array([reward(inst, a, r) for _ in range(10_000)])
-        assert abs(samples.mean() - a @ inst.theta_star) < 3 / np.sqrt(10_000)
-
-    def test_dimension_mismatch(self):
-        inst = small_instance()
-        with pytest.raises(InvalidDimensionError):
-            reward(inst, np.zeros(5), rng_for(0))
+        plays = self.logged_plays(inst, 10_000)
+        resid = np.array([r - a @ inst.theta_star for a, r in plays])
+        assert abs(resid.mean()) < 3 / np.sqrt(len(resid))
+        assert abs(resid.std() - 1.0) < 0.05
 
 
 class TestOptimalAction:
+    """The optimal value the runners charge regret against, read from their action-set view."""
+
+    def optimal_value(self, inst):
+        _, _, vstar, _ = _EnvView(inst, PolicyParams(T=1)).at(1)
+        return vstar
+
     def test_matches_exhaustive_rescan(self):
         inst = small_instance(seed=17)
-        a, v = optimal_action(inst)
         values = [float(x @ inst.theta_star) for x in inst.action_set]
-        assert v == max(values)
-        assert np.array_equal(a, inst.action_set[int(np.argmax(values))])
+        assert self.optimal_value(inst) == max(values)
 
     def test_instantaneous_regret_at_most_2s(self):
         inst = small_instance(seed=29)
-        _, v = optimal_action(inst)
         worst = min(float(a @ inst.theta_star) for a in inst.action_set)
-        assert v - worst <= 2 * inst.s_bound + 1e-12
-
-    def test_tie_breaks_lowest_index(self):
-        e = np.eye(4)
-        coll = SubspaceCollection((Basis(e[:, :1]), Basis(e[:, 1:2])))
-        inst = ProblemInstance(
-            subspaces=coll,
-            theta_star=e[:, 0],
-            true_index=0,
-            action_set=np.vstack([e[2], e[3], e[0]]),  # first two tie at value 0... e[0] wins
-            noise_std=0.0,
-            s_bound=1.0,
-        )
-        a, v = optimal_action(inst)
-        assert v == 1.0
-        inst2 = ProblemInstance(
-            subspaces=coll, theta_star=e[:, 0], true_index=0,
-            action_set=np.vstack([e[2], e[3]]), noise_std=0.0, s_bound=1.0,
-        )
-        a2, v2 = optimal_action(inst2)
-        assert v2 == 0.0 and np.array_equal(a2, e[2])
+        assert self.optimal_value(inst) - worst <= 2 * inst.s_bound + 1e-12
 
 
 class TestComputeGap:
@@ -212,9 +208,6 @@ class TestComputeGap:
         )
         with pytest.raises(DegenerateInstanceError):
             compute_gap(inst)
-
-    def test_misspecification_zero_for_generated(self):
-        assert misspecification(small_instance()) < 1e-10
 
 
 class TestSerialization:

@@ -1,6 +1,7 @@
 """Config parsing, seed orchestration, aggregation, and CSV output."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -70,6 +71,25 @@ class TestRunConfig:
     def test_unknown_policy(self):
         with pytest.raises(InvalidConfigError):
             small_config(policy="thompson")
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"d": 1}, "d must be an integer >= 2"),
+            ({"m": 6}, "need m < d"),
+            ({"true_index": 4}, "true_index < K"),
+            ({"master_seed": -1}, "master_seed must be an integer >= 0"),
+            ({"n_extra_actions": 0}, "n_extra_actions must be null or an integer >= 1"),
+            ({"noise_std": -0.5}, "noise_std must be a number >= 0"),
+            ({"s_bound": float("nan")}, "s_bound must be a number > 0"),
+            ({"track_coverage": 1}, "track_coverage must be true or false"),
+            ({"explore_budget_mode": "greedy"}, "explore_budget_mode must be"),
+            ({"delta_mode": "fixed", "delta": 1.5}, "delta in (0, 1)"),
+        ],
+    )
+    def test_field_type_and_domain_checked(self, overrides, message):
+        with pytest.raises(InvalidConfigError, match=re.escape(message)):
+            small_config(**overrides)
 
     def test_default_extra_actions(self):
         assert small_config().extra_actions == 30

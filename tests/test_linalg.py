@@ -12,18 +12,27 @@ from subgoss.linalg import (
     Basis,
     ExploreStats,
     LinUcbStats,
+    _solve_mat,
     explore_estimate,
     project,
     random_orthonormal_basis,
-    record_linucb_play,
     subspace_overlap,
-    ucb_score,
     ucb_scores,
 )
 
 
 def rng_for(seed):
     return np.random.default_rng(seed)
+
+
+def record(stats, basis, a, reward):
+    """Fold an ambient-space play into subspace statistics, as the runners do."""
+    stats.add_play_coords(basis.columns.T @ a, reward)
+
+
+def score(stats, basis, a, beta):
+    """Optimistic score of one ambient-space action: ucb_scores on a one-column batch."""
+    return float(ucb_scores(stats, (basis.columns.T @ a)[:, None], beta)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -150,11 +159,13 @@ class TestExploreEstimate:
         assert np.allclose(explore_estimate(stats, b), np.array([1.0, 0.0, 0.0]))
 
     def test_zero_count_raises(self):
+        # no play at all raises; an unplayed column alone gets a zero mean
         b = random_orthonormal_basis(4, 2, rng_for(0))
         stats = ExploreStats(2)
-        stats.add_play(0, 1.0)
         with pytest.raises(InsufficientSamplesError):
             explore_estimate(stats, b)
+        stats.add_play(0, 1.0)
+        assert np.array_equal(explore_estimate(stats, b), b.columns @ np.array([1.0, 0.0]))
 
     def test_matches_pinv_oracle(self):
         # random noisy round-robin designs vs the dense pseudo-inverse solution
@@ -226,37 +237,54 @@ def dense_ridge_oracle(basis, plays, lam):
     return np.linalg.pinv(vbar, rcond=1e-10) @ rhs
 
 
+@pytest.mark.parametrize("dim", [1, 2, 24])
+def test_direct_solves_bit_identical_to_numpy_solve(dim):
+    # the kernel's gesv calls must give exactly what np.linalg.solve gives, also
+    # for the transposed (column-major) action matrix of the ambient baseline
+    r = rng_for(dim)
+    stats = LinUcbStats(dim, 1.0)
+    actions = r.standard_normal((6 * dim, dim))
+    for a in actions[: 3 * dim]:
+        stats.add_play_coords(a, float(r.standard_normal()))
+    for X in (actions.T, np.ascontiguousarray(actions.T)):
+        assert np.array_equal(_solve_mat(stats.gram, X), np.linalg.solve(stats.gram, X))
+    assert np.array_equal(stats.theta_hat(), np.linalg.solve(stats.gram, stats.moment))
+    th = np.linalg.solve(stats.gram, stats.moment)
+    y = np.linalg.solve(stats.gram, actions.T)
+    quad = np.einsum("ij,ij->j", actions.T, y)
+    expected = th @ actions.T + 0.7 * np.sqrt(np.maximum(quad, 0.0))
+    assert np.array_equal(ucb_scores(stats, actions.T, 0.7), expected)
+
+
 class TestLinUcbStats:
     def test_empty_state_score(self):
         b = Basis(np.eye(4)[:, :2])
         stats = LinUcbStats(2, 2.0)
         a = np.array([1.0, 0.0, 0.0, 0.0])  # ||U^T a|| = 1
-        assert abs(ucb_score(stats, b, a, 3.0) - 3.0 / np.sqrt(2.0)) < 1e-12
+        assert abs(score(stats, b, a, 3.0) - 3.0 / np.sqrt(2.0)) < 1e-12
 
     def test_orthogonal_action_scores_zero(self):
         b = Basis(np.eye(4)[:, :2])
         stats = LinUcbStats(2, 1.0)
-        stats = record_linucb_play(stats, b, np.array([0.5, 0.5, 0.0, 0.0]), 1.0)
+        record(stats, b, np.array([0.5, 0.5, 0.0, 0.0]), 1.0)
         a = np.array([0.0, 0.0, 1.0, 0.0])
-        assert ucb_score(stats, b, a, 7.0) == 0.0
+        assert score(stats, b, a, 7.0) == 0.0
 
     def test_direct_update(self):
         b = Basis(np.eye(3)[:, :2])
         stats = LinUcbStats(2, 1.0)
-        out = record_linucb_play(stats, b, np.array([1.0, 0.0, 0.0]), 0.5)
-        assert np.allclose(out.gram, np.eye(2) + np.outer([1, 0], [1, 0]))
-        assert np.allclose(out.moment, [0.5, 0.0])
-        assert out.count == 1
-        # original untouched (functional update)
-        assert stats.count == 0 and np.allclose(stats.gram, np.eye(2))
+        record(stats, b, np.array([1.0, 0.0, 0.0]), 0.5)
+        assert np.allclose(stats.gram, np.eye(2) + np.outer([1, 0], [1, 0]))
+        assert np.allclose(stats.moment, [0.5, 0.0])
+        assert stats.count == 1
 
     def test_orthogonal_play_only_bumps_count(self):
         b = Basis(np.eye(4)[:, :2])
         stats = LinUcbStats(2, 1.0)
-        out = record_linucb_play(stats, b, np.array([0, 0, 1.0, 0]), 5.0)
-        assert np.allclose(out.gram, stats.gram)
-        assert np.allclose(out.moment, 0.0)
-        assert out.count == 1
+        record(stats, b, np.array([0, 0, 1.0, 0]), 5.0)
+        assert np.allclose(stats.gram, np.eye(2))
+        assert np.allclose(stats.moment, 0.0)
+        assert stats.count == 1
 
     def test_theta_hat_matches_dense_ridge_oracle(self):
         for seed in range(30):
@@ -269,7 +297,7 @@ class TestLinUcbStats:
                 a = r.standard_normal(d)
                 a /= max(1.0, np.linalg.norm(a))
                 rew = float(r.standard_normal())
-                stats = record_linucb_play(stats, b, a, rew)
+                record(stats, b, a, rew)
                 plays.append((a, rew))
             theta_d = b.columns @ stats.theta_hat()
             assert np.max(np.abs(theta_d - dense_ridge_oracle(b, plays, lam))) < 1e-9
@@ -281,7 +309,7 @@ class TestLinUcbStats:
         for _ in range(20):
             a = r.standard_normal(5)
             a /= np.linalg.norm(a)
-            stats = record_linucb_play(stats, b, a, 0.0)
+            record(stats, b, a, 0.0)
         assert np.linalg.eigvalsh(stats.gram).min() >= 1.5 - 1e-9
 
     def test_nonpositive_lambda_rejected(self):
@@ -309,11 +337,11 @@ class TestUcbScoreOracle:
             for _ in range(5):
                 a = r.standard_normal(5)
                 a /= np.linalg.norm(a)
-                stats = record_linucb_play(stats, b, a, float(r.standard_normal()))
+                record(stats, b, a, float(r.standard_normal()))
             a = r.standard_normal(5)
             a /= np.linalg.norm(a)
             beta = 2.0
-            got = ucb_score(stats, b, a, beta)
+            got = score(stats, b, a, beta)
             want = ellipsoid_max_oracle(stats, b, a, beta)
             assert abs(got - want) < 1e-6
 
@@ -324,18 +352,13 @@ class TestUcbScoreOracle:
         for _ in range(4):
             a = r.standard_normal(6)
             a /= np.linalg.norm(a)
-            stats = record_linucb_play(stats, b, a, float(r.standard_normal()))
+            record(stats, b, a, float(r.standard_normal()))
         a = r.standard_normal(6)
         a /= np.linalg.norm(a)
-        scores = [ucb_score(stats, b, a, beta) for beta in (0.0, 0.5, 1.0, 2.0)]
+        scores = [score(stats, b, a, beta) for beta in (0.0, 0.5, 1.0, 2.0)]
         assert all(s2 >= s1 - 1e-12 for s1, s2 in zip(scores, scores[1:]))
         greedy = float(stats.theta_hat() @ (b.columns.T @ a))
         assert abs(scores[0] - greedy) < 1e-12
-
-    def test_negative_beta_rejected(self):
-        b = Basis(np.eye(3)[:, :1])
-        with pytest.raises(NumericalDegeneracyError):
-            ucb_score(LinUcbStats(1, 1.0), b, np.array([1.0, 0, 0]), -0.1)
 
     def test_ucb_dominance_when_theta_covered(self):
         # if theta* lies in the confidence set, the optimistic score upper-bounds the truth
@@ -347,14 +370,12 @@ class TestUcbScoreOracle:
             for _ in range(8):
                 a = r.standard_normal(6)
                 a /= np.linalg.norm(a)
-                stats = record_linucb_play(
-                    stats, b, a, float(a @ theta + 0.1 * r.standard_normal())
-                )
+                record(stats, b, a, float(a @ theta + 0.1 * r.standard_normal()))
             theta_m = b.columns.T @ theta
             diff = stats.theta_hat() - theta_m
             beta = float(np.sqrt(diff @ stats.gram @ diff)) + 1e-9
             a_star = theta / np.linalg.norm(theta)
-            assert ucb_score(stats, b, a_star, beta) >= float(theta @ a_star) - 1e-9
+            assert score(stats, b, a_star, beta) >= float(theta @ a_star) - 1e-9
 
     def test_argmax_matches_dense_pseudoinverse_form(self):
         # m-coordinate scores vs the ambient-space pinv(Vbar) formulation, 50 instances
@@ -366,7 +387,7 @@ class TestUcbScoreOracle:
             for _ in range(6):
                 a = r.standard_normal(d)
                 a /= np.linalg.norm(a)
-                stats = record_linucb_play(stats, b, a, float(r.standard_normal()))
+                record(stats, b, a, float(r.standard_normal()))
             actions = r.standard_normal((12, d))
             actions /= np.linalg.norm(actions, axis=1, keepdims=True)
             beta = 1.7

@@ -5,22 +5,24 @@ import math
 import numpy as np
 import pytest
 
-from subgoss.environment import ProblemInstance, SubspaceCollection
+from subgoss import bounds
+from subgoss.environment import ProblemInstance, SubspaceCollection, generate_instance
 from subgoss.errors import InvalidConfigError, InvariantViolationError, ProtocolError
-from subgoss.linalg import Basis, ExploreStats
+from subgoss.harness import RunConfig, run_one_seed
+from subgoss.linalg import Basis, ExploreStats, LinUcbStats, ucb_scores
 from subgoss.network import complete_graph, simulate_rumor_spread
 from subgoss.policies import (
     AgentState,
     PhaseSchedule,
     PolicyParams,
     Recommendation,
+    _EnvView,
+    _noise_streams,
     detect_freeze,
     end_explore_update,
-    exploit_step,
     explore_plan,
     gossip_exchange,
     init_agents,
-    phase_boundaries,
     run_genie,
     run_oful_baseline,
     run_single_agent_subgoss,
@@ -58,6 +60,12 @@ def toy_instance(m, K, theta_scale=0.9, noise_std=0.0, n_random=5, true_index=0,
 # phase arithmetic
 
 
+def phase_boundaries(b, j):
+    """Inclusive (start, end) slots of phase j, from the schedule's phase lengths."""
+    start = 1 + sum(PhaseSchedule(b=b, j=l).phase_length for l in range(1, j))
+    return start, start + PhaseSchedule(b=b, j=j).phase_length - 1
+
+
 class TestPhaseBoundaries:
     def test_b2_examples(self):
         assert phase_boundaries(2.0, 1) == (1, 1)
@@ -72,9 +80,9 @@ class TestPhaseBoundaries:
 
     def test_invalid(self):
         with pytest.raises(InvalidConfigError):
-            phase_boundaries(1.0, 1)
+            PhaseSchedule(b=1.0, j=1)
         with pytest.raises(InvalidConfigError):
-            phase_boundaries(2.0, 0)
+            PhaseSchedule(b=2.0, j=0)
 
 
 class TestPhaseSchedule:
@@ -222,38 +230,31 @@ class TestEndExploreUpdate:
 
 
 class TestExploitStep:
+    """The exploit rule: argmax of ucb_scores on the best-estimate subspace's coordinates."""
+
     def test_empty_state_prefers_chosen_subspace(self):
         inst = toy_instance(m=2, K=2, n_random=1)
-        ag = agent_with([0, 1], [0, 1], PhaseSchedule(b=2.0, j=2), n_subspaces=2)
-        ag.best_estimate_id = 1
+        basis = inst.subspaces.bases[1]
         # actions: columns of subspace 1 vs orthogonal columns of subspace 0
         actions = np.vstack([
             inst.subspaces.bases[0].columns.T,  # score 0
-            inst.subspaces.bases[1].columns.T,
+            basis.columns.T,
         ])
-        idx = exploit_step(ag, inst.subspaces.bases, actions, delta=0.01, lam=1.0)
+        bval = bounds.beta(0.01, 2, 1.0, 0)
+        idx = int(np.argmax(ucb_scores(LinUcbStats(2, 1.0), basis.columns.T @ actions.T, bval)))
         assert idx >= 2
 
     def test_greedy_limit_with_tiny_beta(self):
         inst = toy_instance(m=1, K=2, n_random=0)
-        ag = agent_with([0], [0], PhaseSchedule(b=2.0, j=3), n_subspaces=2)
-        ag.best_estimate_id = 0
-        from subgoss.linalg import LinUcbStats, record_linucb_play
-
+        basis = inst.subspaces.bases[0]
         stats = LinUcbStats(1, 1.0)
-        a0 = inst.subspaces.bases[0].columns[:, 0]
+        a0 = basis.columns[:, 0]
         for _ in range(10_000):
-            stats = record_linucb_play(stats, inst.subspaces.bases[0], a0, 0.9)
-        ag.linucb[0] = stats
+            stats.add_play_coords(basis.columns.T @ a0, 0.9)
         actions = np.vstack([a0, 0.5 * a0, -a0])
-        idx = exploit_step(ag, inst.subspaces.bases, actions, delta=0.5, lam=1.0)
+        bval = bounds.beta(0.5, 1, 1.0, stats.count)
+        idx = int(np.argmax(ucb_scores(stats, basis.columns.T @ actions.T, bval)))
         assert idx == 0
-
-    def test_requires_estimate(self):
-        inst = toy_instance(m=1, K=2)
-        ag = agent_with([0], [0], PhaseSchedule(b=2.0, j=1), n_subspaces=2)
-        with pytest.raises(InvariantViolationError):
-            exploit_step(ag, inst.subspaces.bases, inst.action_set, 0.1, 1.0)
 
 
 class TestGossipExchange:
@@ -361,6 +362,12 @@ class TestRunSubgossMulti:
         assert np.all(res.inst_regret <= 2 * inst.s_bound + 1e-12)
         cum = res.cum_regret()
         assert np.all(np.diff(cum, axis=1) >= -1e-12)
+        # a generated Fig-1-size instance whose best action is a basis column:
+        # explore plays and vstar read the same values, so no rounding below 0
+        for resample in (False, True):
+            cfg = RunConfig(d=24, m=2, K=12, N=4, T=2000, master_seed=0,
+                            resample_actions_per_step=resample)
+            assert run_one_seed(cfg, 9).inst_regret.min() >= 0
 
     def test_comm_count_matches_completed_phases(self):
         inst = toy_instance(m=1, K=4, noise_std=1.0)
@@ -459,6 +466,17 @@ class TestRunSingleAgent:
         explored = {e["subspace"] for e in res.events if e["event"] == "explore_play"}
         assert explored == {0, 1, 2, 3}
 
+    def test_action_set_without_basis_columns_rejected(self):
+        # explore plays read their value from the basis-column rows of the action set
+        inst = toy_instance(m=1, K=3, noise_std=0.0)
+        cut = ProblemInstance(
+            subspaces=inst.subspaces, theta_star=inst.theta_star, true_index=0,
+            action_set=inst.action_set[:-1], noise_std=0.0, s_bound=1.0,
+        )
+        with pytest.raises(InvalidConfigError):
+            run_single_agent_subgoss(cut, params(50), rng_for(0))
+        assert run_genie(cut, params(50), rng_for(0)).inst_regret.shape == (1, 50)
+
 
 class TestRunGenie:
     def test_noiseless_regret_flattens(self):
@@ -507,12 +525,59 @@ class TestRunOful:
 
 def test_resample_actions_mode_runs_and_is_deterministic():
     inst = toy_instance(m=2, K=2, noise_std=1.0)
-    p = params(60, resample_actions_per_step=True, n_resample_actions=8)
+    p = params(60, resample_actions_per_step=True)
     a = run_genie(inst, p, rng_for(4), action_key=77)
     b = run_genie(inst, p, rng_for(4), action_key=77)
     c = run_genie(inst, p, rng_for(4), action_key=78)
     assert np.array_equal(a.inst_regret, b.inst_regret)
     assert not np.array_equal(a.inst_regret, c.inst_regret)
+
+
+def reference_linucb(instance, params, noise_rng, action_key, genie, track_coverage=False):
+    """Hand-written genie and oful loops: the reference run_genie and run_oful_baseline
+    must match bit for bit."""
+    T, delta, lam, S = params.T, params.delta_value(), params.lam, params.s_bound
+    env = _EnvView(instance, params, action_key)
+    nz = _noise_streams(instance, 1, T, [noise_rng])[0]
+    dim = instance.m if genie else instance.d
+    basis = instance.subspaces.bases[instance.true_index]
+    theta_m = basis.columns.T @ instance.theta_star
+    gram, moment, count = lam * np.eye(dim), np.zeros(dim), 0
+    inst_regret = np.zeros((1, T))
+    covered = True
+    for t in range(1, T + 1):
+        actions, values, vstar, coords = env.at(t)
+        X = coords[instance.true_index] if genie else actions.T
+        bval = bounds.beta(delta, dim, lam, count, S)
+        th = np.linalg.solve(gram, moment)
+        if track_coverage:
+            diff = th - theta_m
+            if math.sqrt(float(diff @ gram @ diff)) > bval:
+                covered = False
+        y = np.linalg.solve(gram, X)
+        quad = np.einsum("ij,ij->j", X, y)
+        scores = th @ X + bval * np.sqrt(np.maximum(quad, 0.0))
+        idx = int(np.argmax(scores))
+        a = X[:, idx]
+        r = float(values[idx]) + nz[t]
+        gram += np.outer(a, a)
+        moment += r * a
+        count += 1
+        inst_regret[0, t - 1] = vstar - values[idx]
+    return inst_regret, covered
+
+
+def test_genie_and_oful_match_hand_written_loops():
+    inst = generate_instance(8, 2, 4, 1, 40, 1.0, 1.0, rng_for(21))
+    for resample in (False, True):
+        p = params(300, resample_actions_per_step=resample, delta=0.05)
+        want, want_cov = reference_linucb(inst, p, rng_for(5), 33, genie=True, track_coverage=True)
+        got = run_genie(inst, p, rng_for(5), action_key=33, track_coverage=True)
+        assert np.array_equal(got.inst_regret, want)
+        assert got.coverage_ok == want_cov
+        want, _ = reference_linucb(inst, p, rng_for(6), 34, genie=False)
+        got = run_oful_baseline(inst, p, rng_for(6), action_key=34)
+        assert np.array_equal(got.inst_regret, want)
 
 
 def test_spread_dominance_against_standalone_rumor_process():
