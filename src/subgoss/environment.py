@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -57,6 +58,16 @@ class SubspaceCollection:
     @property
     def m(self) -> int:
         return self.bases[0].m
+
+    @cached_property
+    def basis_columns(self) -> np.ndarray:
+        """(K*m, d) read-only block of every basis column as a row, subspace by subspace.
+
+        Every action set ends with these rows; built once per collection.
+        """
+        columns = np.vstack([b.columns.T for b in self.bases])
+        columns.setflags(write=False)
+        return columns
 
 
 @dataclass(frozen=True)
@@ -159,8 +170,7 @@ def generate_instance(
     theta = raw * (min(norm, s_bound) / norm)
 
     randoms = _sample_unit_sphere(n_actions, d, rng)
-    columns = np.vstack([b.columns.T for b in collection.bases])  # (K*m, d)
-    actions = np.vstack([randoms, columns])
+    actions = np.vstack([randoms, collection.basis_columns])
 
     return ProblemInstance(
         subspaces=collection,
@@ -175,8 +185,7 @@ def generate_instance(
 def resample_actions(instance: ProblemInstance, n_actions: int, rng: np.random.Generator) -> np.ndarray:
     """Fresh unit-sphere Gaussians with the basis columns appended (time-varying action mode)."""
     randoms = _sample_unit_sphere(n_actions, instance.d, rng)
-    columns = np.vstack([b.columns.T for b in instance.subspaces.bases])
-    return np.vstack([randoms, columns])
+    return np.vstack([randoms, instance.subspaces.basis_columns])
 
 
 def compute_gap(instance: ProblemInstance) -> GapReport:

@@ -125,9 +125,10 @@ class LinUcbStats:
     gram = lambda*I_m + sum x x^T and moment = sum x*r over recorded plays,
     where x = U^T a are the subspace coordinates of the played action. The
     ambient baseline keeps the same statistics in d coordinates, with x = a.
+    The ridge estimate is solved once per recorded play and kept until the next.
     """
 
-    __slots__ = ("gram", "moment", "count", "lam")
+    __slots__ = ("gram", "moment", "count", "lam", "_theta")
 
     def __init__(self, m: int, lam: float):
         if lam <= 0:
@@ -136,15 +137,19 @@ class LinUcbStats:
         self.moment = np.zeros(m)
         self.count = 0
         self.lam = float(lam)
+        self._theta = None
 
     def add_play_coords(self, x: np.ndarray, reward: float) -> None:
         self.gram += x[:, None] * x
         self.moment += reward * x
         self.count += 1
+        self._theta = None
 
     def theta_hat(self) -> np.ndarray:
         """Ridge estimate in subspace coordinates."""
-        return _solve_vec(self.gram, self.moment)
+        if self._theta is None:
+            self._theta = _solve_vec(self.gram, self.moment)
+        return self._theta
 
 
 def ucb_scores(stats: LinUcbStats, coords: np.ndarray, beta: float) -> np.ndarray:
@@ -155,8 +160,7 @@ def ucb_scores(stats: LinUcbStats, coords: np.ndarray, beta: float) -> np.ndarra
     the one scoring rule of every policy; the Gram matrix needs no check here,
     since it starts at lambda*I with lambda > 0 and only gains x x^T terms.
     """
-    th = _solve_vec(stats.gram, stats.moment)
     y = _solve_mat(stats.gram, coords)
     quad = np.einsum("ij,ij->j", coords, y)
-    return th @ coords + beta * np.sqrt(np.maximum(quad, 0.0))
+    return stats.theta_hat() @ coords + beta * np.sqrt(np.maximum(quad, 0.0))
 

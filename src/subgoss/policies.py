@@ -270,11 +270,30 @@ def detect_freeze(recommendations, true_index: int) -> int | None:
 # environment precomputation shared by the runners
 
 
+class _SubspaceCoords(dict):
+    """Coordinates U_k^T A^T of one action set A in subspace k, projected on first use."""
+
+    __slots__ = ("_bases", "_actions")
+
+    def __init__(self, bases, actions: np.ndarray):
+        super().__init__()
+        self._bases = bases
+        self._actions = actions
+
+    def __missing__(self, k):
+        X = self[k] = self._bases[k].columns.T @ self._actions.T
+        return X
+
+
 class _EnvView:
-    """Cached projections of a fixed action set, or per-step resampled ones.
+    """The action set of step t, its values and optimum, and its subspace coordinates.
 
     Every action set holds n_random random rows followed by the K*m basis
-    columns, subspace by subspace.
+    columns, subspace by subspace. A fixed set is viewed once for the whole run;
+    a resampled one is drawn from the stream keyed (action_rng_key, t) and only
+    the view of the step last asked for is kept, since the runners ask for each
+    step once, all agents together. Coordinates are projected only onto the
+    subspaces some agent reads.
     """
 
     def __init__(self, instance: ProblemInstance, params: PolicyParams, action_rng_key=None):
@@ -282,26 +301,20 @@ class _EnvView:
         self.resample = params.resample_actions_per_step
         self.n_random = instance.action_set.shape[0] - instance.K * instance.m
         self.key = action_rng_key
-        self._cache = {}
-        if not self.resample:
-            self._fixed = self._build(instance.action_set)
+        self._t = None
+        self._view = None if self.resample else self._build(instance.action_set)
 
     def _build(self, actions: np.ndarray):
-        theta = self.instance.theta_star
-        values = actions @ theta
-        coords = [b.columns.T @ actions.T for b in self.instance.subspaces.bases]
+        values = actions @ self.instance.theta_star
+        coords = _SubspaceCoords(self.instance.subspaces.bases, actions)
         return actions, values, float(values.max()), coords
 
     def at(self, t: int):
-        if not self.resample:
-            return self._fixed
-        if t not in self._cache:
+        if self.resample and t != self._t:
             rng = np.random.default_rng(np.random.SeedSequence((self.key, t)))
-            actions = resample_actions(self.instance, self.n_random, rng)
-            if len(self._cache) > 4:
-                self._cache.clear()
-            self._cache[t] = self._build(actions)
-        return self._cache[t]
+            self._view = self._build(resample_actions(self.instance, self.n_random, rng))
+            self._t = t
+        return self._view
 
 
 def _noise_streams(instance, n_agents, T, rngs):
@@ -326,7 +339,16 @@ def _run_subgoss(
     seed=None,
     action_key=None,
 ) -> RunResult:
-    """Phased play of N agents; without a gossip graph, one agent holding all K subspaces."""
+    """Phased play of N agents; without a gossip graph, one agent holding all K subspaces.
+
+    Within a phase the agents advance in lockstep, step t outermost, so each
+    step's action set is drawn and viewed once for all of them. Each agent plays
+    its explore plan, refreshes its estimates at its own switch step
+    (`end_explore_update`) and then exploits its best-estimate subspace. Until
+    the gossip at the phase end no agent reads another's state, and each draws
+    from its own noise stream, so the trajectories do not depend on this order.
+    Each agent's events of the phase are appended in agent order at its end.
+    """
     K, m, T = instance.K, instance.m, params.T
     bases = instance.subspaces.bases
     delta = params.delta_value()
@@ -335,10 +357,10 @@ def _run_subgoss(
     n_agents = gossip.n_agents if gossip else 1
     agents = init_agents(K, n_agents)
 
-    columns = np.vstack([bs.columns.T for bs in bases])
-    if not np.array_equal(instance.action_set[-len(columns):], columns):
+    if not np.array_equal(instance.action_set[-K * m:], instance.subspaces.basis_columns):
         raise InvalidConfigError("explore plays need the K*m basis columns as the last actions")
     env = _EnvView(instance, params, action_key)
+    n_random = env.n_random
     noise = _noise_streams(instance, n_agents, T, noise_rngs)
 
     inst_regret = np.zeros((n_agents, T))
@@ -356,58 +378,72 @@ def _run_subgoss(
         end = min(end_full, T)
         slots = end - start + 1
 
-        for i in range(n_agents):
-            ag = agents[i]
+        plans = []
+        for ag in agents:
             ag.schedule = schedule
-            plan = explore_plan(ag, m)
-            n_exp = min(len(plan), slots)
-            nz = noise[i]
-            for s in range(n_exp):
-                t = start + s
-                k, col = plan[s]
-                _, values, vstar, _ = env.at(t)
-                # the played column's row in the action set, so that vstar, the
-                # maximum of the same values array, never falls below it
-                a_val = float(values[env.n_random + k * m + col])
-                r = a_val + nz[t]
-                stats = ag.explore.get(k)
-                if stats is None:
-                    stats = ag.explore[k] = ExploreStats(m)
-                stats.add_play(col, r)
-                inst_regret[i, t - 1] = vstar - a_val
-                if log_plays:
-                    events.append(
-                        {"t": t, "agent": i, "phase": j, "event": "explore_play",
-                         "subspace": k, "column": col, "reward": r}
-                    )
-            ag = end_explore_update(ag, bases, strict=False)
+            plans.append(explore_plan(ag, m))
+        n_exp = [min(len(plan), slots) for plan in plans]
+        logs = [[] for _ in range(n_agents)]
+        exploit = [None] * n_agents  # (subspace, LinUcbStats) from the switch step on
+
+        def estimate(i):
+            ag = end_explore_update(agents[i], bases, strict=False)
             ag.schedule = schedule
             agents[i] = ag
-            events.append(
+            logs[i].append(
                 {"t": end, "agent": i, "phase": j, "event": "estimate",
                  "best": ag.best_estimate_id,
                  "norms": {k: v[1] for k, v in ag.last_estimates.items()}}
             )
-            if n_exp < slots:
+            if n_exp[i] < slots:
                 k = ag.best_estimate_id
                 stats = ag.linucb.get(k)
                 if stats is None:
                     stats = ag.linucb[k] = LinUcbStats(m, lam)
-                for s in range(n_exp, slots):
-                    t = start + s
-                    _, values, vstar, coords = env.at(t)
-                    X = coords[k]
-                    bval = bounds.beta(delta, m, lam, stats.count, S)
-                    idx = int(ucb_scores(stats, X, bval).argmax())
-                    r = float(values[idx]) + nz[t]
-                    stats.add_play_coords(X[:, idx], r)
-                    inst_regret[i, t - 1] = vstar - values[idx]
+                exploit[i] = (k, stats)
+
+        for s in range(slots):
+            t = start + s
+            _, values, vstar, coords = env.at(t)
+            for i in range(n_agents):
+                if s < n_exp[i]:
+                    k, col = plans[i][s]
+                    # the played column's row in the action set, so that vstar, the
+                    # maximum of the same values array, never falls below it
+                    a_val = float(values[n_random + k * m + col])
+                    r = a_val + noise[i][t]
+                    explore = agents[i].explore
+                    stats = explore.get(k)
+                    if stats is None:
+                        stats = explore[k] = ExploreStats(m)
+                    stats.add_play(col, r)
+                    inst_regret[i, t - 1] = vstar - a_val
                     if log_plays:
-                        events.append(
-                            {"t": t, "agent": i, "phase": j, "event": "exploit_play",
-                             "subspace": k, "action": idx, "reward": r}
+                        logs[i].append(
+                            {"t": t, "agent": i, "phase": j, "event": "explore_play",
+                             "subspace": k, "column": col, "reward": r}
                         )
-            ag.check_invariants()
+                    continue
+                if s == n_exp[i]:
+                    estimate(i)
+                k, stats = exploit[i]
+                X = coords[k]
+                bval = bounds.beta(delta, m, lam, stats.count, S)
+                idx = int(ucb_scores(stats, X, bval).argmax())
+                r = float(values[idx]) + noise[i][t]
+                stats.add_play_coords(X[:, idx], r)
+                inst_regret[i, t - 1] = vstar - values[idx]
+                if log_plays:
+                    logs[i].append(
+                        {"t": t, "agent": i, "phase": j, "event": "exploit_play",
+                         "subspace": k, "action": idx, "reward": r}
+                    )
+
+        for i in range(n_agents):
+            if n_exp[i] == slots:
+                estimate(i)
+            agents[i].check_invariants()
+            events += logs[i]
 
         recommendations.append([ag.best_estimate_id for ag in agents])
 

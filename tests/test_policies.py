@@ -5,8 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from subgoss import bounds
-from subgoss.environment import ProblemInstance, SubspaceCollection, generate_instance
+from subgoss import bounds, policies
+from subgoss.environment import (
+    ProblemInstance,
+    SubspaceCollection,
+    generate_instance,
+    resample_actions,
+)
 from subgoss.errors import InvalidConfigError, InvariantViolationError, ProtocolError
 from subgoss.harness import RunConfig, run_one_seed
 from subgoss.linalg import Basis, ExploreStats, LinUcbStats, ucb_scores
@@ -578,6 +583,56 @@ def test_genie_and_oful_match_hand_written_loops():
         want, _ = reference_linucb(inst, p, rng_for(6), 34, genie=False)
         got = run_oful_baseline(inst, p, rng_for(6), action_key=34)
         assert np.array_equal(got.inst_regret, want)
+
+
+def run_policy(policy, inst, p, action_key):
+    """One run of a named policy variant, with fixed noise and gossip streams."""
+    if policy.startswith("multi"):
+        n = int(policy[-1])
+        return run_subgoss_multi(
+            inst, p, complete_graph(n), multi_rngs(n), rng_for(9), action_key=action_key
+        )
+    if policy == "single":
+        return run_single_agent_subgoss(inst, p, rng_for(1), action_key=action_key)
+    if policy == "genie":
+        return run_genie(inst, p, rng_for(2), action_key=action_key, track_coverage=True)
+    return run_oful_baseline(inst, p, rng_for(3), action_key=action_key)
+
+
+@pytest.mark.parametrize("policy", ["multi4", "multi2", "single", "genie", "oful"])
+def test_resampled_action_set_drawn_once_per_step(policy, monkeypatch):
+    draws = []
+
+    def counting(instance, n_actions, rng):
+        draws.append(1)
+        return resample_actions(instance, n_actions, rng)
+
+    monkeypatch.setattr(policies, "resample_actions", counting)
+    inst = toy_instance(m=2, K=4, noise_std=1.0)
+    T = 150
+    run_policy(policy, inst, params(T, resample_actions_per_step=True), action_key=5)
+    assert len(draws) == T
+
+
+@pytest.mark.parametrize("policy", ["multi4", "multi2", "single"])
+def test_every_agent_plays_from_the_set_keyed_by_step(policy):
+    # basis-column rows are the same in every set; with many random rows in a
+    # small ambient space, exploits often play a random row, which tells sets apart
+    inst = generate_instance(4, 2, 4, 2, 200, 0.0, 1.0, rng_for(12))
+    n_random = inst.action_set.shape[0] - inst.K * inst.m
+    key = 41
+    res = run_policy(policy, inst, params(200, log_plays=True, resample_actions_per_step=True), key)
+    plays = [e for e in res.events if e["event"] in ("explore_play", "exploit_play")]
+    assert len(plays) == res.n_agents * 200
+    assert any(e.get("action", n_random) < n_random for e in plays)
+    for e in plays:
+        rng = np.random.default_rng(np.random.SeedSequence((key, e["t"])))
+        values = resample_actions(inst, n_random, rng) @ inst.theta_star
+        if e["event"] == "explore_play":
+            row = n_random + e["subspace"] * inst.m + e["column"]
+        else:
+            row = e["action"]
+        assert e["reward"] == values[row]
 
 
 def test_spread_dominance_against_standalone_rumor_process():
