@@ -11,8 +11,6 @@ from .environment import (
     SubspaceCollection,
     compute_gap,
     generate_instance,
-    load_instance,
-    save_instance,
 )
 from .harness import Aggregate, RunConfig, aggregate, emit_csv, load_config, run
 from .linalg import Basis, random_orthonormal_basis
@@ -44,14 +42,12 @@ __all__ = [
     "estimate_spread_moment",
     "generate_instance",
     "load_config",
-    "load_instance",
     "random_orthonormal_basis",
     "run",
     "run_genie",
     "run_oful_baseline",
     "run_single_agent_subgoss",
     "run_subgoss_multi",
-    "save_instance",
     "simulate_rumor_spread",
     "__version__",
 ]

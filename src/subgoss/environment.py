@@ -1,4 +1,4 @@
-"""Problem instance generation, subspace gaps and serialization.
+"""Problem instance generation and subspace gaps.
 
 Instances follow the synthetic protocol: K random m-dimensional subspaces
 (SVD bases of Gaussian matrices), a hidden vector obtained by projecting a
@@ -8,7 +8,6 @@ Gaussians with all subspace basis columns appended.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -20,7 +19,7 @@ from .errors import (
     InvalidConfigError,
     InvalidDimensionError,
 )
-from .linalg import Basis, project, random_orthonormal_basis, subspace_overlap
+from .linalg import project, random_orthonormal_basis, subspace_overlap
 
 DISJOINT_TOL = 1e-8
 
@@ -202,39 +201,3 @@ def compute_gap(instance: ProblemInstance) -> GapReport:
             "two subspaces explain theta_star equally well (zero gap)"
         )
     return GapReport(delta=delta, per_subspace=gaps)
-
-
-def instance_to_dict(instance: ProblemInstance) -> dict:
-    return {
-        "d": instance.d,
-        "m": instance.m,
-        "K": instance.K,
-        "true_index": instance.true_index,
-        "noise_std": instance.noise_std,
-        "s_bound": instance.s_bound,
-        "theta_star": instance.theta_star.tolist(),
-        "bases": [b.columns.tolist() for b in instance.subspaces.bases],
-        "action_set": instance.action_set.tolist(),
-    }
-
-
-def instance_from_dict(data: dict) -> ProblemInstance:
-    bases = tuple(Basis(np.asarray(b)) for b in data["bases"])
-    return ProblemInstance(
-        subspaces=SubspaceCollection(bases),
-        theta_star=np.asarray(data["theta_star"]),
-        true_index=int(data["true_index"]),
-        action_set=np.asarray(data["action_set"]),
-        noise_std=float(data["noise_std"]),
-        s_bound=float(data["s_bound"]),
-    )
-
-
-def save_instance(instance: ProblemInstance, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(instance_to_dict(instance), fh)
-
-
-def load_instance(path) -> ProblemInstance:
-    with open(path) as fh:
-        return instance_from_dict(json.load(fh))

@@ -3,17 +3,15 @@
 All per-subspace statistics are kept in m-dimensional subspace coordinates:
 for a basis U the projected Gram matrix is Sigma = lambda*I_m + sum (U^T a)(U^T a)^T,
 which is the full-rank core of the rank-deficient ambient-space regularized
-Gram matrix U Sigma U^T.  m x m solves are faster and better conditioned than
-pseudo-inverting the d x d matrix.
+Gram matrix U Sigma U^T.  Working in m coordinates is faster and better
+conditioned than pseudo-inverting the d x d matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
-from numpy.linalg import _umath_linalg
 
 from .errors import (
     InsufficientSamplesError,
@@ -22,14 +20,6 @@ from .errors import (
 )
 
 ORTHO_TOL = 1e-10
-
-
-# The LAPACK gesv gufuncs behind np.linalg.solve, called directly: the same
-# factorization and the same bits, without the wrapper's per-call type and
-# shape checks, which cost more than an m x m solve itself. Callers pass
-# float64 arrays and a positive definite matrix, so no singular case arises.
-_solve_vec = partial(_umath_linalg.solve1, signature="dd->d")  # A x = b, b a vector
-_solve_mat = partial(_umath_linalg.solve, signature="dd->d")  # A X = B, B a matrix
 
 
 @dataclass(frozen=True)
@@ -125,30 +115,34 @@ class LinUcbStats:
     gram = lambda*I_m + sum x x^T and moment = sum x*r over recorded plays,
     where x = U^T a are the subspace coordinates of the played action. The
     ambient baseline keeps the same statistics in d coordinates, with x = a.
-    The ridge estimate is solved once per recorded play and kept until the next.
+    inv = gram^-1 is kept by one Sherman-Morrison rank-1 update per play, and
+    the ridge estimate inv @ moment is refreshed with it, so no play or score
+    solves a linear system.
     """
 
-    __slots__ = ("gram", "moment", "count", "lam", "_theta")
+    __slots__ = ("gram", "inv", "moment", "count", "_theta")
 
     def __init__(self, m: int, lam: float):
         if lam <= 0:
             raise NumericalDegeneracyError("regularization must be positive")
         self.gram = lam * np.eye(m)
+        self.inv = np.eye(m) / lam
         self.moment = np.zeros(m)
         self.count = 0
-        self.lam = float(lam)
-        self._theta = None
+        self._theta = np.zeros(m)
 
     def add_play_coords(self, x: np.ndarray, reward: float) -> None:
+        u = self.inv @ x
+        # (V + x x^T)^-1 = V^-1 - u u^T / (1 + x^T u), where 1 + x^T u >= 1
+        # since V^-1 is positive definite
+        self.inv -= (u[:, None] * u) / (1.0 + x @ u)
         self.gram += x[:, None] * x
         self.moment += reward * x
         self.count += 1
-        self._theta = None
+        self._theta = self.inv @ self.moment
 
     def theta_hat(self) -> np.ndarray:
         """Ridge estimate in subspace coordinates."""
-        if self._theta is None:
-            self._theta = _solve_vec(self.gram, self.moment)
         return self._theta
 
 
@@ -157,10 +151,8 @@ def ucb_scores(stats: LinUcbStats, coords: np.ndarray, beta: float) -> np.ndarra
 
     score_i = <theta_hat, x_i> + beta * ||x_i||_{gram^-1}, the closed form of the
     maximum of <theta, x_i> over the confidence ellipsoid of radius beta. This is
-    the one scoring rule of every policy; the Gram matrix needs no check here,
-    since it starts at lambda*I with lambda > 0 and only gains x x^T terms.
+    the one scoring rule of every policy. The squared norms are read off the
+    kept inverse; the clip at 0 guards against rounding on near-null actions.
     """
-    y = _solve_mat(stats.gram, coords)
-    quad = np.einsum("ij,ij->j", coords, y)
+    quad = np.einsum("ij,ij->j", coords, stats.inv @ coords)
     return stats.theta_hat() @ coords + beta * np.sqrt(np.maximum(quad, 0.0))
-

@@ -1,4 +1,4 @@
-"""Instance generation, rewards, gaps, and serialization."""
+"""Instance generation, rewards and gaps."""
 
 from dataclasses import replace
 
@@ -11,11 +11,7 @@ from subgoss.environment import (
     SubspaceCollection,
     compute_gap,
     generate_instance,
-    instance_from_dict,
-    instance_to_dict,
-    load_instance,
     resample_actions,
-    save_instance,
 )
 from subgoss.errors import (
     DegenerateInstanceError,
@@ -208,24 +204,6 @@ class TestComputeGap:
         )
         with pytest.raises(DegenerateInstanceError):
             compute_gap(inst)
-
-
-class TestSerialization:
-    def test_round_trip_dict(self):
-        inst = small_instance(seed=41)
-        back = instance_from_dict(instance_to_dict(inst))
-        assert np.array_equal(back.theta_star, inst.theta_star)
-        assert np.array_equal(back.action_set, inst.action_set)
-        assert back.true_index == inst.true_index
-        for b1, b2 in zip(back.subspaces.bases, inst.subspaces.bases):
-            assert np.array_equal(b1.columns, b2.columns)
-
-    def test_round_trip_file(self, tmp_path):
-        inst = small_instance(seed=42)
-        path = tmp_path / "inst.json"
-        save_instance(inst, path)
-        back = load_instance(path)
-        assert np.array_equal(back.theta_star, inst.theta_star)
 
 
 def test_resample_actions_keeps_basis_columns():

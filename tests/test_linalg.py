@@ -12,7 +12,6 @@ from subgoss.linalg import (
     Basis,
     ExploreStats,
     LinUcbStats,
-    _solve_mat,
     explore_estimate,
     project,
     random_orthonormal_basis,
@@ -237,23 +236,39 @@ def dense_ridge_oracle(basis, plays, lam):
     return np.linalg.pinv(vbar, rcond=1e-10) @ rhs
 
 
+def close(got, want, tol):
+    """Largest entry of |got - want| within tol times the largest entry of |want|."""
+    return np.max(np.abs(got - want)) <= tol * np.max(np.abs(want))
+
+
+def assert_matches_solve_oracle(stats, actions, beta=0.7, tol=1e-9):
+    """The kept inverse, the ridge estimate and the scores against np.linalg.inv/solve
+    on the accumulated Gram matrix, for the transposed (column-major) action matrix
+    of the ambient baseline and for a contiguous one."""
+    assert close(stats.inv, np.linalg.inv(stats.gram), tol)
+    th = np.linalg.solve(stats.gram, stats.moment)
+    assert close(stats.theta_hat(), th, tol)
+    for X in (actions.T, np.ascontiguousarray(actions.T)):
+        quad = np.einsum("ij,ij->j", X, np.linalg.solve(stats.gram, X))
+        want = th @ X + beta * np.sqrt(np.maximum(quad, 0.0))
+        assert close(ucb_scores(stats, X, beta), want, tol)
+
+
 @pytest.mark.parametrize("dim", [1, 2, 24])
-def test_direct_solves_bit_identical_to_numpy_solve(dim):
-    # the kernel's gesv calls must give exactly what np.linalg.solve gives, also
-    # for the transposed (column-major) action matrix of the ambient baseline
+def test_sherman_morrison_matches_solve_oracle(dim):
+    # 3*dim plays, then for dim 24 a Fig-1-length run of 20,000 more, so that
+    # drift of the rank-1 updates would show
     r = rng_for(dim)
     stats = LinUcbStats(dim, 1.0)
     actions = r.standard_normal((6 * dim, dim))
     for a in actions[: 3 * dim]:
         stats.add_play_coords(a, float(r.standard_normal()))
-    for X in (actions.T, np.ascontiguousarray(actions.T)):
-        assert np.array_equal(_solve_mat(stats.gram, X), np.linalg.solve(stats.gram, X))
-    assert np.array_equal(stats.theta_hat(), np.linalg.solve(stats.gram, stats.moment))
-    th = np.linalg.solve(stats.gram, stats.moment)
-    y = np.linalg.solve(stats.gram, actions.T)
-    quad = np.einsum("ij,ij->j", actions.T, y)
-    expected = th @ actions.T + 0.7 * np.sqrt(np.maximum(quad, 0.0))
-    assert np.array_equal(ucb_scores(stats, actions.T, 0.7), expected)
+    assert_matches_solve_oracle(stats, actions)
+    if dim == 24:
+        for i in r.integers(0, len(actions), 20_000):
+            stats.add_play_coords(actions[i], float(r.standard_normal()))
+        assert stats.count == 3 * dim + 20_000
+        assert_matches_solve_oracle(stats, actions)
 
 
 class TestLinUcbStats:

@@ -573,16 +573,24 @@ def reference_linucb(instance, params, noise_rng, action_key, genie, track_cover
 
 
 def test_genie_and_oful_match_hand_written_loops():
-    inst = generate_instance(8, 2, 4, 1, 40, 1.0, 1.0, rng_for(21))
-    for resample in (False, True):
-        p = params(300, resample_actions_per_step=resample, delta=0.05)
-        want, want_cov = reference_linucb(inst, p, rng_for(5), 33, genie=True, track_coverage=True)
-        got = run_genie(inst, p, rng_for(5), action_key=33, track_coverage=True)
-        assert np.array_equal(got.inst_regret, want)
-        assert got.coverage_ok == want_cov
-        want, _ = reference_linucb(inst, p, rng_for(6), 34, genie=False)
-        got = run_oful_baseline(inst, p, rng_for(6), action_key=34)
-        assert np.array_equal(got.inst_regret, want)
+    # a small instance, and a Fig-1-size one (d=24, m=2, K=12, 120 random actions)
+    # long enough that drift of the kept inverse could flip an action choice
+    cases = [
+        (generate_instance(8, 2, 4, 1, 40, 1.0, 1.0, rng_for(21)), 300),
+        (generate_instance(24, 2, 12, 3, 120, 1.0, 1.0, rng_for(22)), 2000),
+    ]
+    for inst, T in cases:
+        for resample in (False, True):
+            p = params(T, resample_actions_per_step=resample, delta=0.05)
+            want, want_cov = reference_linucb(
+                inst, p, rng_for(5), 33, genie=True, track_coverage=True
+            )
+            got = run_genie(inst, p, rng_for(5), action_key=33, track_coverage=True)
+            assert np.array_equal(got.inst_regret, want)
+            assert got.coverage_ok == want_cov
+            want, _ = reference_linucb(inst, p, rng_for(6), 34, genie=False)
+            got = run_oful_baseline(inst, p, rng_for(6), action_key=34)
+            assert np.array_equal(got.inst_regret, want)
 
 
 def run_policy(policy, inst, p, action_key):

@@ -7,6 +7,7 @@ import pytest
 
 from subgoss import policies
 from subgoss.environment import generate_instance
+from subgoss.linalg import LinUcbStats, ucb_scores
 from subgoss.network import complete_graph
 from subgoss.policies import (
     PolicyParams,
@@ -65,3 +66,35 @@ def test_resampling_the_fixed_set_reproduces_fixed_mode(data):
     assert fixed.recommendations == drawn.recommendations
     assert fixed.events == drawn.events
     assert fixed.coverage_ok == drawn.coverage_ok
+
+
+@hypothesis.settings(max_examples=100, deadline=None)
+@hypothesis.given(
+    dim=st.integers(1, 6),
+    lam=st.floats(0.5, 2.0),
+    n_plays=st.integers(0, 200),
+    scale=st.floats(0.1, 3.0),
+    seed=st.integers(0, 2**16),
+)
+def test_sherman_morrison_inverse_matches_solve(dim, lam, n_plays, scale, seed):
+    """The rank-1-updated inverse, the ridge estimate and the optimistic scores
+    agree with np.linalg.inv/solve on the ridge system built from the plays, to 1e-9
+    relative."""
+    r = np.random.default_rng(seed)
+    plays = scale * r.standard_normal((n_plays, dim))
+    rewards = r.standard_normal(n_plays)
+    stats = LinUcbStats(dim, lam)
+    for x, rew in zip(plays, rewards):
+        stats.add_play_coords(x, float(rew))
+    gram = lam * np.eye(dim) + plays.T @ plays
+    actions = scale * r.standard_normal((dim, 3 * dim + 1))
+
+    def close(got, want):
+        return np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
+
+    th = np.linalg.solve(gram, plays.T @ rewards)
+    quad = np.einsum("ij,ij->j", actions, np.linalg.solve(gram, actions))
+    assert stats.count == n_plays
+    assert close(stats.inv, np.linalg.inv(gram))
+    assert close(stats.theta_hat(), th)
+    assert close(ucb_scores(stats, actions, 1.3), th @ actions + 1.3 * np.sqrt(quad))
