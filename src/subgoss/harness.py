@@ -54,7 +54,7 @@ _FIELD_CHECKS = (
     (("b",), lambda v: _is_real(v) and v > 1, "a number > 1"),
     (("lam", "s_bound"), lambda v: _is_real(v) and v > 0, "a number > 0"),
     (("noise_std",), lambda v: _is_real(v) and v >= 0, "a number >= 0"),
-    (("track_coverage", "log_plays", "resample_actions_per_step"),
+    (("track_coverage", "resample_actions_per_step"),
      lambda v: isinstance(v, bool), "true or false"),
     (("gossip",), lambda v: isinstance(v, str), "'complete' or a file path"),
     (("explore_budget_mode",), lambda v: v in ("theoretical", "experimental"),
@@ -85,7 +85,6 @@ class RunConfig:
     master_seed: int = 0
     true_index: int = 0
     track_coverage: bool = False
-    log_plays: bool = False
     resample_actions_per_step: bool = False
 
     def __post_init__(self):
@@ -122,7 +121,6 @@ class RunConfig:
             delta=self.delta if self.delta_mode == "fixed" else None,
             explore_budget_mode=self.explore_budget_mode,
             s_bound=self.s_bound,
-            log_plays=self.log_plays,
             resample_actions_per_step=self.resample_actions_per_step,
         )
 
@@ -180,11 +178,8 @@ def _rng(master_seed: int, seed_index: int, role: int, agent: int = 0):
     )
 
 
-def run_one_seed(config: RunConfig, seed_index: int) -> RunResult:
-    """One full simulation: fresh instance, fresh rng streams, chosen policy."""
-    params = config.policy_params()
-    inst_rng = _rng(config.master_seed, seed_index, _ROLE_INSTANCE)
-    instance = generate_instance(
+def _instance(config: RunConfig, seed_index: int):
+    return generate_instance(
         d=config.d,
         m=config.m,
         K=config.K,
@@ -192,8 +187,14 @@ def run_one_seed(config: RunConfig, seed_index: int) -> RunResult:
         n_actions=config.extra_actions,
         noise_std=config.noise_std,
         s_bound=config.s_bound,
-        rng=inst_rng,
+        rng=_rng(config.master_seed, seed_index, _ROLE_INSTANCE),
     )
+
+
+def run_one_seed(config: RunConfig, seed_index: int) -> RunResult:
+    """One full simulation: fresh instance, fresh rng streams, chosen policy."""
+    params = config.policy_params()
+    instance = _instance(config, seed_index)
     action_key = config.master_seed * 1_000_003 + seed_index * 101 + _ROLE_ACTIONS
 
     if config.policy == "subgoss_multi":
@@ -244,13 +245,7 @@ def run(config: RunConfig) -> list:
 
 def instance_gap(config: RunConfig, seed_index: int = 0) -> float:
     """Gap of the instance a given seed generates (for bound evaluation)."""
-    inst_rng = _rng(config.master_seed, seed_index, _ROLE_INSTANCE)
-    instance = generate_instance(
-        d=config.d, m=config.m, K=config.K, true_index=config.true_index,
-        n_actions=config.extra_actions, noise_std=config.noise_std,
-        s_bound=config.s_bound, rng=inst_rng,
-    )
-    return compute_gap(instance).delta
+    return compute_gap(_instance(config, seed_index)).delta
 
 
 # ---------------------------------------------------------------------------
@@ -262,25 +257,15 @@ class Aggregate:
     mean_curve: np.ndarray
     ci95_low: np.ndarray
     ci95_high: np.ndarray
-    mode: str  # "agent_mean" or "pooled"
     n_curves: int
 
 
-def aggregate(results: list, mode: str = "agent_mean") -> Aggregate:
+def aggregate(results: list) -> Aggregate:
     """Mean cumulative-regret curve with normal-approximation 95% intervals.
 
-    "agent_mean" first averages across agents within each seed (the protocol
-    used for reported curves), "pooled" treats each agent trajectory as a sample.
+    Each seed gives one curve, the mean over its agents.
     """
-    if mode not in ("agent_mean", "pooled"):
-        raise InvalidConfigError(f"unknown aggregation mode {mode!r}")
-    curves = []
-    for r in results:
-        cum = r.cum_regret()
-        if mode == "agent_mean":
-            curves.append(cum.mean(axis=0))
-        else:
-            curves.extend(cum)
+    curves = [r.cum_regret().mean(axis=0) for r in results]
     if len(curves) < 2:
         raise InvalidConfigError("confidence interval needs at least 2 curves")
     stack = np.vstack(curves)
@@ -290,7 +275,6 @@ def aggregate(results: list, mode: str = "agent_mean") -> Aggregate:
         mean_curve=mean,
         ci95_low=mean - 1.96 * stderr,
         ci95_high=mean + 1.96 * stderr,
-        mode=mode,
         n_curves=stack.shape[0],
     )
 
@@ -342,6 +326,5 @@ def parse_aggregate_csv(path) -> Aggregate:
         mean_curve=mean,
         ci95_low=np.array([r[1] for r in rows]),
         ci95_high=np.array([r[2] for r in rows]),
-        mode="agent_mean",
         n_curves=0,
     )

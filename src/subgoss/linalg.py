@@ -112,20 +112,20 @@ def explore_estimate(stats: ExploreStats, basis: Basis) -> np.ndarray:
 class LinUcbStats:
     """Projected-LinUCB statistics of one subspace in m coordinates.
 
-    gram = lambda*I_m + sum x x^T and moment = sum x*r over recorded plays,
-    where x = U^T a are the subspace coordinates of the played action. The
-    ambient baseline keeps the same statistics in d coordinates, with x = a.
-    inv = gram^-1 is kept by one Sherman-Morrison rank-1 update per play, and
-    the ridge estimate inv @ moment is refreshed with it, so no play or score
-    solves a linear system.
+    With V = lambda*I_m + sum x x^T over recorded plays, where x = U^T a are
+    the subspace coordinates of the played action, the statistics are
+    inv = V^-1, moment = sum x*r and the play count. The ambient baseline keeps
+    the same statistics in d coordinates, with x = a. inv is kept by one
+    Sherman-Morrison rank-1 update per play, and the ridge estimate
+    inv @ moment is refreshed with it, so no play or score solves a linear
+    system.
     """
 
-    __slots__ = ("gram", "inv", "moment", "count", "_theta")
+    __slots__ = ("inv", "moment", "count", "_theta")
 
     def __init__(self, m: int, lam: float):
         if lam <= 0:
             raise NumericalDegeneracyError("regularization must be positive")
-        self.gram = lam * np.eye(m)
         self.inv = np.eye(m) / lam
         self.moment = np.zeros(m)
         self.count = 0
@@ -136,7 +136,6 @@ class LinUcbStats:
         # (V + x x^T)^-1 = V^-1 - u u^T / (1 + x^T u), where 1 + x^T u >= 1
         # since V^-1 is positive definite
         self.inv -= (u[:, None] * u) / (1.0 + x @ u)
-        self.gram += x[:, None] * x
         self.moment += reward * x
         self.count += 1
         self._theta = self.inv @ self.moment
@@ -149,7 +148,7 @@ class LinUcbStats:
 def ucb_scores(stats: LinUcbStats, coords: np.ndarray, beta: float) -> np.ndarray:
     """Optimistic scores for a batch of actions given as m x n coordinates.
 
-    score_i = <theta_hat, x_i> + beta * ||x_i||_{gram^-1}, the closed form of the
+    score_i = <theta_hat, x_i> + beta * ||x_i||_{V^-1}, the closed form of the
     maximum of <theta, x_i> over the confidence ellipsoid of radius beta. This is
     the one scoring rule of every policy. The squared norms are read off the
     kept inverse; the clip at 0 guards against rounding on near-null actions.

@@ -9,7 +9,7 @@ its best-estimate subspace, and pulls one recommendation at the phase end.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -62,13 +62,17 @@ class PhaseSchedule:
 
 @dataclass
 class AgentState:
+    """One agent: its sticky and active sets and its per-subspace statistics.
+
+    The protocol functions below update it in place.
+    """
+
     id: int
     n_subspaces: int
     sticky_set: frozenset
     active_set: tuple  # sorted subspace ids
     explore: dict = field(default_factory=dict)  # k -> ExploreStats
     linucb: dict = field(default_factory=dict)  # k -> LinUcbStats
-    schedule: PhaseSchedule | None = None
     last_estimates: dict = field(default_factory=dict)  # k -> (theta, norm)
     best_estimate_id: int | None = None
 
@@ -77,14 +81,6 @@ class AgentState:
             raise InvariantViolationError("sticky set escaped the active set")
         if len(self.active_set) > len(self.sticky_set) + 2:
             raise InvariantViolationError("active set exceeded its cap")
-
-
-@dataclass(frozen=True)
-class Recommendation:
-    from_agent: int
-    to_agent: int
-    subspace_id: int
-    phase: int
 
 
 def init_agents(K: int, N: int) -> list:
@@ -106,8 +102,8 @@ def init_agents(K: int, N: int) -> list:
     return agents
 
 
-def explore_plan(state: AgentState, m: int) -> list:
-    """Slot-by-slot explore schedule for the current phase as (subspace, column) pairs.
+def explore_plan(state: AgentState, schedule: PhaseSchedule, m: int) -> list:
+    """Slot-by-slot explore schedule for the phase as (subspace, column) pairs.
 
     Subspaces are cycled in active-set order; within a subspace the least-played
     column (cumulatively, across phases) is chosen. When the phase is shorter
@@ -115,10 +111,8 @@ def explore_plan(state: AgentState, m: int) -> list:
     """
     if not state.active_set:
         raise InvariantViolationError("empty active set")
-    if state.schedule is None:
-        raise InvariantViolationError("agent has no phase schedule")
-    budget = state.schedule.explore_budget(m)
-    length = state.schedule.phase_length
+    budget = schedule.explore_budget(m)
+    length = schedule.phase_length
     total = budget * len(state.active_set)
     n_slots = total if length >= total else length
 
@@ -134,22 +128,17 @@ def explore_plan(state: AgentState, m: int) -> list:
     return plan
 
 
-def end_explore_update(state: AgentState, bases, strict: bool = True) -> AgentState:
+def end_explore_update(state: AgentState, bases) -> None:
     """Refresh explore estimates for every active subspace and pick the largest-norm one.
 
-    With strict=True an active subspace without any explore sample raises; the
-    simulation loop relaxes this during phases too short to cover the active set,
-    where unsampled subspaces are simply excluded from the argmax.
+    An active subspace without any explore sample, as in phases too short to
+    cover the active set, gets norm -inf and is left out of the argmax.
     """
     estimates = {}
     best, best_norm = None, -np.inf
     for k in state.active_set:
         stats = state.explore.get(k)
         if stats is None or stats.total_count == 0:
-            if strict:
-                raise InvariantViolationError(
-                    f"active subspace {k} has no explore samples"
-                )
             estimates[k] = (None, -np.inf)
             continue
         theta = explore_estimate(stats, bases[k])
@@ -157,42 +146,32 @@ def end_explore_update(state: AgentState, bases, strict: bool = True) -> AgentSt
         estimates[k] = (theta, norm)
         if norm > best_norm:  # ties keep the lower id (sorted iteration)
             best, best_norm = k, norm
-    if best is None:
-        best = min(state.active_set)
-    return replace(state, last_estimates=estimates, best_estimate_id=best)
+    state.last_estimates = estimates
+    state.best_estimate_id = min(state.active_set) if best is None else best
 
 
 def gossip_exchange(states, gossip_matrix: GossipMatrix, rng) -> list:
-    """Every agent pulls its partner's current best-estimate id; senders are unmodified."""
+    """The best-estimate id each agent pulls from a sampled partner, in agent order."""
     if gossip_matrix.n_agents != len(states):
         raise InvalidConfigError("gossip matrix size does not match the agent count")
-    recs = []
+    pulled = []
     for st in states:
-        partner = sample_neighbor(gossip_matrix, st.id, rng)
-        payload = states[partner].best_estimate_id
+        payload = states[sample_neighbor(gossip_matrix, st.id, rng)].best_estimate_id
         if payload is None:
             raise InvariantViolationError("partner has no recommendation yet")
-        recs.append(
-            Recommendation(
-                from_agent=partner,
-                to_agent=st.id,
-                subspace_id=payload,
-                phase=st.schedule.j if st.schedule else 0,
-            )
-        )
-    return recs
+        pulled.append(payload)
+    return pulled
 
 
-def update_active_set(state: AgentState, rec: Recommendation) -> AgentState:
-    """Accept a recommendation; on overflow keep sticky + best non-sticky + recommended."""
-    if not 0 <= rec.subspace_id < state.n_subspaces:
-        raise ProtocolError(f"recommended subspace {rec.subspace_id} out of range")
-    cap = len(state.sticky_set) + 2
+def update_active_set(state: AgentState, subspace_id: int) -> None:
+    """Accept a recommended id; on overflow keep sticky + best non-sticky + recommended."""
+    if not 0 <= subspace_id < state.n_subspaces:
+        raise ProtocolError(f"recommended subspace {subspace_id} out of range")
     active = set(state.active_set)
-    if rec.subspace_id in active:
-        new = state
-    elif len(active) < cap:
-        new = replace(state, active_set=tuple(sorted(active | {rec.subspace_id})))
+    if subspace_id in active:
+        return
+    if len(active) < len(state.sticky_set) + 2:
+        active.add(subspace_id)
     else:
         non_sticky = sorted(active - state.sticky_set)
         if len(non_sticky) != 2:
@@ -202,10 +181,9 @@ def update_active_set(state: AgentState, rec: Recommendation) -> AgentState:
             _, norm = state.last_estimates.get(k, (None, -np.inf))
             if norm > best_norm:
                 best_ns, best_norm = k, norm
-        keep = set(state.sticky_set) | {best_ns, rec.subspace_id}
-        new = replace(state, active_set=tuple(sorted(keep)))
-    new.check_invariants()
-    return new
+        active = set(state.sticky_set) | {best_ns, subspace_id}
+    state.active_set = tuple(sorted(active))
+    state.check_invariants()
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +210,11 @@ class PolicyParams:
 
 @dataclass
 class RunResult:
-    """Per-agent regret trajectories plus the phase-level event record."""
+    """Per-agent regret trajectories and the phase-level record of a run.
+
+    `events` holds the per-play records asked for by `PolicyParams.log_plays`,
+    and is empty otherwise.
+    """
 
     inst_regret: np.ndarray  # (N, T)
     seed: int | None
@@ -347,7 +329,7 @@ def _run_subgoss(
     (`end_explore_update`) and then exploits its best-estimate subspace. Until
     the gossip at the phase end no agent reads another's state, and each draws
     from its own noise stream, so the trajectories do not depend on this order.
-    Each agent's events of the phase are appended in agent order at its end.
+    Each agent's play records of the phase are appended in agent order at its end.
     """
     K, m, T = instance.K, instance.m, params.T
     bases = instance.subspaces.bases
@@ -378,23 +360,14 @@ def _run_subgoss(
         end = min(end_full, T)
         slots = end - start + 1
 
-        plans = []
-        for ag in agents:
-            ag.schedule = schedule
-            plans.append(explore_plan(ag, m))
+        plans = [explore_plan(ag, schedule, m) for ag in agents]
         n_exp = [min(len(plan), slots) for plan in plans]
         logs = [[] for _ in range(n_agents)]
         exploit = [None] * n_agents  # (subspace, LinUcbStats) from the switch step on
 
         def estimate(i):
-            ag = end_explore_update(agents[i], bases, strict=False)
-            ag.schedule = schedule
-            agents[i] = ag
-            logs[i].append(
-                {"t": end, "agent": i, "phase": j, "event": "estimate",
-                 "best": ag.best_estimate_id,
-                 "norms": {k: v[1] for k, v in ag.last_estimates.items()}}
-            )
+            ag = agents[i]
+            end_explore_update(ag, bases)
             if n_exp[i] < slots:
                 k = ag.best_estimate_id
                 stats = ag.linucb.get(k)
@@ -442,41 +415,24 @@ def _run_subgoss(
         for i in range(n_agents):
             if n_exp[i] == slots:
                 estimate(i)
-            agents[i].check_invariants()
             events += logs[i]
 
         recommendations.append([ag.best_estimate_id for ag in agents])
 
         if end_full <= T and n_agents > 1:
-            recs = gossip_exchange(agents, gossip, gossip_rng)
+            pulled = gossip_exchange(agents, gossip, gossip_rng)
             comm_count += 1
-            for rec in recs:
-                before = agents[rec.to_agent].active_set
-                agents[rec.to_agent] = update_active_set(agents[rec.to_agent], rec)
-                after = agents[rec.to_agent].active_set
-                events.append(
-                    {"t": end_full, "agent": rec.to_agent, "phase": j,
-                     "event": "recommendation", "from": rec.from_agent,
-                     "subspace": rec.subspace_id}
-                )
-                if before != after:
-                    events.append(
-                        {"t": end_full, "agent": rec.to_agent, "phase": j,
-                         "event": "set_update", "active": list(after)}
-                    )
+            for ag, k in zip(agents, pulled):
+                update_active_set(ag, k)
         active_history.append([ag.active_set for ag in agents])
         j += 1
         start = end_full + 1
 
-    n_phases = j - 1
-    freeze = detect_freeze(recommendations, instance.true_index)
-    if freeze is not None:
-        events.append({"t": T, "agent": -1, "phase": freeze, "event": "freeze_detected"})
     return RunResult(
         inst_regret=inst_regret,
         seed=seed,
-        n_phases=n_phases,
-        freeze_phase=freeze,
+        n_phases=j - 1,
+        freeze_phase=detect_freeze(recommendations, instance.true_index),
         recommendations=recommendations,
         comm_count=comm_count,
         events=events,
@@ -521,7 +477,9 @@ def _run_linucb(
     env = _EnvView(instance, params, action_key)
     nz = _noise_streams(instance, 1, T, [noise_rng])[0]
     if track_coverage:
+        # V = lam*I + sum x x^T, kept here only for the coverage check
         theta_k = instance.subspaces.bases[k].columns.T @ instance.theta_star
+        gram = lam * np.eye(dim)
 
     stats = LinUcbStats(dim, lam)
     inst_regret = np.zeros((1, T))
@@ -530,13 +488,15 @@ def _run_linucb(
         actions, values, vstar, coords = env.at(t)
         X = actions.T if k is None else coords[k]
         bval = bounds.beta(delta, dim, lam, stats.count, S)
+        idx = int(ucb_scores(stats, X, bval).argmax())
+        x = X[:, idx]
         if track_coverage:
             diff = stats.theta_hat() - theta_k
-            if math.sqrt(float(diff @ stats.gram @ diff)) > bval:
+            if math.sqrt(float(diff @ gram @ diff)) > bval:
                 covered = False
-        idx = int(ucb_scores(stats, X, bval).argmax())
+            gram += x[:, None] * x
         r = float(values[idx]) + nz[t]
-        stats.add_play_coords(X[:, idx], r)
+        stats.add_play_coords(x, r)
         inst_regret[0, t - 1] = vstar - values[idx]
 
     return RunResult(

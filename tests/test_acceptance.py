@@ -221,7 +221,7 @@ def test_criterion_6_collaboration_ordering(comparison_runs):
     _, results = comparison_runs
     stats = {}
     for name, res in results.items():
-        agg = aggregate(res, "agent_mean")
+        agg = aggregate(res)
         stats[name] = (agg.mean_curve[-1], agg.ci95_low[-1], agg.ci95_high[-1])
     detail = ", ".join(f"{k}={v[0]:.0f} [{v[1]:.0f},{v[2]:.0f}]" for k, v in stats.items())
     ordering = (

@@ -50,8 +50,10 @@ class TestValidate:
         ({"b": 1.0}, None, "b must be a number > 1"),
         ({"lambda": 0}, None, "lam must be a number > 0"),
         ({}, "abc", "SUBGOSS_WORKERS must be an integer"),
+        ({"log_plays": True}, None, "unknown config keys"),
     ],
-    ids=["T-string", "T-zero", "n_seeds-float", "b-one", "lambda-zero", "workers-abc"],
+    ids=["T-string", "T-zero", "n_seeds-float", "b-one", "lambda-zero", "workers-abc",
+         "log_plays-removed"],
 )
 def test_malformed_input_is_exit_2(tmp_path, capsys, monkeypatch, overrides, env, message):
     if env is not None:

@@ -194,24 +194,21 @@ class TestAggregate:
 
     def test_agent_mean_vs_pooled(self):
         res = [fake_result([[0.0, 0.0], [2.0, 2.0]]), fake_result([[1.0, 1.0], [1.0, 1.0]])]
-        agent_mean = aggregate(res, "agent_mean")
-        pooled = aggregate(res, "pooled")
+        agent_mean = aggregate(res)
         assert agent_mean.n_curves == 2
-        assert pooled.n_curves == 4
-        assert agent_mean.mean_curve[0] == pooled.mean_curve[0] == pytest.approx(1.0)
+        assert agent_mean.mean_curve[0] == pytest.approx(1.0)
+        # both seeds' agent means are 1, 2: a pooled interval over the four
+        # agent curves would have width, the agent-mean one has none
+        assert np.array_equal(agent_mean.ci95_low, agent_mean.ci95_high)
 
     def test_single_curve_rejected(self):
         with pytest.raises(InvalidConfigError):
             aggregate([fake_result([[1.0]])])
 
-    def test_unknown_mode(self):
-        with pytest.raises(InvalidConfigError):
-            aggregate([fake_result([[1.0]])] * 2, "median")
-
     def test_ci_ordering_invariant(self):
         r = np.random.default_rng(7)
         res = [fake_result(r.random((2, 15)), seed=s) for s in range(5)]
-        agg = aggregate(res, "pooled")
+        agg = aggregate(res)
         assert np.all(agg.ci95_low <= agg.mean_curve + 1e-12)
         assert np.all(agg.mean_curve <= agg.ci95_high + 1e-12)
 

@@ -25,8 +25,19 @@ def rng_for(seed):
 
 
 def record(stats, basis, a, reward):
-    """Fold an ambient-space play into subspace statistics, as the runners do."""
-    stats.add_play_coords(basis.columns.T @ a, reward)
+    """Fold an ambient-space play into subspace statistics, as the runners do;
+    returns the play's subspace coordinates."""
+    x = basis.columns.T @ a
+    stats.add_play_coords(x, reward)
+    return x
+
+
+def gram_of(coords, dim, lam=1.0):
+    """V = lam*I + sum x x^T over the coordinates x of the recorded plays."""
+    gram = lam * np.eye(dim)
+    for x in coords:
+        gram += np.outer(x, x)
+    return gram
 
 
 def score(stats, basis, a, beta):
@@ -241,15 +252,15 @@ def close(got, want, tol):
     return np.max(np.abs(got - want)) <= tol * np.max(np.abs(want))
 
 
-def assert_matches_solve_oracle(stats, actions, beta=0.7, tol=1e-9):
+def assert_matches_solve_oracle(stats, gram, actions, beta=0.7, tol=1e-9):
     """The kept inverse, the ridge estimate and the scores against np.linalg.inv/solve
-    on the accumulated Gram matrix, for the transposed (column-major) action matrix
-    of the ambient baseline and for a contiguous one."""
-    assert close(stats.inv, np.linalg.inv(stats.gram), tol)
-    th = np.linalg.solve(stats.gram, stats.moment)
+    on the Gram matrix of the recorded plays, for the transposed (column-major)
+    action matrix of the ambient baseline and for a contiguous one."""
+    assert close(stats.inv, np.linalg.inv(gram), tol)
+    th = np.linalg.solve(gram, stats.moment)
     assert close(stats.theta_hat(), th, tol)
     for X in (actions.T, np.ascontiguousarray(actions.T)):
-        quad = np.einsum("ij,ij->j", X, np.linalg.solve(stats.gram, X))
+        quad = np.einsum("ij,ij->j", X, np.linalg.solve(gram, X))
         want = th @ X + beta * np.sqrt(np.maximum(quad, 0.0))
         assert close(ucb_scores(stats, X, beta), want, tol)
 
@@ -261,14 +272,17 @@ def test_sherman_morrison_matches_solve_oracle(dim):
     r = rng_for(dim)
     stats = LinUcbStats(dim, 1.0)
     actions = r.standard_normal((6 * dim, dim))
+    gram = np.eye(dim)
     for a in actions[: 3 * dim]:
         stats.add_play_coords(a, float(r.standard_normal()))
-    assert_matches_solve_oracle(stats, actions)
+        gram += np.outer(a, a)
+    assert_matches_solve_oracle(stats, gram, actions)
     if dim == 24:
         for i in r.integers(0, len(actions), 20_000):
             stats.add_play_coords(actions[i], float(r.standard_normal()))
+            gram += np.outer(actions[i], actions[i])
         assert stats.count == 3 * dim + 20_000
-        assert_matches_solve_oracle(stats, actions)
+        assert_matches_solve_oracle(stats, gram, actions)
 
 
 class TestLinUcbStats:
@@ -289,7 +303,7 @@ class TestLinUcbStats:
         b = Basis(np.eye(3)[:, :2])
         stats = LinUcbStats(2, 1.0)
         record(stats, b, np.array([1.0, 0.0, 0.0]), 0.5)
-        assert np.allclose(stats.gram, np.eye(2) + np.outer([1, 0], [1, 0]))
+        assert np.allclose(stats.inv, np.linalg.inv(np.eye(2) + np.outer([1, 0], [1, 0])))
         assert np.allclose(stats.moment, [0.5, 0.0])
         assert stats.count == 1
 
@@ -297,7 +311,7 @@ class TestLinUcbStats:
         b = Basis(np.eye(4)[:, :2])
         stats = LinUcbStats(2, 1.0)
         record(stats, b, np.array([0, 0, 1.0, 0]), 5.0)
-        assert np.allclose(stats.gram, np.eye(2))
+        assert np.allclose(stats.inv, np.eye(2))
         assert np.allclose(stats.moment, 0.0)
         assert stats.count == 1
 
@@ -321,22 +335,27 @@ class TestLinUcbStats:
         r = rng_for(77)
         b = random_orthonormal_basis(5, 2, r)
         stats = LinUcbStats(2, 1.5)
+        plays = []
         for _ in range(20):
             a = r.standard_normal(5)
             a /= np.linalg.norm(a)
-            record(stats, b, a, 0.0)
-        assert np.linalg.eigvalsh(stats.gram).min() >= 1.5 - 1e-9
+            plays.append(record(stats, b, a, 0.0))
+        # V^-1 is the inverse of the plays' Gram matrix, so its eigenvalues
+        # lie in (0, 1/lambda]
+        assert np.allclose(stats.inv, np.linalg.inv(gram_of(plays, 2, 1.5)))
+        w = np.linalg.eigvalsh(stats.inv)
+        assert w.min() > 0 and w.max() <= 1 / 1.5 + 1e-9
 
     def test_nonpositive_lambda_rejected(self):
         with pytest.raises(NumericalDegeneracyError):
             LinUcbStats(2, 0.0)
 
 
-def ellipsoid_max_oracle(stats, basis, a, beta, n_grid=200_000):
+def ellipsoid_max_oracle(stats, gram, basis, a, beta, n_grid=200_000):
     """Boundary sweep of the m=2 confidence ellipsoid (independent of the closed form)."""
     x = basis.columns.T @ a
-    th = np.linalg.solve(stats.gram, stats.moment)
-    w, v = np.linalg.eigh(stats.gram)
+    th = np.linalg.solve(gram, stats.moment)
+    w, v = np.linalg.eigh(gram)
     half = v @ np.diag(1.0 / np.sqrt(w)) @ v.T  # gram^(-1/2)
     angles = np.linspace(0, 2 * np.pi, n_grid, endpoint=False)
     boundary = th[:, None] + beta * half @ np.vstack([np.cos(angles), np.sin(angles)])
@@ -349,15 +368,16 @@ class TestUcbScoreOracle:
             r = rng_for(seed)
             b = random_orthonormal_basis(5, 2, r)
             stats = LinUcbStats(2, 1.0)
+            plays = []
             for _ in range(5):
                 a = r.standard_normal(5)
                 a /= np.linalg.norm(a)
-                record(stats, b, a, float(r.standard_normal()))
+                plays.append(record(stats, b, a, float(r.standard_normal())))
             a = r.standard_normal(5)
             a /= np.linalg.norm(a)
             beta = 2.0
             got = score(stats, b, a, beta)
-            want = ellipsoid_max_oracle(stats, b, a, beta)
+            want = ellipsoid_max_oracle(stats, gram_of(plays, 2), b, a, beta)
             assert abs(got - want) < 1e-6
 
     def test_monotone_in_beta_and_greedy_at_zero(self):
@@ -382,13 +402,14 @@ class TestUcbScoreOracle:
             b = random_orthonormal_basis(6, 2, r)
             theta = project(b, r.standard_normal(6))
             stats = LinUcbStats(2, 1.0)
+            plays = []
             for _ in range(8):
                 a = r.standard_normal(6)
                 a /= np.linalg.norm(a)
-                record(stats, b, a, float(a @ theta + 0.1 * r.standard_normal()))
+                plays.append(record(stats, b, a, float(a @ theta + 0.1 * r.standard_normal())))
             theta_m = b.columns.T @ theta
             diff = stats.theta_hat() - theta_m
-            beta = float(np.sqrt(diff @ stats.gram @ diff)) + 1e-9
+            beta = float(np.sqrt(diff @ gram_of(plays, 2) @ diff)) + 1e-9
             a_star = theta / np.linalg.norm(theta)
             assert score(stats, b, a_star, beta) >= float(theta @ a_star) - 1e-9
 
@@ -399,10 +420,11 @@ class TestUcbScoreOracle:
             d, m = 8, 2
             b = random_orthonormal_basis(d, m, r)
             stats = LinUcbStats(m, 1.0)
+            plays = []
             for _ in range(6):
                 a = r.standard_normal(d)
                 a /= np.linalg.norm(a)
-                record(stats, b, a, float(r.standard_normal()))
+                plays.append(record(stats, b, a, float(r.standard_normal())))
             actions = r.standard_normal((12, d))
             actions /= np.linalg.norm(actions, axis=1, keepdims=True)
             beta = 1.7
@@ -410,7 +432,7 @@ class TestUcbScoreOracle:
             got = int(np.argmax(ucb_scores(stats, coords, beta)))
             # dense: Vbar = U gram U^T, Vbar^+ = U gram^-1 U^T
             u = b.columns
-            vbar_pinv = u @ np.linalg.inv(stats.gram) @ u.T
+            vbar_pinv = u @ np.linalg.inv(gram_of(plays, m)) @ u.T
             theta_d = vbar_pinv @ (u @ stats.moment)
             p = u @ u.T
             dense = np.array(

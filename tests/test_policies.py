@@ -20,7 +20,6 @@ from subgoss.policies import (
     AgentState,
     PhaseSchedule,
     PolicyParams,
-    Recommendation,
     _EnvView,
     _noise_streams,
     detect_freeze,
@@ -127,13 +126,12 @@ class TestInitAgents:
             init_agents(12, 5)
 
 
-def agent_with(active, sticky, schedule=None, n_subspaces=12):
+def agent_with(active, sticky, n_subspaces=12):
     return AgentState(
         id=0,
         n_subspaces=n_subspaces,
         sticky_set=frozenset(sticky),
         active_set=tuple(sorted(active)),
-        schedule=schedule,
     )
 
 
@@ -142,77 +140,71 @@ class TestExplorePlan:
         # m=1, budget 2 per subspace, phase long enough -> a,b,a,b
         sched = PhaseSchedule(b=2.0, j=4, explore_budget_mode="experimental")
         assert sched.explore_budget(1) == 2 and sched.phase_length == 8
-        ag = agent_with([3, 7], [3, 7], sched)
-        assert explore_plan(ag, 1) == [(3, 0), (7, 0), (3, 0), (7, 0)]
+        ag = agent_with([3, 7], [3, 7])
+        assert explore_plan(ag, sched, 1) == [(3, 0), (7, 0), (3, 0), (7, 0)]
 
     def test_short_phase_fills_entirely(self):
         # phase length 3 below the total budget of 4 -> whole phase, equal as possible
         sched = PhaseSchedule(b=1.5, j=3, explore_budget_mode="experimental")
         assert sched.phase_length == 3 and 2 * sched.explore_budget(1) == 4
-        ag = agent_with([3, 7], [3, 7], sched)
-        assert explore_plan(ag, 1) == [(3, 0), (7, 0), (3, 0)]
+        ag = agent_with([3, 7], [3, 7])
+        assert explore_plan(ag, sched, 1) == [(3, 0), (7, 0), (3, 0)]
 
     def test_columns_continue_round_robin_across_phases(self):
         sched = PhaseSchedule(b=2.0, j=4, explore_budget_mode="experimental")
-        ag = agent_with([5], [5], sched)
+        ag = agent_with([5], [5])
         stats = ExploreStats(2)
         stats.add_play(0, 0.0)  # column 0 already played once in an earlier phase
         ag.explore[5] = stats
-        cols = [c for _, c in explore_plan(ag, 2)]
+        cols = [c for _, c in explore_plan(ag, sched, 2)]
         assert cols[0] == 1  # least-played column first
         assert abs(cols.count(0) + 1 - (cols.count(1) + 0)) <= 1
 
     def test_empty_active_set(self):
         sched = PhaseSchedule(b=2.0, j=1)
-        ag = agent_with([], [], sched)
+        ag = agent_with([], [])
         with pytest.raises(InvariantViolationError):
-            explore_plan(ag, 1)
+            explore_plan(ag, sched, 1)
 
 
 class TestEndExploreUpdate:
     def test_noiseless_norms_and_best(self):
         inst = toy_instance(m=1, K=2)
-        sched = PhaseSchedule(b=2.0, j=3)
-        ag = agent_with([0, 1], [0, 1], sched, n_subspaces=2)
+        ag = agent_with([0, 1], [0, 1], n_subspaces=2)
         for k in (0, 1):
             st = ExploreStats(1)
             st.add_play(0, float(inst.subspaces.bases[k].columns[:, 0] @ inst.theta_star))
             ag.explore[k] = st
-        out = end_explore_update(ag, inst.subspaces.bases)
-        assert out.best_estimate_id == 0
-        assert out.last_estimates[0][1] == pytest.approx(0.9)
-        assert out.last_estimates[1][1] == pytest.approx(0.0)
-
-    def test_strict_missing_samples_raise(self):
-        inst = toy_instance(m=1, K=2)
-        ag = agent_with([0, 1], [0, 1], PhaseSchedule(b=2.0, j=1), n_subspaces=2)
-        with pytest.raises(InvariantViolationError):
-            end_explore_update(ag, inst.subspaces.bases)
+        end_explore_update(ag, inst.subspaces.bases)
+        assert ag.best_estimate_id == 0
+        assert ag.last_estimates[0][1] == pytest.approx(0.9)
+        assert ag.last_estimates[1][1] == pytest.approx(0.0)
 
     def test_relaxed_excludes_unsampled(self):
         inst = toy_instance(m=1, K=3)
-        ag = agent_with([0, 1, 2], [0, 1, 2], PhaseSchedule(b=2.0, j=1), n_subspaces=3)
+        ag = agent_with([0, 1, 2], [0, 1, 2], n_subspaces=3)
         st = ExploreStats(1)
         st.add_play(0, 0.9)
         ag.explore[0] = st
-        out = end_explore_update(ag, inst.subspaces.bases, strict=False)
-        assert out.best_estimate_id == 0
+        end_explore_update(ag, inst.subspaces.bases)
+        assert ag.best_estimate_id == 0
+        assert ag.last_estimates[1] == (None, -np.inf)
 
     def test_tie_breaks_lowest_id(self):
         inst = toy_instance(m=1, K=3)
-        ag = agent_with([1, 2], [1, 2], PhaseSchedule(b=2.0, j=2), n_subspaces=3)
+        ag = agent_with([1, 2], [1, 2], n_subspaces=3)
         for k in (1, 2):
             st = ExploreStats(1)
             st.add_play(0, 0.5)  # identical norms
             ag.explore[k] = st
-        out = end_explore_update(ag, inst.subspaces.bases)
-        assert out.best_estimate_id == 1
+        end_explore_update(ag, inst.subspaces.bases)
+        assert ag.best_estimate_id == 1
 
     def test_matches_log_replay_oracle(self):
         # noisy plays; recompute estimates from the raw (column, reward) log
         inst = toy_instance(m=2, K=3)
         r = rng_for(8)
-        ag = agent_with([0, 2], [0, 2], PhaseSchedule(b=2.0, j=5), n_subspaces=3)
+        ag = agent_with([0, 2], [0, 2], n_subspaces=3)
         log = {0: [], 2: []}
         for k in (0, 2):
             st = ExploreStats(2)
@@ -222,7 +214,7 @@ class TestEndExploreUpdate:
                 st.add_play(col, rew)
                 log[k].append((col, rew))
             ag.explore[k] = st
-        out = end_explore_update(ag, inst.subspaces.bases)
+        end_explore_update(ag, inst.subspaces.bases)
         for k in (0, 2):
             sums = np.zeros(2)
             counts = np.zeros(2)
@@ -230,8 +222,8 @@ class TestEndExploreUpdate:
                 sums[col] += rew
                 counts[col] += 1
             oracle = inst.subspaces.bases[k].columns @ (sums / counts)
-            assert np.allclose(out.last_estimates[k][0], oracle, atol=1e-12)
-            assert out.last_estimates[k][1] == pytest.approx(np.linalg.norm(oracle))
+            assert np.allclose(ag.last_estimates[k][0], oracle, atol=1e-12)
+            assert ag.last_estimates[k][1] == pytest.approx(np.linalg.norm(oracle))
 
 
 class TestExploitStep:
@@ -266,17 +258,13 @@ class TestGossipExchange:
     def two_agents(self):
         agents = init_agents(4, 2)
         for ag, best in zip(agents, (1, 3)):
-            ag.schedule = PhaseSchedule(b=2.0, j=2)
             ag.best_estimate_id = best
         return agents
 
     def test_swap_matrix_deterministic(self):
         agents = self.two_agents()
-        recs = gossip_exchange(agents, complete_graph(2), rng_for(0))
-        assert [(r.to_agent, r.from_agent, r.subspace_id) for r in recs] == [
-            (0, 1, 3),
-            (1, 0, 1),
-        ]
+        # on two agents the complete graph pulls from the other agent
+        assert gossip_exchange(agents, complete_graph(2), rng_for(0)) == [3, 1]
 
     def test_pull_leaves_sender_untouched(self):
         agents = self.two_agents()
@@ -297,29 +285,27 @@ class TestGossipExchange:
 
 
 class TestUpdateActiveSet:
-    def rec(self, sub):
-        return Recommendation(from_agent=1, to_agent=0, subspace_id=sub, phase=3)
-
     def test_case_i_already_active(self):
         ag = agent_with([0, 1], [0, 1])
-        out = update_active_set(ag, self.rec(1))
-        assert out.active_set == (0, 1)
+        update_active_set(ag, 1)
+        assert ag.active_set == (0, 1)
 
     def test_case_ii_room_to_add(self):
         ag = agent_with([0, 1, 5], [0, 1])  # cap is 4
-        out = update_active_set(ag, self.rec(7))
-        assert out.active_set == (0, 1, 5, 7)
+        update_active_set(ag, 7)
+        assert ag.active_set == (0, 1, 5, 7)
 
     def test_case_iii_keeps_best_non_sticky(self):
         ag = agent_with([0, 1, 5, 8], [0, 1])
         ag.last_estimates = {5: (None, 0.7), 8: (None, 0.2)}
-        out = update_active_set(ag, self.rec(9))
-        assert out.active_set == (0, 1, 5, 9)  # 8 dropped, 5 retained
+        update_active_set(ag, 9)
+        assert ag.active_set == (0, 1, 5, 9)  # 8 dropped, 5 retained
 
     def test_out_of_range(self):
         ag = agent_with([0, 1], [0, 1])
         with pytest.raises(ProtocolError):
-            update_active_set(ag, self.rec(99))
+            update_active_set(ag, 99)
+        assert ag.active_set == (0, 1)
 
     def test_invariants_enforced(self):
         ag = agent_with([0, 1, 2], [0, 1, 3])  # sticky escapes active
