@@ -65,6 +65,12 @@ def h_of_bt(b: float, T: int) -> float:
     return b * (1.0 + (T - 1) * (b - 1.0))
 
 
+def _explore_tail(b: float, T: int) -> float:
+    """Phase-count factor log h / log b + (sqrt h - 1) / (sqrt b - 1) of the exploration terms."""
+    h = h_of_bt(b, T)
+    return math.log(h) / math.log(b) + (math.sqrt(h) - 1.0) / (math.sqrt(b) - 1.0)
+
+
 def tau0(b: float, m: int, K: int, N: int) -> int:
     """Smallest phase index from which the phase always outlasts its theoretical explore budget.
 
@@ -112,11 +118,8 @@ def theorem1_bound(inputs: BoundInputs, tau0_value: int) -> BoundBreakdown:
         + (48.0 * b**3 / math.log(b)) * (m**4 * inputs.N / inputs.Delta**6)
         + b * inputs.spread_moment
     )
-    h = h_of_bt(b, inputs.T)
     per = inputs.K / inputs.N + 2.0
-    explore = 16.0 * m * S * per * (
-        math.log(h) / math.log(b) + (math.sqrt(h) - 1.0) / (math.sqrt(b) - 1.0)
-    )
+    explore = 16.0 * m * S * per * _explore_tail(b, inputs.T)
     return BoundBreakdown(proj, comm, explore)
 
 
@@ -128,10 +131,7 @@ def single_agent_bound(inputs: BoundInputs) -> BoundBreakdown:
         math.ceil(b * (16.0 * m * K) ** 2)
         + (8.0 * b**2 / math.log(b)) * (m**2 / inputs.Delta**2)
     )
-    h = h_of_bt(b, inputs.T)
-    explore = 16.0 * m * K * S * (
-        math.log(h) / math.log(b) + (math.sqrt(h) - 1.0) / (math.sqrt(b) - 1.0)
-    )
+    explore = 16.0 * m * K * S * _explore_tail(b, inputs.T)
     return BoundBreakdown(proj, search, explore)
 
 
@@ -173,8 +173,7 @@ def collaboration_ratio(
     """
     proj = projected_linucb_bound(T, m, lam, delta, 1.0) + 2.0
     g = g_of_b(b)
-    h = h_of_bt(b, T)
-    tail = math.log(h) / math.log(b) + (math.sqrt(h) - 1.0) / (math.sqrt(b) - 1.0)
+    tail = _explore_tail(b, T)
     r_single = proj + 2.0 * g * (
         math.ceil(b * (16.0 * d) ** 2) + (8.0 * b**2 / math.log(b)) * (m**2 / Delta**2)
     ) + 16.0 * d * tail

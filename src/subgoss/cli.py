@@ -22,6 +22,7 @@ from . import bounds as bounds_mod
 from . import network
 from .errors import InvalidConfigError, InvalidDimensionError, SubgossError
 from .harness import (
+    _write_csv,
     aggregate,
     build_gossip,
     config_from_dict,
@@ -102,13 +103,10 @@ def _cmd_run(args) -> int:
 def _cmd_bounds(args) -> int:
     config = _apply_overrides(load_config(args.config), args)
     gap = args.gap if args.gap is not None else instance_gap(config)
-    delta = config.delta if config.delta_mode == "fixed" else min(0.5, 1.0 / config.T)
-    import csv as _csv
+    delta = config.policy_params().delta_value()
+    tau = bounds_mod.tau0(config.b, config.m, config.K, config.N)
 
-    with open(args.out, "w", newline="\n") as fh:
-        writer = _csv.writer(fh, lineterminator="\n")
-        writer.writerow(["t", "projected_linucb", "communication", "exploration", "total"])
-        tau = bounds_mod.tau0(config.b, config.m, config.K, config.N)
+    def rows():
         for t in range(1, config.T + 1):
             inputs = bounds_mod.BoundInputs(
                 T=t, d=config.d, m=config.m, K=config.K, N=max(config.N, 1),
@@ -119,13 +117,10 @@ def _cmd_bounds(args) -> int:
                 br = bounds_mod.single_agent_bound(inputs)
             else:
                 br = bounds_mod.theorem1_bound(inputs, tau)
-            writer.writerow([
-                t,
-                format(br.projected_linucb, ".12e"),
-                format(br.communication, ".12e"),
-                format(br.exploration, ".12e"),
-                format(br.total, ".12e"),
-            ])
+            yield (f"{t},{br.projected_linucb:.12e},{br.communication:.12e},"
+                   f"{br.exploration:.12e},{br.total:.12e}\n")
+
+    _write_csv(args.out, "t,projected_linucb,communication,exploration,total", [rows()])
     print(f"wrote {args.out} (gap={gap:.6g}, tau0={tau})")
     return 0
 
@@ -136,11 +131,7 @@ def _cmd_spread(args) -> int:
     if args.n_agents is not None:
         g = network.complete_graph(args.n_agents)
     else:
-        with open(args.gossip) as fh:
-            g = network.GossipMatrix(np.asarray(json.load(fh), dtype=float))
-    issues = network.validate(g)
-    if issues:
-        raise InvalidConfigError("invalid gossip matrix: " + "; ".join(issues))
+        g = network.load_gossip(args.gossip)
     rng = np.random.default_rng(np.random.SeedSequence(args.seed))
     est = network.estimate_spread_moment(g, args.b, args.trials, rng)
     taus = est.taus

@@ -7,7 +7,6 @@ agent_id), so runs are bit-reproducible and agents are statistically independent
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import os
@@ -18,7 +17,7 @@ import numpy as np
 
 from .environment import compute_gap, generate_instance
 from .errors import InvalidConfigError, SubgossError
-from .network import GossipMatrix, complete_graph, validate as validate_gossip
+from .network import GossipMatrix, complete_graph, load_gossip
 from .policies import (
     PolicyParams,
     RunResult,
@@ -94,10 +93,11 @@ class RunConfig:
                 value = getattr(self, name)
                 if not ok(value):
                     raise InvalidConfigError(f"{name} must be {need}, got {value!r}")
-        if self.m >= self.d or self.true_index >= self.K:
+        # with 2m > d any two m-dim subspaces of R^d share a direction
+        if 2 * self.m > self.d or self.true_index >= self.K:
             raise InvalidConfigError(
-                f"need m < d and true_index < K, got m={self.m}, d={self.d}, "
-                f"true_index={self.true_index}, K={self.K}"
+                f"need m < d, indeed 2m <= d, and true_index < K, got m={self.m}, "
+                f"d={self.d}, true_index={self.true_index}, K={self.K}"
             )
         if self.delta_mode == "fixed" and not (_is_real(self.delta) and 0 < self.delta < 1):
             raise InvalidConfigError("fixed delta_mode needs delta in (0, 1)")
@@ -153,22 +153,12 @@ def build_gossip(config: RunConfig) -> GossipMatrix | None:
     if config.policy != "subgoss_multi":
         return None
     if config.gossip == "complete":
-        g = complete_graph(config.N)
-    else:
-        try:
-            with open(config.gossip) as fh:
-                g = GossipMatrix(np.asarray(json.load(fh), dtype=float))
-        except (OSError, json.JSONDecodeError) as exc:
-            raise InvalidConfigError(
-                f"cannot read gossip matrix {config.gossip}: {exc}"
-            ) from exc
-        if g.n_agents != config.N:
-            raise InvalidConfigError(
-                f"gossip matrix is {g.n_agents}x{g.n_agents}, config has N={config.N}"
-            )
-    issues = validate_gossip(g)
-    if issues:
-        raise InvalidConfigError("invalid gossip matrix: " + "; ".join(issues))
+        return complete_graph(config.N)
+    g = load_gossip(config.gossip)
+    if g.n_agents != config.N:
+        raise InvalidConfigError(
+            f"gossip matrix is {g.n_agents}x{g.n_agents}, config has N={config.N}"
+        )
     return g
 
 
@@ -283,48 +273,34 @@ def aggregate(results: list) -> Aggregate:
 # CSV emission
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".12e")
-
-
-def emit_csv(obj, path) -> None:
-    """Aggregate -> t,mean,ci_low,ci_high; raw results -> t,seed,agent,inst_regret,cum_regret."""
+def _write_csv(path, header: str, blocks) -> None:
+    """Write the header line, then each block, an iterable of LF-terminated lines."""
     try:
         with open(path, "w", newline="\n") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            if isinstance(obj, Aggregate):
-                writer.writerow(["t", "mean", "ci_low", "ci_high"])
-                for t in range(len(obj.mean_curve)):
-                    writer.writerow(
-                        [t + 1, _fmt(obj.mean_curve[t]), _fmt(obj.ci95_low[t]),
-                         _fmt(obj.ci95_high[t])]
-                    )
-            else:
-                writer.writerow(["t", "seed", "agent", "inst_regret", "cum_regret"])
-                for r in obj:
-                    cum = r.cum_regret()
-                    for i in range(r.n_agents):
-                        for t in range(r.T):
-                            writer.writerow(
-                                [t + 1, r.seed, i, _fmt(r.inst_regret[i, t]),
-                                 _fmt(cum[i, t])]
-                            )
+            fh.write(header + "\n")
+            for block in blocks:
+                fh.writelines(block)
     except OSError as exc:
         raise SubgossError(f"cannot write {path}: {exc}") from exc
 
 
-def parse_aggregate_csv(path) -> Aggregate:
-    """Inverse of emit_csv for aggregate files (used for round-trip checks)."""
-    with open(path) as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != ["t", "mean", "ci_low", "ci_high"]:
-            raise InvalidConfigError(f"{path} is not an aggregate CSV")
-        rows = [(float(a), float(b), float(c)) for _, a, b, c in reader]
-    mean = np.array([r[0] for r in rows])
-    return Aggregate(
-        mean_curve=mean,
-        ci95_low=np.array([r[1] for r in rows]),
-        ci95_high=np.array([r[2] for r in rows]),
-        n_curves=0,
-    )
+def _raw_blocks(results):
+    # one (seed, agent) block at a time, so that memory stays flat in the seed count
+    for r in results:
+        cum = r.cum_regret()
+        for i in range(r.n_agents):
+            yield [
+                f"{t},{r.seed},{i},{x:.12e},{c:.12e}\n"
+                for t, x, c in zip(range(1, r.T + 1), r.inst_regret[i].tolist(), cum[i].tolist())
+            ]
+
+
+def emit_csv(obj, path) -> None:
+    """Aggregate -> t,mean,ci_low,ci_high; raw results -> t,seed,agent,inst_regret,cum_regret."""
+    if isinstance(obj, Aggregate):
+        columns = (obj.mean_curve.tolist(), obj.ci95_low.tolist(), obj.ci95_high.tolist())
+        rows = [f"{t},{a:.12e},{lo:.12e},{hi:.12e}\n"
+                for t, (a, lo, hi) in enumerate(zip(*columns), 1)]
+        _write_csv(path, "t,mean,ci_low,ci_high", [rows])
+    else:
+        _write_csv(path, "t,seed,agent,inst_regret,cum_regret", _raw_blocks(obj))

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -27,6 +29,11 @@ class GossipMatrix:
     def n_agents(self) -> int:
         return self.probs.shape[0]
 
+    @cached_property
+    def row_cdf(self) -> np.ndarray:
+        """Cumulative sums of every row, the inverse-CDF table of each agent's pull."""
+        return np.cumsum(self.probs, axis=1)
+
 
 def complete_graph(N: int) -> GossipMatrix:
     """Uniform pulls from the N-1 other agents, zero self-mass."""
@@ -38,51 +45,16 @@ def complete_graph(N: int) -> GossipMatrix:
 
 
 def _strongly_connected_components(adj: np.ndarray) -> list:
-    """Tarjan-free SCC via double DFS (Kosaraju) on a boolean adjacency matrix."""
-    n = adj.shape[0]
-    order = []
-    seen = np.zeros(n, dtype=bool)
+    """Components of a boolean adjacency matrix, as sorted lists ordered by first member.
 
-    def dfs(start, graph, visit):
-        stack = [(start, 0)]
-        seen_local = visit
-        seen_local[start] = True
-        while stack:
-            node, _ = stack[-1]
-            nxt = None
-            for j in np.nonzero(graph[node])[0]:
-                if not seen_local[j]:
-                    nxt = j
-                    break
-            if nxt is None:
-                stack.pop()
-                order.append(node)
-            else:
-                seen_local[nxt] = True
-                stack.append((int(nxt), 0))
-
-    for i in range(n):
-        if not seen[i]:
-            dfs(i, adj, seen)
-
-    comps = []
-    seen2 = np.zeros(n, dtype=bool)
-    adj_t = adj.T
-    for node in reversed(order):
-        if seen2[node]:
-            continue
-        comp = []
-        stack = [node]
-        seen2[node] = True
-        while stack:
-            u = stack.pop()
-            comp.append(u)
-            for j in np.nonzero(adj_t[u])[0]:
-                if not seen2[j]:
-                    seen2[j] = True
-                    stack.append(int(j))
-        comps.append(sorted(comp))
-    return comps
+    Warshall's closure of adj | I gives reach[i, j], whether j is reachable from i;
+    i and j share a component iff each reaches the other.
+    """
+    reach = adj | np.eye(adj.shape[0], dtype=bool)
+    for k in range(reach.shape[0]):
+        reach |= reach[:, k, None] & reach[k]
+    mutual = reach & reach.T
+    return [list(c) for c in sorted({tuple(np.flatnonzero(row).tolist()) for row in mutual})]
 
 
 def validate(matrix) -> list:
@@ -95,7 +67,7 @@ def validate(matrix) -> list:
         i, j = np.argwhere(p < 0)[0]
         issues.append(f"negative entry at ({i}, {j})")
     sums = p.sum(axis=1)
-    bad = np.nonzero(np.abs(sums - 1.0) > ROW_TOL)[0]
+    bad = np.nonzero(~(np.abs(sums - 1.0) <= ROW_TOL))[0]  # NaN sums are bad too
     if bad.size:
         issues.append(f"row {bad[0]} sums to {sums[bad[0]]:.6g}, expected 1")
     if not issues:
@@ -108,13 +80,33 @@ def validate(matrix) -> list:
     return issues
 
 
+def load_gossip(path) -> GossipMatrix:
+    """Read a JSON gossip matrix and validate it; any fault is an InvalidConfigError."""
+    try:
+        with open(path) as fh:
+            probs = np.asarray(json.load(fh), dtype=float)
+    except (OSError, json.JSONDecodeError, ValueError, TypeError) as exc:
+        raise InvalidConfigError(f"cannot read gossip matrix {path}: {exc}") from exc
+    g = GossipMatrix(probs)
+    issues = validate(g)
+    if issues:
+        raise InvalidConfigError("invalid gossip matrix: " + "; ".join(issues))
+    return g
+
+
+def _pull(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Inverse-CDF pull of each row of cdf on its uniform variate in u.
+
+    Counting the entries <= u is searchsorted(side="right") on a nondecreasing
+    row; the clip keeps rounding in the last cumulative sum from pulling past
+    the last agent.
+    """
+    return np.minimum((cdf <= u[:, None]).sum(axis=1), cdf.shape[1] - 1)
+
+
 def sample_neighbor(G: GossipMatrix, i: int, rng: np.random.Generator) -> int:
     """Inverse-CDF draw from row i on a single uniform variate."""
-    row = G.probs[i]
-    cum = np.cumsum(row)
-    u = rng.random()
-    j = int(np.searchsorted(cum, u, side="right"))
-    return min(j, G.n_agents - 1)
+    return int(_pull(G.row_cdf[i, None], rng.random(1))[0])
 
 
 def simulate_rumor_spread(
@@ -134,7 +126,6 @@ def simulate_rumor_spread(
     informed[source] = True
     times = np.full(n, -1, dtype=np.int64)
     times[source] = 0
-    cums = np.cumsum(G.probs, axis=1)
     rounds = 0
     while not informed.all():
         rounds += 1
@@ -142,16 +133,11 @@ def simulate_rumor_spread(
             raise InvalidConfigError(
                 f"rumor did not spread within {max_rounds} rounds; is G irreducible?"
             )
-        uninformed = np.nonzero(~informed)[0]
-        u = rng.random(uninformed.size)
-        newly = []
-        for idx, i in enumerate(uninformed):
-            j = min(int(np.searchsorted(cums[i], u[idx], side="right")), n - 1)
-            if informed[j]:
-                newly.append(i)
-        for i in newly:
-            informed[i] = True
-            times[i] = rounds
+        uninformed = np.flatnonzero(~informed)
+        partners = _pull(G.row_cdf[uninformed], rng.random(uninformed.size))
+        newly = uninformed[informed[partners]]
+        informed[newly] = True
+        times[newly] = rounds
     return rounds, times
 
 
@@ -173,6 +159,8 @@ def estimate_spread_moment(
     """Monte-Carlo estimate of E[b**(2*tau_spr)] with its standard error."""
     if b <= 1:
         raise InvalidConfigError("need b > 1")
+    if trials < 1:
+        raise InvalidConfigError(f"need trials >= 1, got {trials}")
     if G.n_agents == 1:
         return SpreadMomentEstimate(1.0, 0.0, trials, np.zeros(trials, dtype=np.int64))
     taus = np.empty(trials, dtype=np.int64)

@@ -102,30 +102,16 @@ def init_agents(K: int, N: int) -> list:
     return agents
 
 
-def explore_plan(state: AgentState, schedule: PhaseSchedule, m: int) -> list:
-    """Slot-by-slot explore schedule for the phase as (subspace, column) pairs.
+def explore_plan(state: AgentState, schedule: PhaseSchedule, m: int) -> int:
+    """Number of explore slots at the start of the phase.
 
-    Subspaces are cycled in active-set order; within a subspace the least-played
-    column (cumulatively, across phases) is chosen. When the phase is shorter
-    than the total budget the whole phase is filled with the same cycle.
+    Slot s plays subspace active_set[s % |active_set|], on that subspace's
+    least-played column (`ExploreStats.next_column`, counted across phases).
+    When the phase is shorter than the total budget the whole phase explores.
     """
     if not state.active_set:
         raise InvariantViolationError("empty active set")
-    budget = schedule.explore_budget(m)
-    length = schedule.phase_length
-    total = budget * len(state.active_set)
-    n_slots = total if length >= total else length
-
-    counts = {k: state.explore[k].count.copy() if k in state.explore else np.zeros(m, dtype=np.int64)
-              for k in state.active_set}
-    plan = []
-    active = state.active_set
-    for s in range(n_slots):
-        k = active[s % len(active)]
-        col = int(np.argmin(counts[k]))
-        counts[k][col] += 1
-        plan.append((k, col))
-    return plan
+    return min(schedule.explore_budget(m) * len(state.active_set), schedule.phase_length)
 
 
 def end_explore_update(state: AgentState, bases) -> None:
@@ -176,11 +162,8 @@ def update_active_set(state: AgentState, subspace_id: int) -> None:
         non_sticky = sorted(active - state.sticky_set)
         if len(non_sticky) != 2:
             raise InvariantViolationError("full active set must hold 2 non-sticky ids")
-        best_ns, best_norm = None, -np.inf
-        for k in non_sticky:
-            _, norm = state.last_estimates.get(k, (None, -np.inf))
-            if norm > best_norm:
-                best_ns, best_norm = k, norm
+        # ties, such as two ids never explored (norm -inf), keep the lower id
+        best_ns = max(non_sticky, key=lambda k: state.last_estimates.get(k, (None, -np.inf))[1])
         active = set(state.sticky_set) | {best_ns, subspace_id}
     state.active_set = tuple(sorted(active))
     state.check_invariants()
@@ -325,7 +308,7 @@ def _run_subgoss(
 
     Within a phase the agents advance in lockstep, step t outermost, so each
     step's action set is drawn and viewed once for all of them. Each agent plays
-    its explore plan, refreshes its estimates at its own switch step
+    its explore slots, refreshes its estimates at its own switch step
     (`end_explore_update`) and then exploits its best-estimate subspace. Until
     the gossip at the phase end no agent reads another's state, and each draws
     from its own noise stream, so the trajectories do not depend on this order.
@@ -360,8 +343,7 @@ def _run_subgoss(
         end = min(end_full, T)
         slots = end - start + 1
 
-        plans = [explore_plan(ag, schedule, m) for ag in agents]
-        n_exp = [min(len(plan), slots) for plan in plans]
+        n_exp = [min(explore_plan(ag, schedule, m), slots) for ag in agents]
         logs = [[] for _ in range(n_agents)]
         exploit = [None] * n_agents  # (subspace, LinUcbStats) from the switch step on
 
@@ -380,15 +362,17 @@ def _run_subgoss(
             _, values, vstar, coords = env.at(t)
             for i in range(n_agents):
                 if s < n_exp[i]:
-                    k, col = plans[i][s]
-                    # the played column's row in the action set, so that vstar, the
-                    # maximum of the same values array, never falls below it
-                    a_val = float(values[n_random + k * m + col])
-                    r = a_val + noise[i][t]
+                    active = agents[i].active_set
+                    k = active[s % len(active)]
                     explore = agents[i].explore
                     stats = explore.get(k)
                     if stats is None:
                         stats = explore[k] = ExploreStats(m)
+                    col = stats.next_column()
+                    # the played column's row in the action set, so that vstar, the
+                    # maximum of the same values array, never falls below it
+                    a_val = float(values[n_random + k * m + col])
+                    r = a_val + noise[i][t]
                     stats.add_play(col, r)
                     inst_regret[i, t - 1] = vstar - a_val
                     if log_plays:

@@ -3,11 +3,12 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from subgoss import bounds as bounds_mod
 from subgoss.cli import main
-from subgoss.harness import instance_gap, load_config, parse_aggregate_csv
+from subgoss.harness import instance_gap, load_config
 
 
 def write_config(tmp_path, **overrides):
@@ -51,9 +52,10 @@ class TestValidate:
         ({"lambda": 0}, None, "lam must be a number > 0"),
         ({}, "abc", "SUBGOSS_WORKERS must be an integer"),
         ({"log_plays": True}, None, "unknown config keys"),
+        ({"d": 3, "m": 2, "K": 2}, None, "2m <= d"),
     ],
     ids=["T-string", "T-zero", "n_seeds-float", "b-one", "lambda-zero", "workers-abc",
-         "log_plays-removed"],
+         "log_plays-removed", "2m-above-d"],
 )
 def test_malformed_input_is_exit_2(tmp_path, capsys, monkeypatch, overrides, env, message):
     if env is not None:
@@ -63,6 +65,26 @@ def test_malformed_input_is_exit_2(tmp_path, capsys, monkeypatch, overrides, env
     err = capsys.readouterr().err
     assert err.startswith("config error:") and message in err
     assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "content",
+    ["[[0, 1], [1]]", '"abc"', '{"a": 1}', "[[0, 1], [1, 0]", "[[NaN, 1], [1, 0]]"],
+    ids=["jagged", "string", "object", "truncated", "nan"],
+)
+def test_malformed_gossip_file_is_exit_2(tmp_path, capsys, content):
+    g = tmp_path / "g.json"
+    g.write_text(content)
+    cfg = write_config(tmp_path, gossip=str(g))
+    assert main(["validate", "--config", str(cfg)]) == 2
+    assert main(["spread", "--gossip", str(g), "--trials", "10"]) == 2
+    assert capsys.readouterr().err.count("config error: ") == 2
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_spread_needs_a_trial(capsys, trials):
+    assert main(["spread", "--n-agents", "4", "--trials", trials]) == 2
+    assert "trials >= 1" in capsys.readouterr().err
 
 
 class TestArgParsing:
@@ -82,9 +104,9 @@ class TestRun:
         cfg = write_config(tmp_path)
         out = tmp_path / "out.csv"
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
-        agg = parse_aggregate_csv(out)
-        assert len(agg.mean_curve) == 80
-        assert agg.mean_curve[-1] >= agg.mean_curve[0]
+        mean_curve = np.loadtxt(out, delimiter=",", skiprows=1)[:, 1]
+        assert len(mean_curve) == 80
+        assert mean_curve[-1] >= mean_curve[0]
 
     def test_byte_identical_reruns(self, tmp_path):
         cfg = write_config(tmp_path, policy="genie", N=1, T=50)
@@ -105,7 +127,7 @@ class TestRun:
         out = tmp_path / "out.csv"
         assert main(["run", "--config", str(cfg), "--out", str(out),
                      "--policy", "oful", "--T", "25", "--n-seeds", "3"]) == 0
-        assert len(parse_aggregate_csv(out).mean_curve) == 25
+        assert len(np.loadtxt(out, delimiter=",", skiprows=1)) == 25
 
     def test_raw_out(self, tmp_path):
         cfg = write_config(tmp_path, policy="genie", N=1, T=10)

@@ -16,7 +16,6 @@ from subgoss.harness import (
     emit_csv,
     instance_gap,
     load_config,
-    parse_aggregate_csv,
     run,
     run_one_seed,
 )
@@ -219,9 +218,11 @@ class TestEmitCsv:
         agg = aggregate(res)
         path = tmp_path / "agg.csv"
         emit_csv(agg, path)
-        back = parse_aggregate_csv(path)
-        assert np.max(np.abs(back.mean_curve - agg.mean_curve)) < 1e-11
-        assert np.max(np.abs(back.ci95_low - agg.ci95_low)) < 1e-11
+        back = np.loadtxt(path, delimiter=",", skiprows=1)
+        assert np.array_equal(back[:, 0], [1, 2])
+        assert np.max(np.abs(back[:, 1] - agg.mean_curve)) < 1e-11
+        assert np.max(np.abs(back[:, 2] - agg.ci95_low)) < 1e-11
+        assert np.max(np.abs(back[:, 3] - agg.ci95_high)) < 1e-11
 
     def test_one_point_curve_two_lines(self, tmp_path):
         agg = aggregate([fake_result([[1.0]]), fake_result([[1.0]])])

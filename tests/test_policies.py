@@ -135,30 +135,60 @@ def agent_with(active, sticky, n_subspaces=12):
     )
 
 
+def explore_records(res, agent, phase):
+    """(subspace, column) of every explore play of one agent in one phase, in slot order."""
+    return [
+        (e["subspace"], e["column"]) for e in res.events
+        if e["event"] == "explore_play" and e["agent"] == agent and e["phase"] == phase
+    ]
+
+
 class TestExplorePlan:
     def test_round_robin_full_budget(self):
         # m=1, budget 2 per subspace, phase long enough -> a,b,a,b
         sched = PhaseSchedule(b=2.0, j=4, explore_budget_mode="experimental")
         assert sched.explore_budget(1) == 2 and sched.phase_length == 8
-        ag = agent_with([3, 7], [3, 7])
-        assert explore_plan(ag, sched, 1) == [(3, 0), (7, 0), (3, 0), (7, 0)]
+        assert explore_plan(agent_with([3, 7], [3, 7]), sched, 1) == 4
+        inst = toy_instance(m=1, K=2, noise_std=1.0)
+        res = run_single_agent_subgoss(inst, params(15, log_plays=True), rng_for(0))
+        assert explore_records(res, 0, 4) == [(0, 0), (1, 0), (0, 0), (1, 0)]
+
+    def test_slots_cycle_the_active_set_of_each_phase(self):
+        inst = toy_instance(m=2, K=4, noise_std=1.0, seed=2)
+        res = run_subgoss_multi(
+            inst, params(400, log_plays=True), complete_graph(2), multi_rngs(2), rng_for(9)
+        )
+        holdings = [[a.active_set for a in init_agents(4, 2)]] + res.active_history[:-1]
+        assert any(len(active) > 2 for phase in holdings for active in phase)
+        for j in range(1, res.n_phases + 1):
+            for i in range(2):
+                active = holdings[j - 1][i]
+                played = [k for k, _ in explore_records(res, i, j)]
+                assert played == [active[s % len(active)] for s in range(len(played))]
 
     def test_short_phase_fills_entirely(self):
-        # phase length 3 below the total budget of 4 -> whole phase, equal as possible
+        # phase length 3 below the total budget of 4 -> the whole phase explores
         sched = PhaseSchedule(b=1.5, j=3, explore_budget_mode="experimental")
         assert sched.phase_length == 3 and 2 * sched.explore_budget(1) == 4
-        ag = agent_with([3, 7], [3, 7])
-        assert explore_plan(ag, sched, 1) == [(3, 0), (7, 0), (3, 0)]
+        assert explore_plan(agent_with([3, 7], [3, 7]), sched, 1) == 3
+        inst = toy_instance(m=1, K=2, noise_std=1.0)
+        res = run_single_agent_subgoss(inst, params(6, b=1.5, log_plays=True), rng_for(0))
+        phase3 = [(e["event"], e["subspace"]) for e in res.events if e["phase"] == 3]
+        assert phase3 == [("explore_play", 0), ("explore_play", 1), ("explore_play", 0)]
 
     def test_columns_continue_round_robin_across_phases(self):
         sched = PhaseSchedule(b=2.0, j=4, explore_budget_mode="experimental")
-        ag = agent_with([5], [5])
-        stats = ExploreStats(2)
-        stats.add_play(0, 0.0)  # column 0 already played once in an earlier phase
-        ag.explore[5] = stats
-        cols = [c for _, c in explore_plan(ag, sched, 2)]
-        assert cols[0] == 1  # least-played column first
-        assert abs(cols.count(0) + 1 - (cols.count(1) + 0)) <= 1
+        assert explore_plan(agent_with([5], [5]), sched, 2) == 4
+        # phases 1 and 2 are shorter than their budgets: subspace 0 plays column 0
+        # in phase 1, so its first play of phase 2 is on column 1
+        inst = toy_instance(m=2, K=3, noise_std=1.0)
+        res = run_single_agent_subgoss(inst, params(300, log_plays=True), rng_for(0))
+        assert explore_records(res, 0, 1) == [(0, 0)]
+        assert explore_records(res, 0, 2) == [(0, 1), (1, 0)]
+        for k in range(3):
+            cols = [c for j in range(1, res.n_phases + 1)
+                    for kk, c in explore_records(res, 0, j) if kk == k]
+            assert len(cols) > 10 and cols == [n % 2 for n in range(len(cols))]
 
     def test_empty_active_set(self):
         sched = PhaseSchedule(b=2.0, j=1)
@@ -300,6 +330,13 @@ class TestUpdateActiveSet:
         ag.last_estimates = {5: (None, 0.7), 8: (None, 0.2)}
         update_active_set(ag, 9)
         assert ag.active_set == (0, 1, 5, 9)  # 8 dropped, 5 retained
+
+    def test_case_iii_with_unexplored_non_sticky_keeps_lower_id(self):
+        # phases too short to reach ids 5 and 8 leave both without an estimate
+        ag = agent_with([0, 1, 5, 8], [0, 1])
+        ag.last_estimates = {0: (None, 0.3), 1: (None, 0.1), 5: (None, -np.inf)}
+        update_active_set(ag, 9)
+        assert ag.active_set == (0, 1, 5, 9)
 
     def test_out_of_range(self):
         ag = agent_with([0, 1], [0, 1])

@@ -1,20 +1,27 @@
 """Property tests over small random configurations."""
 
+import json
+import tempfile
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
 
 from subgoss import policies
+from subgoss.cli import main
 from subgoss.environment import generate_instance
+from subgoss.harness import POLICIES
 from subgoss.linalg import LinUcbStats, ucb_scores
 from subgoss.network import complete_graph
 from subgoss.policies import (
     PolicyParams,
+    init_agents,
     run_genie,
     run_oful_baseline,
     run_single_agent_subgoss,
     run_subgoss_multi,
+    update_active_set,
 )
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -98,3 +105,81 @@ def test_sherman_morrison_inverse_matches_solve(dim, lam, n_plays, scale, seed):
     assert close(stats.inv, np.linalg.inv(gram))
     assert close(stats.theta_hat(), th)
     assert close(ucb_scores(stats, actions, 1.3), th @ actions + 1.3 * np.sqrt(quad))
+
+
+_JUNK = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 3), st.floats(), st.text(max_size=3),
+    st.lists(st.integers(0, 2), max_size=2),
+)
+
+
+@st.composite
+def _small_config(draw):
+    """A valid small config: d <= 8, T <= 50, at most 3 seeds."""
+    m = draw(st.integers(1, 4))
+    K = draw(st.integers(2, 6))
+    policy = draw(st.sampled_from(POLICIES))
+    if policy == "subgoss_multi":
+        N = draw(st.sampled_from([n for n in range(2, K + 1) if K % n == 0]))
+    else:
+        N = draw(st.integers(1, 3))
+    config = {
+        "d": draw(st.integers(2 * m, 8)), "m": m, "K": K, "N": N, "policy": policy,
+        "T": draw(st.integers(1, 50)), "n_seeds": draw(st.integers(1, 3)),
+        "master_seed": draw(st.integers(0, 2**32)), "true_index": draw(st.integers(0, K - 1)),
+        "b": draw(st.floats(1.05, 4.0)), "lambda": draw(st.floats(0.5, 2.0)),
+        "noise_std": draw(st.floats(0.0, 2.0)), "s_bound": draw(st.floats(0.1, 2.0)),
+        "n_extra_actions": draw(st.one_of(st.none(), st.integers(1, 10))),
+        "explore_budget_mode": draw(st.sampled_from(["theoretical", "experimental"])),
+        "track_coverage": draw(st.booleans()),
+        "resample_actions_per_step": draw(st.booleans()),
+    }
+    if draw(st.booleans()):
+        config.update(delta_mode="fixed", delta=draw(st.floats(0.01, 0.99)))
+    return config
+
+
+@hypothesis.settings(max_examples=80, deadline=None)
+@hypothesis.given(data=st.data())
+def test_any_json_config_exits_0_or_2(data):
+    """run and validate end with exit 0 on a valid config and 2 on a broken one, never
+    with a traceback or exit 1. A broken config has one or two fields replaced by
+    junk, removed, or joined by an unknown key, or it is other JSON, or cut short."""
+    config = data.draw(_small_config(), label="config")
+    how = data.draw(st.sampled_from(["valid", "broken fields", "other JSON", "cut short"]))
+    if how == "broken fields":
+        keys = st.sampled_from([*config, "gossip", "bogus"])
+        for key in data.draw(st.lists(keys, min_size=1, max_size=2), label="keys"):
+            if key in config and data.draw(st.booleans(), label=f"drop {key}"):
+                del config[key]
+            else:
+                config[key] = data.draw(_JUNK, label=key)
+    text = json.dumps(data.draw(_JUNK, label="document") if how == "other JSON" else config)
+    if how == "cut short":
+        text = text[: len(text) // 2]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(text)
+        validated = main(["validate", "--config", str(path)])
+        ran = main(["run", "--config", str(path), "--out", str(Path(tmp) / "out.csv")])
+    assert validated in (0, 2)
+    assert ran == validated
+    assert how != "valid" or ran == 0
+
+
+@hypothesis.settings(max_examples=200, deadline=None)
+@hypothesis.given(K=st.integers(1, 12), data=st.data())
+def test_active_set_stays_within_its_cap(K, data):
+    """Under any sequence of accepted recommendations and explore norms, the sticky
+    set stays inside the active set and the active set holds at most K/N + 2 ids."""
+    N = data.draw(st.sampled_from([n for n in range(1, K + 1) if K % n == 0]), label="N")
+    agent = init_agents(K, N)[data.draw(st.integers(0, N - 1), label="agent")]
+    norms = st.dictionaries(st.integers(0, K - 1), st.floats(0.0, 10.0))
+    for _ in range(data.draw(st.integers(0, 30), label="steps")):
+        agent.last_estimates = {
+            k: (None, v) for k, v in data.draw(norms, label="norms").items()
+        }
+        update_active_set(agent, data.draw(st.integers(0, K - 1), label="recommended"))
+        assert agent.sticky_set <= set(agent.active_set)
+        assert len(agent.active_set) <= K // N + 2
+        assert list(agent.active_set) == sorted(set(agent.active_set))
