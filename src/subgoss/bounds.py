@@ -27,12 +27,17 @@ class BoundInputs:
     spread_moment: float = 1.0
 
     def __post_init__(self):
-        if self.T < 1 or self.b <= 1 or self.lam < 1:
+        # each check is written so that NaN fails it
+        if not (self.T >= 1 and self.b > 1 and self.lam >= 1):
             raise InvalidConfigError("need T >= 1, b > 1, lambda >= 1")
         if not 0 < self.delta < 1:
             raise InvalidConfigError("delta must lie in (0, 1)")
-        if self.Delta <= 0:
-            raise InvalidConfigError("gap must be positive")
+        if not 0 < self.Delta < math.inf:
+            raise InvalidConfigError(f"gap must be positive and finite, got {self.Delta}")
+        if not 1 <= self.spread_moment < math.inf:
+            raise InvalidConfigError(
+                f"spread moment E[b^(2 tau)] must be finite and >= 1, got {self.spread_moment}"
+            )
 
 
 @dataclass(frozen=True)

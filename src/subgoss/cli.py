@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 
 import numpy as np
@@ -104,9 +103,9 @@ def _cmd_bounds(args) -> int:
     config = _apply_overrides(load_config(args.config), args)
     gap = args.gap if args.gap is not None else instance_gap(config)
     delta = config.policy_params().delta_value()
-    tau = bounds_mod.tau0(config.b, config.m, config.K, config.N)
-
-    def rows():
+    try:
+        tau = bounds_mod.tau0(config.b, config.m, config.K, config.N)
+        rows = []
         for t in range(1, config.T + 1):
             inputs = bounds_mod.BoundInputs(
                 T=t, d=config.d, m=config.m, K=config.K, N=max(config.N, 1),
@@ -117,10 +116,12 @@ def _cmd_bounds(args) -> int:
                 br = bounds_mod.single_agent_bound(inputs)
             else:
                 br = bounds_mod.theorem1_bound(inputs, tau)
-            yield (f"{t},{br.projected_linucb:.12e},{br.communication:.12e},"
-                   f"{br.exploration:.12e},{br.total:.12e}\n")
-
-    _write_csv(args.out, "t,projected_linucb,communication,exploration,total", [rows()])
+            rows.append(f"{t},{br.projected_linucb:.12e},{br.communication:.12e},"
+                        f"{br.exploration:.12e},{br.total:.12e}\n")
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise InvalidConfigError(f"bound leaves the float range: {exc}") from exc
+    # every row is computed before the file is opened, so a bad input leaves no file
+    _write_csv(args.out, "t,projected_linucb,communication,exploration,total", [rows])
     print(f"wrote {args.out} (gap={gap:.6g}, tau0={tau})")
     return 0
 
@@ -169,7 +170,7 @@ def main(argv=None) -> int:
     except (InvalidConfigError, InvalidDimensionError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (SubgossError, OSError, json.JSONDecodeError) as exc:
+    except (SubgossError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -50,6 +50,7 @@ _FIELD_CHECKS = (
     (("m", "T", "N", "n_seeds"), lambda v: _is_int(v) and v >= 1, "an integer >= 1"),
     (("master_seed", "true_index"), lambda v: _is_int(v) and v >= 0, "an integer >= 0"),
     (("n_extra_actions",), lambda v: v is None or _is_int(v) and v >= 1, "null or an integer >= 1"),
+    (("delta",), lambda v: v is None or _is_real(v) and 0 < v < 1, "null or a number in (0, 1)"),
     (("b",), lambda v: _is_real(v) and v > 1, "a number > 1"),
     (("lam", "s_bound"), lambda v: _is_real(v) and v > 0, "a number > 0"),
     (("noise_std",), lambda v: _is_real(v) and v >= 0, "a number >= 0"),
@@ -58,7 +59,6 @@ _FIELD_CHECKS = (
     (("gossip",), lambda v: isinstance(v, str), "'complete' or a file path"),
     (("explore_budget_mode",), lambda v: v in ("theoretical", "experimental"),
      "'theoretical' or 'experimental'"),
-    (("delta_mode",), lambda v: v in ("one_over_T", "fixed"), "'one_over_T' or 'fixed'"),
     (("policy",), lambda v: v in POLICIES, f"one of {POLICIES}"),
 )
 
@@ -72,8 +72,7 @@ class RunConfig:
     N: int = 1
     b: float = 2.0
     lam: float = 1.0
-    delta_mode: str = "one_over_T"  # or "fixed"
-    delta: float | None = None
+    delta: float | None = None  # default min(0.5, 1/T)
     noise_std: float = 1.0
     s_bound: float = 1.0
     n_extra_actions: int | None = None  # default 5*d
@@ -99,8 +98,6 @@ class RunConfig:
                 f"need m < d, indeed 2m <= d, and true_index < K, got m={self.m}, "
                 f"d={self.d}, true_index={self.true_index}, K={self.K}"
             )
-        if self.delta_mode == "fixed" and not (_is_real(self.delta) and 0 < self.delta < 1):
-            raise InvalidConfigError("fixed delta_mode needs delta in (0, 1)")
         if self.policy == "subgoss_multi":
             if self.N < 2:
                 raise InvalidConfigError("subgoss_multi needs N >= 2")
@@ -118,9 +115,8 @@ class RunConfig:
             T=self.T,
             b=self.b,
             lam=self.lam,
-            delta=self.delta if self.delta_mode == "fixed" else None,
+            delta=self.delta,
             explore_budget_mode=self.explore_budget_mode,
-            s_bound=self.s_bound,
             resample_actions_per_step=self.resample_actions_per_step,
         )
 
@@ -185,30 +181,30 @@ def run_one_seed(config: RunConfig, seed_index: int) -> RunResult:
     """One full simulation: fresh instance, fresh rng streams, chosen policy."""
     params = config.policy_params()
     instance = _instance(config, seed_index)
-    action_key = config.master_seed * 1_000_003 + seed_index * 101 + _ROLE_ACTIONS
+    multi = config.policy == "subgoss_multi"
+    ms = config.master_seed
+    noise_rngs = [
+        _rng(ms, seed_index, _ROLE_NOISE, i) for i in range(config.N if multi else 1)
+    ]
+    gossip_rng = _rng(ms, seed_index, _ROLE_GOSSIP)
+    action_rng = _rng(ms, seed_index, _ROLE_ACTIONS)
 
-    if config.policy == "subgoss_multi":
-        gossip = build_gossip(config)
-        noise_rngs = [
-            _rng(config.master_seed, seed_index, _ROLE_NOISE, i) for i in range(config.N)
-        ]
-        gossip_rng = _rng(config.master_seed, seed_index, _ROLE_GOSSIP)
+    if multi:
         return run_subgoss_multi(
-            instance, params, gossip, noise_rngs, gossip_rng,
-            seed=seed_index, action_key=action_key,
+            instance, params, build_gossip(config), noise_rngs, gossip_rng,
+            seed=seed_index, action_rng=action_rng,
         )
-    noise_rng = _rng(config.master_seed, seed_index, _ROLE_NOISE, 0)
     if config.policy == "subgoss_single":
         return run_single_agent_subgoss(
-            instance, params, noise_rng, seed=seed_index, action_key=action_key
+            instance, params, noise_rngs[0], seed=seed_index, action_rng=action_rng
         )
     if config.policy == "genie":
         return run_genie(
-            instance, params, noise_rng, seed=seed_index, action_key=action_key,
+            instance, params, noise_rngs[0], seed=seed_index, action_rng=action_rng,
             track_coverage=config.track_coverage,
         )
     return run_oful_baseline(
-        instance, params, noise_rng, seed=seed_index, action_key=action_key
+        instance, params, noise_rngs[0], seed=seed_index, action_rng=action_rng
     )
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -157,8 +158,8 @@ def estimate_spread_moment(
     source: int = 0,
 ) -> SpreadMomentEstimate:
     """Monte-Carlo estimate of E[b**(2*tau_spr)] with its standard error."""
-    if b <= 1:
-        raise InvalidConfigError("need b > 1")
+    if not 1 < b < math.inf:
+        raise InvalidConfigError(f"need 1 < b < inf, got {b}")
     if trials < 1:
         raise InvalidConfigError(f"need trials >= 1, got {trials}")
     if G.n_agents == 1:

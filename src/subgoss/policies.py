@@ -178,9 +178,8 @@ class PolicyParams:
     T: int
     b: float = 2.0
     lam: float = 1.0
-    delta: float | None = None  # None means 1/T
+    delta: float | None = None  # None means min(0.5, 1/T)
     explore_budget_mode: str = "experimental"
-    s_bound: float = 1.0
     log_plays: bool = False
     resample_actions_per_step: bool = False
 
@@ -254,19 +253,21 @@ class _EnvView:
     """The action set of step t, its values and optimum, and its subspace coordinates.
 
     Every action set holds n_random random rows followed by the K*m basis
-    columns, subspace by subspace. A fixed set is viewed once for the whole run;
-    a resampled one is drawn from the stream keyed (action_rng_key, t) and only
-    the view of the step last asked for is kept, since the runners ask for each
-    step once, all agents together. Coordinates are projected only onto the
-    subspaces some agent reads.
+    columns, subspace by subspace. A fixed set is viewed once for the whole run.
+    A resampled set of step t is the t-th draw of the stream `action_rng`, so
+    `at` must see t = 1, 2, ... in order, each step once, all agents together;
+    only the view of the current step is kept. Coordinates are projected only
+    onto the subspaces some agent reads.
     """
 
-    def __init__(self, instance: ProblemInstance, params: PolicyParams, action_rng_key=None):
+    def __init__(self, instance: ProblemInstance, params: PolicyParams, action_rng=None):
         self.instance = instance
         self.resample = params.resample_actions_per_step
         self.n_random = instance.action_set.shape[0] - instance.K * instance.m
-        self.key = action_rng_key
-        self._t = None
+        if self.resample and action_rng is None:
+            raise InvalidConfigError("resampled action sets need an action stream")
+        self._rng = action_rng
+        self._t = 0
         self._view = None if self.resample else self._build(instance.action_set)
 
     def _build(self, actions: np.ndarray):
@@ -275,9 +276,12 @@ class _EnvView:
         return actions, values, float(values.max()), coords
 
     def at(self, t: int):
-        if self.resample and t != self._t:
-            rng = np.random.default_rng(np.random.SeedSequence((self.key, t)))
-            self._view = self._build(resample_actions(self.instance, self.n_random, rng))
+        if self.resample:
+            if t != self._t + 1:
+                raise InvariantViolationError(
+                    f"action set of step {t} asked for after step {self._t}"
+                )
+            self._view = self._build(resample_actions(self.instance, self.n_random, self._rng))
             self._t = t
         return self._view
 
@@ -302,7 +306,7 @@ def _run_subgoss(
     noise_rngs,
     gossip_rng,
     seed=None,
-    action_key=None,
+    action_rng=None,
 ) -> RunResult:
     """Phased play of N agents; without a gossip graph, one agent holding all K subspaces.
 
@@ -317,14 +321,14 @@ def _run_subgoss(
     K, m, T = instance.K, instance.m, params.T
     bases = instance.subspaces.bases
     delta = params.delta_value()
-    lam, S, b = params.lam, params.s_bound, params.b
+    lam, S, b = params.lam, instance.s_bound, params.b
 
     n_agents = gossip.n_agents if gossip else 1
     agents = init_agents(K, n_agents)
 
     if not np.array_equal(instance.action_set[-K * m:], instance.subspaces.basis_columns):
         raise InvalidConfigError("explore plays need the K*m basis columns as the last actions")
-    env = _EnvView(instance, params, action_key)
+    env = _EnvView(instance, params, action_rng)
     n_random = env.n_random
     noise = _noise_streams(instance, n_agents, T, noise_rngs)
 
@@ -425,40 +429,40 @@ def _run_subgoss(
 
 
 def run_subgoss_multi(
-    instance, params, gossip: GossipMatrix, noise_rngs, gossip_rng, seed=None, action_key=None
+    instance, params, gossip: GossipMatrix, noise_rngs, gossip_rng, seed=None, action_rng=None
 ) -> RunResult:
     """N collaborating agents on a gossip graph."""
-    return _run_subgoss(instance, params, gossip, noise_rngs, gossip_rng, seed, action_key)
+    return _run_subgoss(instance, params, gossip, noise_rngs, gossip_rng, seed, action_rng)
 
 
-def run_single_agent_subgoss(instance, params, noise_rng, seed=None, action_key=None) -> RunResult:
+def run_single_agent_subgoss(instance, params, noise_rng, seed=None, action_rng=None) -> RunResult:
     """One agent searching all K subspaces, no communication."""
-    return _run_subgoss(instance, params, None, [noise_rng], None, seed, action_key)
+    return _run_subgoss(instance, params, None, [noise_rng], None, seed, action_rng)
 
 
 def run_genie(
-    instance, params, noise_rng, seed=None, action_key=None, track_coverage: bool = False
+    instance, params, noise_rng, seed=None, action_rng=None, track_coverage: bool = False
 ) -> RunResult:
     """Projected optimistic play on the true subspace from t = 1; no exploration or gossip."""
     return _run_linucb(
-        instance, params, noise_rng, seed, action_key, instance.true_index, track_coverage
+        instance, params, noise_rng, seed, action_rng, instance.true_index, track_coverage
     )
 
 
-def run_oful_baseline(instance, params, noise_rng, seed=None, action_key=None) -> RunResult:
+def run_oful_baseline(instance, params, noise_rng, seed=None, action_rng=None) -> RunResult:
     """Ambient-dimension optimistic baseline (OFUL): identity projector, d-dimensional Gram."""
-    return _run_linucb(instance, params, noise_rng, seed, action_key, None)
+    return _run_linucb(instance, params, noise_rng, seed, action_rng, None)
 
 
 def _run_linucb(
-    instance, params, noise_rng, seed, action_key, k, track_coverage: bool = False
+    instance, params, noise_rng, seed, action_rng, k, track_coverage: bool = False
 ) -> RunResult:
     """Optimistic play from t = 1 in the coordinates of subspace k, or of R^d when k is None."""
     T = params.T
     dim = instance.d if k is None else instance.m
     delta = params.delta_value()
-    lam, S = params.lam, params.s_bound
-    env = _EnvView(instance, params, action_key)
+    lam, S = params.lam, instance.s_bound
+    env = _EnvView(instance, params, action_rng)
     nz = _noise_streams(instance, 1, T, [noise_rng])[0]
     if track_coverage:
         # V = lam*I + sum x x^T, kept here only for the coverage check

@@ -116,8 +116,7 @@ def test_criterion_1_estimator_oracles():
 
 def test_criterion_2_confidence_coverage():
     cfg = RunConfig(d=6, m=2, K=3, T=2000, policy="genie",
-                    delta_mode="fixed", delta=0.05, track_coverage=True,
-                    master_seed=2)
+                    delta=0.05, track_coverage=True, master_seed=2)
     covered = sum(run_one_seed(cfg, s).coverage_ok for s in range(500))
     frac = covered / 500
     ok = frac >= 0.92

@@ -162,6 +162,18 @@ class TestTheorem1Bound:
         with pytest.raises(InvalidConfigError):
             self.inputs(b=1.0)
 
+    @pytest.mark.parametrize("gap", [float("nan"), float("inf")])
+    def test_gap_must_be_positive_and_finite(self, gap):
+        with pytest.raises(InvalidConfigError, match="gap must be positive and finite"):
+            self.inputs(Delta=gap)
+
+    @pytest.mark.parametrize("moment", [float("nan"), float("inf"), -4.0, 0.5])
+    def test_spread_moment_must_be_finite_and_at_least_one(self, moment):
+        # E[b^(2 tau)] >= 1, since tau >= 0 and b > 1
+        with pytest.raises(InvalidConfigError, match="spread moment"):
+            self.inputs(spread_moment=moment)
+        assert self.inputs(spread_moment=1.0).spread_moment == 1.0
+
 
 class TestSingleAgentBound:
     def inputs(self, **kw):

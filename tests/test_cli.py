@@ -53,9 +53,13 @@ class TestValidate:
         ({}, "abc", "SUBGOSS_WORKERS must be an integer"),
         ({"log_plays": True}, None, "unknown config keys"),
         ({"d": 3, "m": 2, "K": 2}, None, "2m <= d"),
+        ({"delta": "abc"}, None, "delta must be null or a number in (0, 1)"),
+        ({"delta": 1.5}, None, "delta must be null or a number in (0, 1)"),
+        ({"delta_mode": "fixed", "delta": 0.05}, None, "unknown config keys"),
     ],
     ids=["T-string", "T-zero", "n_seeds-float", "b-one", "lambda-zero", "workers-abc",
-         "log_plays-removed", "2m-above-d"],
+         "log_plays-removed", "2m-above-d", "delta-string", "delta-above-one",
+         "delta_mode-removed"],
 )
 def test_malformed_input_is_exit_2(tmp_path, capsys, monkeypatch, overrides, env, message):
     if env is not None:
@@ -190,6 +194,38 @@ class TestBounds:
             )
         )
         assert math.isclose(total, want.total, rel_tol=1e-11)
+
+
+@pytest.mark.parametrize(
+    "overrides, flags, message",
+    [
+        ({}, ["--gap", "nan"], "gap must be positive and finite"),
+        ({}, ["--gap", "inf"], "gap must be positive and finite"),
+        ({}, ["--gap", "-0.3"], "gap must be positive and finite"),
+        ({}, ["--gap", "0.3", "--spread-moment", "-4"], "spread moment"),
+        ({}, ["--gap", "0.3", "--spread-moment", "0.5"], "spread moment"),
+        ({}, ["--gap", "0.3", "--spread-moment", "nan"], "spread moment"),
+        ({}, ["--gap", "0.3", "--spread-moment", "inf"], "spread moment"),
+        ({}, ["--gap", "1e300"], "float range"),
+        ({"lambda": 0.5}, ["--gap", "0.3"], "lambda >= 1"),
+    ],
+    ids=["gap-nan", "gap-inf", "gap-negative", "moment-negative", "moment-below-one",
+         "moment-nan", "moment-inf", "gap-overflow", "lambda-half"],
+)
+def test_bad_bound_input_is_exit_2_and_leaves_no_file(tmp_path, capsys, overrides, flags,
+                                                       message):
+    cfg = write_config(tmp_path, T=20, **overrides)
+    out = tmp_path / "bounds.csv"
+    assert main(["bounds", "--config", str(cfg), "--out", str(out), *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and message in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("b", ["nan", "inf"])
+def test_spread_needs_a_finite_b(capsys, b):
+    assert main(["spread", "--n-agents", "4", "--trials", "10", "--b", b]) == 2
+    assert "need 1 < b < inf" in capsys.readouterr().err
 
 
 class TestSpread:

@@ -110,7 +110,7 @@ class TestReward:
 
     def logged_plays(self, inst, T):
         res = run_single_agent_subgoss(
-            inst, PolicyParams(T=T, log_plays=True), rng_for(123), seed=0, action_key=0
+            inst, PolicyParams(T=T, log_plays=True), rng_for(123), seed=0, action_rng=rng_for(0)
         )
         bases = inst.subspaces.bases
         out = []

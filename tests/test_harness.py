@@ -6,10 +6,15 @@ import re
 import numpy as np
 import pytest
 
+from subgoss import policies
+from subgoss.environment import resample_actions
 from subgoss.errors import InvalidConfigError
 from subgoss.harness import (
+    _ROLE_ACTIONS,
     Aggregate,
     RunConfig,
+    _instance,
+    _rng,
     aggregate,
     build_gossip,
     config_from_dict,
@@ -59,9 +64,12 @@ class TestRunConfig:
             small_config(K=12, N=5)
 
     def test_fixed_delta_requires_value(self):
-        with pytest.raises(InvalidConfigError):
-            small_config(delta_mode="fixed")
-        cfg = small_config(delta_mode="fixed", delta=0.05)
+        with pytest.raises(InvalidConfigError, match="delta must be null or a number"):
+            small_config(delta="abc")
+        assert small_config(delta=0.05).policy_params().delta_value() == 0.05
+        cfg = config_from_dict(
+            {"d": 6, "m": 1, "K": 4, "T": 10, "policy": "genie", "delta": 0.05}
+        )
         assert cfg.policy_params().delta_value() == 0.05
 
     def test_one_over_t_delta(self):
@@ -83,7 +91,7 @@ class TestRunConfig:
             ({"s_bound": float("nan")}, "s_bound must be a number > 0"),
             ({"track_coverage": 1}, "track_coverage must be true or false"),
             ({"explore_budget_mode": "greedy"}, "explore_budget_mode must be"),
-            ({"delta_mode": "fixed", "delta": 1.5}, "delta in (0, 1)"),
+            ({"delta": 1.5}, "a number in (0, 1)"),
         ],
     )
     def test_field_type_and_domain_checked(self, overrides, message):
@@ -161,6 +169,27 @@ class TestRun:
         par = run(cfg)
         for a, b in zip(seq, par):
             assert np.array_equal(a.inst_regret, b.inst_regret)
+
+    @pytest.mark.parametrize(
+        "policy, N", [("subgoss_multi", 2), ("subgoss_single", 1), ("genie", 1), ("oful", 1)]
+    )
+    def test_resampled_sets_are_the_draws_of_the_seeds_action_stream(
+        self, monkeypatch, policy, N
+    ):
+        cfg = small_config(policy=policy, N=N, T=40, resample_actions_per_step=True)
+        drawn = []
+
+        def recording(instance, n_actions, rng):
+            drawn.append(resample_actions(instance, n_actions, rng))
+            return drawn[-1]
+
+        monkeypatch.setattr(policies, "resample_actions", recording)
+        run_one_seed(cfg, 3)
+        inst = _instance(cfg, 3)
+        stream = _rng(cfg.master_seed, 3, _ROLE_ACTIONS)
+        assert len(drawn) == cfg.T
+        for actions in drawn:
+            assert np.array_equal(actions, resample_actions(inst, cfg.extra_actions, stream))
 
     def test_instance_gap_positive(self):
         assert instance_gap(small_config()) > 0

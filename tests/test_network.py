@@ -177,3 +177,8 @@ class TestSpreadMoment:
     def test_invalid_b(self):
         with pytest.raises(InvalidConfigError):
             estimate_spread_moment(complete_graph(2), 1.0, 10, rng_for(0))
+
+    @pytest.mark.parametrize("b", [float("nan"), float("inf")])
+    def test_b_must_be_finite(self, b):
+        with pytest.raises(InvalidConfigError, match="1 < b < inf"):
+            estimate_spread_moment(complete_graph(4), b, 10, rng_for(0))

@@ -554,18 +554,18 @@ class TestRunOful:
 def test_resample_actions_mode_runs_and_is_deterministic():
     inst = toy_instance(m=2, K=2, noise_std=1.0)
     p = params(60, resample_actions_per_step=True)
-    a = run_genie(inst, p, rng_for(4), action_key=77)
-    b = run_genie(inst, p, rng_for(4), action_key=77)
-    c = run_genie(inst, p, rng_for(4), action_key=78)
+    a = run_genie(inst, p, rng_for(4), action_rng=rng_for(77))
+    b = run_genie(inst, p, rng_for(4), action_rng=rng_for(77))
+    c = run_genie(inst, p, rng_for(4), action_rng=rng_for(78))
     assert np.array_equal(a.inst_regret, b.inst_regret)
     assert not np.array_equal(a.inst_regret, c.inst_regret)
 
 
-def reference_linucb(instance, params, noise_rng, action_key, genie, track_coverage=False):
+def reference_linucb(instance, params, noise_rng, action_rng, genie, track_coverage=False):
     """Hand-written genie and oful loops: the reference run_genie and run_oful_baseline
     must match bit for bit."""
-    T, delta, lam, S = params.T, params.delta_value(), params.lam, params.s_bound
-    env = _EnvView(instance, params, action_key)
+    T, delta, lam, S = params.T, params.delta_value(), params.lam, instance.s_bound
+    env = _EnvView(instance, params, action_rng)
     nz = _noise_streams(instance, 1, T, [noise_rng])[0]
     dim = instance.m if genie else instance.d
     basis = instance.subspaces.bases[instance.true_index]
@@ -606,28 +606,28 @@ def test_genie_and_oful_match_hand_written_loops():
         for resample in (False, True):
             p = params(T, resample_actions_per_step=resample, delta=0.05)
             want, want_cov = reference_linucb(
-                inst, p, rng_for(5), 33, genie=True, track_coverage=True
+                inst, p, rng_for(5), rng_for(33), genie=True, track_coverage=True
             )
-            got = run_genie(inst, p, rng_for(5), action_key=33, track_coverage=True)
+            got = run_genie(inst, p, rng_for(5), action_rng=rng_for(33), track_coverage=True)
             assert np.array_equal(got.inst_regret, want)
             assert got.coverage_ok == want_cov
-            want, _ = reference_linucb(inst, p, rng_for(6), 34, genie=False)
-            got = run_oful_baseline(inst, p, rng_for(6), action_key=34)
+            want, _ = reference_linucb(inst, p, rng_for(6), rng_for(34), genie=False)
+            got = run_oful_baseline(inst, p, rng_for(6), action_rng=rng_for(34))
             assert np.array_equal(got.inst_regret, want)
 
 
-def run_policy(policy, inst, p, action_key):
+def run_policy(policy, inst, p, action_rng):
     """One run of a named policy variant, with fixed noise and gossip streams."""
     if policy.startswith("multi"):
         n = int(policy[-1])
         return run_subgoss_multi(
-            inst, p, complete_graph(n), multi_rngs(n), rng_for(9), action_key=action_key
+            inst, p, complete_graph(n), multi_rngs(n), rng_for(9), action_rng=action_rng
         )
     if policy == "single":
-        return run_single_agent_subgoss(inst, p, rng_for(1), action_key=action_key)
+        return run_single_agent_subgoss(inst, p, rng_for(1), action_rng=action_rng)
     if policy == "genie":
-        return run_genie(inst, p, rng_for(2), action_key=action_key, track_coverage=True)
-    return run_oful_baseline(inst, p, rng_for(3), action_key=action_key)
+        return run_genie(inst, p, rng_for(2), action_rng=action_rng, track_coverage=True)
+    return run_oful_baseline(inst, p, rng_for(3), action_rng=action_rng)
 
 
 @pytest.mark.parametrize("policy", ["multi4", "multi2", "single", "genie", "oful"])
@@ -641,7 +641,7 @@ def test_resampled_action_set_drawn_once_per_step(policy, monkeypatch):
     monkeypatch.setattr(policies, "resample_actions", counting)
     inst = toy_instance(m=2, K=4, noise_std=1.0)
     T = 150
-    run_policy(policy, inst, params(T, resample_actions_per_step=True), action_key=5)
+    run_policy(policy, inst, params(T, resample_actions_per_step=True), rng_for(5))
     assert len(draws) == T
 
 
@@ -651,19 +651,63 @@ def test_every_agent_plays_from_the_set_keyed_by_step(policy):
     # small ambient space, exploits often play a random row, which tells sets apart
     inst = generate_instance(4, 2, 4, 2, 200, 0.0, 1.0, rng_for(12))
     n_random = inst.action_set.shape[0] - inst.K * inst.m
-    key = 41
-    res = run_policy(policy, inst, params(200, log_plays=True, resample_actions_per_step=True), key)
+    T = 200
+    p = params(T, log_plays=True, resample_actions_per_step=True)
+    res = run_policy(policy, inst, p, rng_for(41))
     plays = [e for e in res.events if e["event"] in ("explore_play", "exploit_play")]
-    assert len(plays) == res.n_agents * 200
+    assert len(plays) == res.n_agents * T
     assert any(e.get("action", n_random) < n_random for e in plays)
+    # replay the stream: step t's set is its t-th draw
+    stream = rng_for(41)
+    values = [resample_actions(inst, n_random, stream) @ inst.theta_star for _ in range(T)]
     for e in plays:
-        rng = np.random.default_rng(np.random.SeedSequence((key, e["t"])))
-        values = resample_actions(inst, n_random, rng) @ inst.theta_star
         if e["event"] == "explore_play":
             row = n_random + e["subspace"] * inst.m + e["column"]
         else:
             row = e["action"]
-        assert e["reward"] == values[row]
+        assert e["reward"] == values[e["t"] - 1][row]
+
+
+class TestEnvView:
+    """Step t's resampled set is the t-th draw of the action stream."""
+
+    def test_resampling_needs_a_stream(self):
+        inst = toy_instance(m=2, K=2)
+        p = params(10, resample_actions_per_step=True)
+        with pytest.raises(InvalidConfigError, match="action stream"):
+            _EnvView(inst, p)
+        with pytest.raises(InvalidConfigError, match="action stream"):
+            run_genie(inst, p, rng_for(0))
+
+    @pytest.mark.parametrize("steps", [(1, 3), (1, 1), (2,)], ids=["skipped", "repeated", "late"])
+    def test_steps_out_of_order_raise(self, steps):
+        env = _EnvView(toy_instance(m=2, K=2), params(10, resample_actions_per_step=True),
+                       rng_for(0))
+        *ok, bad = steps
+        for t in ok:
+            env.at(t)
+        with pytest.raises(InvariantViolationError, match=f"step {bad}"):
+            env.at(bad)
+
+    def test_sets_are_successive_draws(self):
+        inst = toy_instance(m=2, K=2)
+        env = _EnvView(inst, params(5, resample_actions_per_step=True), rng_for(8))
+        stream = rng_for(8)
+        for t in range(1, 6):
+            want = resample_actions(inst, env.n_random, stream)
+            assert np.array_equal(env.at(t)[0], want)
+
+    @pytest.mark.parametrize("policy", ["multi4", "multi2", "single", "genie", "oful"])
+    def test_fixed_mode_ignores_the_stream(self, policy):
+        inst = toy_instance(m=2, K=4, noise_std=1.0)
+        p = params(150, log_plays=True)
+        a = run_policy(policy, inst, p, None)
+        b = run_policy(policy, inst, p, rng_for(5))
+        assert np.array_equal(a.inst_regret, b.inst_regret)
+        assert a.recommendations == b.recommendations
+        assert a.active_history == b.active_history
+        assert a.events == b.events
+        assert a.coverage_ok == b.coverage_ok
 
 
 def test_spread_dominance_against_standalone_rumor_process():

@@ -32,15 +32,16 @@ def _run(policy, inst, n_agents, params, seed):
     def rng(i):
         return np.random.default_rng([seed, i])
 
+    actions = rng(n_agents + 1)
     if policy == "genie":
-        return run_genie(inst, params, rng(0), action_key=seed, track_coverage=True)
+        return run_genie(inst, params, rng(0), action_rng=actions, track_coverage=True)
     if policy == "oful":
-        return run_oful_baseline(inst, params, rng(0), action_key=seed)
+        return run_oful_baseline(inst, params, rng(0), action_rng=actions)
     if n_agents == 1:
-        return run_single_agent_subgoss(inst, params, rng(0), action_key=seed)
+        return run_single_agent_subgoss(inst, params, rng(0), action_rng=actions)
     return run_subgoss_multi(
         inst, params, complete_graph(n_agents), [rng(i) for i in range(n_agents)],
-        rng(n_agents), action_key=seed,
+        rng(n_agents), action_rng=actions,
     )
 
 
@@ -133,9 +134,8 @@ def _small_config(draw):
         "explore_budget_mode": draw(st.sampled_from(["theoretical", "experimental"])),
         "track_coverage": draw(st.booleans()),
         "resample_actions_per_step": draw(st.booleans()),
+        "delta": draw(st.one_of(st.none(), st.floats(0.01, 0.99))),
     }
-    if draw(st.booleans()):
-        config.update(delta_mode="fixed", delta=draw(st.floats(0.01, 0.99)))
     return config
 
 
@@ -144,7 +144,9 @@ def _small_config(draw):
 def test_any_json_config_exits_0_or_2(data):
     """run and validate end with exit 0 on a valid config and 2 on a broken one, never
     with a traceback or exit 1. A broken config has one or two fields replaced by
-    junk, removed, or joined by an unknown key, or it is other JSON, or cut short."""
+    junk, removed, or joined by an unknown key, or it is other JSON, or cut short.
+    bounds, given any gap and spread moment, also ends with exit 0 or 2, and an
+    exit 2 leaves no output file."""
     config = data.draw(_small_config(), label="config")
     how = data.draw(st.sampled_from(["valid", "broken fields", "other JSON", "cut short"]))
     if how == "broken fields":
@@ -157,14 +159,24 @@ def test_any_json_config_exits_0_or_2(data):
     text = json.dumps(data.draw(_JUNK, label="document") if how == "other JSON" else config)
     if how == "cut short":
         text = text[: len(text) // 2]
+    # any float, often one in the domain
+    gap = data.draw(st.one_of(st.floats(), st.floats(0.01, 1.0)), label="gap")
+    moment = data.draw(st.one_of(st.floats(), st.floats(1.0, 1e6)), label="spread moment")
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "config.json"
         path.write_text(text)
         validated = main(["validate", "--config", str(path)])
         ran = main(["run", "--config", str(path), "--out", str(Path(tmp) / "out.csv")])
+        bounds_out = Path(tmp) / "bounds.csv"
+        bounded = main(["bounds", "--config", str(path), "--out", str(bounds_out),
+                        f"--gap={gap!r}", f"--spread-moment={moment!r}"])
+        wrote = bounds_out.exists()
     assert validated in (0, 2)
     assert ran == validated
     assert how != "valid" or ran == 0
+    assert bounded in (0, 2)
+    assert validated == 0 or bounded == 2
+    assert wrote == (bounded == 0)
 
 
 @hypothesis.settings(max_examples=200, deadline=None)
