@@ -9,29 +9,25 @@ from __future__ import annotations
 
 import json
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .environment import compute_gap, generate_instance
-from .errors import InvalidConfigError, SubgossError
+from .errors import DegenerateInstanceError, InvalidConfigError, SubgossError
 from .network import GossipMatrix, complete_graph, load_gossip
-from .policies import (
-    PolicyParams,
-    RunResult,
-    run_genie,
-    run_oful_baseline,
-    run_single_agent_subgoss,
-    run_subgoss_multi,
-)
+from .policies import PolicyParams, RunResult, _run_linucb, _run_subgoss
 
 # rng stream roles
 _ROLE_INSTANCE = 0
 _ROLE_NOISE = 1
 _ROLE_GOSSIP = 2
 _ROLE_ACTIONS = 3
+
+# lanes per batch of `run`: past about a hundred lanes a step's array work
+# outweighs its fixed cost, and the batch's noise and regret arrays take
+# 16 bytes per lane per step
+_BATCH_LANES = 128
 
 POLICIES = ("subgoss_multi", "subgoss_single", "oful", "genie")
 
@@ -177,61 +173,58 @@ def _instance(config: RunConfig, seed_index: int):
     )
 
 
-def run_one_seed(config: RunConfig, seed_index: int) -> RunResult:
-    """One full simulation: fresh instance, fresh rng streams, chosen policy."""
+def _run_batch(config: RunConfig, seed_indices: list) -> list:
+    """Seeds of a config run together as one batch of lanes, each seed with a fresh
+    instance and fresh rng streams."""
     params = config.policy_params()
-    instance = _instance(config, seed_index)
-    multi = config.policy == "subgoss_multi"
+    instances = [_instance(config, s) for s in seed_indices]
     ms = config.master_seed
+    multi = config.policy == "subgoss_multi"
     noise_rngs = [
-        _rng(ms, seed_index, _ROLE_NOISE, i) for i in range(config.N if multi else 1)
+        [_rng(ms, s, _ROLE_NOISE, i) for i in range(config.N if multi else 1)]
+        for s in seed_indices
     ]
-    gossip_rng = _rng(ms, seed_index, _ROLE_GOSSIP)
-    action_rng = _rng(ms, seed_index, _ROLE_ACTIONS)
-
-    if multi:
-        return run_subgoss_multi(
-            instance, params, build_gossip(config), noise_rngs, gossip_rng,
-            seed=seed_index, action_rng=action_rng,
+    action_rngs = [_rng(ms, s, _ROLE_ACTIONS) for s in seed_indices]
+    if config.policy in ("genie", "oful"):
+        genie = config.policy == "genie"
+        return _run_linucb(
+            instances, params, [rngs[0] for rngs in noise_rngs], seed_indices, action_rngs,
+            config.true_index if genie else None, genie and config.track_coverage,
         )
-    if config.policy == "subgoss_single":
-        return run_single_agent_subgoss(
-            instance, params, noise_rngs[0], seed=seed_index, action_rng=action_rng
-        )
-    if config.policy == "genie":
-        return run_genie(
-            instance, params, noise_rngs[0], seed=seed_index, action_rng=action_rng,
-            track_coverage=config.track_coverage,
-        )
-    return run_oful_baseline(
-        instance, params, noise_rngs[0], seed=seed_index, action_rng=action_rng
+    gossip_rngs = [_rng(ms, s, _ROLE_GOSSIP) for s in seed_indices]
+    return _run_subgoss(
+        instances, params, build_gossip(config), noise_rngs, gossip_rngs, seed_indices,
+        action_rngs,
     )
 
 
-def _worker(args):
-    config, seed_index = args
-    return run_one_seed(config, seed_index)
+def run_one_seed(config: RunConfig, seed_index: int) -> RunResult:
+    """One full simulation: fresh instance, fresh rng streams, chosen policy; a batch of one."""
+    return _run_batch(config, [seed_index])[0]
 
 
 def run(config: RunConfig) -> list:
-    """All seeds of a config; SUBGOSS_WORKERS > 1 dispatches seeds to a process pool."""
+    """All seeds of a config, run as lanes in batches of at most _BATCH_LANES lanes.
+
+    Each seed's result is the same in any batch, alone too (`run_one_seed`).
+    """
+    per_seed = config.N if config.policy == "subgoss_multi" else 1
+    size = max(1, _BATCH_LANES // per_seed)
     seeds = list(range(config.n_seeds))
-    raw = os.environ.get("SUBGOSS_WORKERS", "1")
-    try:
-        workers = int(raw)
-    except ValueError:
-        raise InvalidConfigError(f"SUBGOSS_WORKERS must be an integer, got {raw!r}") from None
-    if workers > 1 and len(seeds) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_worker, [(config, s) for s in seeds]))
-    else:
-        results = [run_one_seed(config, s) for s in seeds]
-    return results
+    return [r for lo in range(0, len(seeds), size) for r in _run_batch(config, seeds[lo:lo + size])]
 
 
 def instance_gap(config: RunConfig, seed_index: int = 0) -> float:
-    """Gap of the instance a given seed generates (for bound evaluation)."""
-    return compute_gap(_instance(config, seed_index)).delta
+    """Gap of the instance a given seed generates (for bound evaluation).
+
+    theta_star, and so every gap, scales with s_bound, so a zero gap is a config error.
+    """
+    try:
+        return compute_gap(_instance(config, seed_index)).delta
+    except DegenerateInstanceError as exc:
+        raise InvalidConfigError(
+            f"s_bound={config.s_bound} leaves the seed-{seed_index} instance with a zero gap: {exc}"
+        ) from exc
 
 
 # ---------------------------------------------------------------------------

@@ -75,13 +75,24 @@ def subspace_overlap(b1: Basis, b2: Basis) -> float:
 
 
 class ExploreStats:
-    """Round-robin explore statistics of one subspace: per-column reward sums and play counts."""
+    """Round-robin explore statistics: per-column reward sums and play counts.
+
+    ExploreStats(m) holds one subspace. ExploreStats((L, K, m)) holds the K
+    subspaces of L lanes at once, and stats[l, k] is lane l's subspace k, with
+    arrays that are views into the batch.
+    """
 
     __slots__ = ("reward_sum", "count")
 
-    def __init__(self, m: int):
-        self.reward_sum = np.zeros(m)
-        self.count = np.zeros(m, dtype=np.int64)
+    def __init__(self, shape):
+        self.reward_sum = np.zeros(shape)
+        self.count = np.zeros(shape, dtype=np.int64)
+
+    def __getitem__(self, index) -> ExploreStats:
+        view = object.__new__(ExploreStats)
+        view.reward_sum = self.reward_sum[index]
+        view.count = self.count[index]
+        return view
 
     @property
     def total_count(self) -> int:
@@ -91,7 +102,9 @@ class ExploreStats:
         # least-played column, lowest index on ties: keeps counts within 1 of each other
         return int(np.argmin(self.count))
 
-    def add_play(self, column: int, reward: float) -> None:
+    def add_play(self, column, reward) -> None:
+        """One play per entry of `column`, an index into the arrays; on a batch,
+        (lanes, subspaces, columns) index arrays naming each entry at most once."""
         self.reward_sum[column] += reward
         self.count[column] += 1
 
@@ -110,7 +123,7 @@ def explore_estimate(stats: ExploreStats, basis: Basis) -> np.ndarray:
 
 
 class LinUcbStats:
-    """Projected-LinUCB statistics of one subspace in m coordinates.
+    """Projected-LinUCB statistics of one subspace, or of a batch of lanes, in m coordinates.
 
     With V = lambda*I_m + sum x x^T over recorded plays, where x = U^T a are
     the subspace coordinates of the played action, the statistics are
@@ -119,39 +132,54 @@ class LinUcbStats:
     Sherman-Morrison rank-1 update per play, and the ridge estimate
     inv @ moment is refreshed with it, so no play or score solves a linear
     system.
+
+    `lanes` is the shape of a leading batch axis: every array carries it, and
+    one call plays, or scores, every lane at once. The default () is a single
+    lane; its operations are the batch operations with no lane axis, so each
+    lane of a batch gets the bits it would get alone.
     """
 
     __slots__ = ("inv", "moment", "count", "_theta")
 
-    def __init__(self, m: int, lam: float):
+    def __init__(self, m: int, lam: float, lanes: tuple = ()):
         if lam <= 0:
             raise NumericalDegeneracyError("regularization must be positive")
-        self.inv = np.eye(m) / lam
-        self.moment = np.zeros(m)
-        self.count = 0
-        self._theta = np.zeros(m)
+        self.inv = np.broadcast_to(np.eye(m) / lam, (*lanes, m, m)).copy()
+        self.moment = np.zeros((*lanes, m))
+        self.count = np.zeros(lanes, dtype=np.int64)
+        self._theta = np.zeros((*lanes, m))
 
-    def add_play_coords(self, x: np.ndarray, reward: float) -> None:
-        u = self.inv @ x
+    def add_play_coords(self, x: np.ndarray, reward) -> None:
+        """Record the play of coordinates x (lanes x m) with reward (lanes) in every lane."""
+        u = (self.inv @ x[..., None])[..., 0]
         # (V + x x^T)^-1 = V^-1 - u u^T / (1 + x^T u), where 1 + x^T u >= 1
         # since V^-1 is positive definite
-        self.inv -= (u[:, None] * u) / (1.0 + x @ u)
-        self.moment += reward * x
+        den = 1.0 + (x[..., None, :] @ u[..., None])[..., 0, 0]
+        self.inv -= u[..., :, None] * u[..., None, :] / den[..., None, None]
+        self.moment += np.asarray(reward)[..., None] * x
         self.count += 1
-        self._theta = self.inv @ self.moment
+        self._theta = (self.inv @ self.moment[..., None])[..., 0]
 
     def theta_hat(self) -> np.ndarray:
         """Ridge estimate in subspace coordinates."""
         return self._theta
 
+    def copy_lanes(self, index, source: LinUcbStats, source_index) -> None:
+        """Set the lanes at `index` to copies of the lanes of `source` at `source_index`."""
+        for name in self.__slots__:
+            getattr(self, name)[index] = getattr(source, name)[source_index]
 
-def ucb_scores(stats: LinUcbStats, coords: np.ndarray, beta: float) -> np.ndarray:
-    """Optimistic scores for a batch of actions given as m x n coordinates.
+
+def ucb_scores(stats: LinUcbStats, coords: np.ndarray, beta) -> np.ndarray:
+    """Optimistic scores for a batch of actions given as m x n coordinates, per lane.
 
     score_i = <theta_hat, x_i> + beta * ||x_i||_{V^-1}, the closed form of the
     maximum of <theta, x_i> over the confidence ellipsoid of radius beta. This is
-    the one scoring rule of every policy. The squared norms are read off the
-    kept inverse; the clip at 0 guards against rounding on near-null actions.
+    the one scoring rule of every policy. On a batch of lanes, coords is
+    (lanes, m, n) and beta a scalar or one radius per lane. The squared norms are
+    read off the kept inverse; the clip at 0 guards against rounding on
+    near-null actions.
     """
-    quad = np.einsum("ij,ij->j", coords, stats.inv @ coords)
-    return stats.theta_hat() @ coords + beta * np.sqrt(np.maximum(quad, 0.0))
+    quad = np.einsum("...ij,...ij->...j", coords, stats.inv @ coords)
+    greedy = (stats.theta_hat()[..., None, :] @ coords)[..., 0, :]
+    return greedy + np.asarray(beta)[..., None] * np.sqrt(np.maximum(quad, 0.0))

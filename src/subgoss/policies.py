@@ -72,7 +72,6 @@ class AgentState:
     sticky_set: frozenset
     active_set: tuple  # sorted subspace ids
     explore: dict = field(default_factory=dict)  # k -> ExploreStats
-    linucb: dict = field(default_factory=dict)  # k -> LinUcbStats
     last_estimates: dict = field(default_factory=dict)  # k -> (theta, norm)
     best_estimate_id: int | None = None
 
@@ -255,9 +254,9 @@ class _EnvView:
     Every action set holds n_random random rows followed by the K*m basis
     columns, subspace by subspace. A fixed set is viewed once for the whole run.
     A resampled set of step t is the t-th draw of the stream `action_rng`, so
-    `at` must see t = 1, 2, ... in order, each step once, all agents together;
-    only the view of the current step is kept. Coordinates are projected only
-    onto the subspaces some agent reads.
+    `at` must see t = 1, 2, ... in order, each step once, all of the seed's
+    lanes together; only the view of the current step is kept. Coordinates are
+    projected only onto the subspaces some lane reads.
     """
 
     def __init__(self, instance: ProblemInstance, params: PolicyParams, action_rng=None):
@@ -295,149 +294,279 @@ def _noise_streams(instance, n_agents, T, rngs):
     ]
 
 
-# ---------------------------------------------------------------------------
-# SubGoss runners
+def _noise(instances, n_agents, T, noise_rngs) -> np.ndarray:
+    """Reward noise of a batch, (T + 1) x lanes: row t holds every lane's noise at step t.
 
-
-def _run_subgoss(
-    instance: ProblemInstance,
-    params: PolicyParams,
-    gossip: GossipMatrix | None,
-    noise_rngs,
-    gossip_rng,
-    seed=None,
-    action_rng=None,
-) -> RunResult:
-    """Phased play of N agents; without a gossip graph, one agent holding all K subspaces.
-
-    Within a phase the agents advance in lockstep, step t outermost, so each
-    step's action set is drawn and viewed once for all of them. Each agent plays
-    its explore slots, refreshes its estimates at its own switch step
-    (`end_explore_update`) and then exploits its best-estimate subspace. Until
-    the gossip at the phase end no agent reads another's state, and each draws
-    from its own noise stream, so the trajectories do not depend on this order.
-    Each agent's play records of the phase are appended in agent order at its end.
+    Lane l reads stream l % n_agents of seed l // n_agents.
     """
-    K, m, T = instance.K, instance.m, params.T
-    bases = instance.subspaces.bases
+    return np.column_stack([
+        z for instance, rngs in zip(instances, noise_rngs)
+        for z in _noise_streams(instance, n_agents, T, rngs)
+    ])
+
+
+def _stack_views(envs, t):
+    """Every seed's view of step t, with its action values (seeds x actions) and optima stacked."""
+    views = [env.at(t) for env in envs]
+    return views, np.stack([v[1] for v in views]), np.array([v[2] for v in views])
+
+
+class _PlayLog:
+    """Every play of every lane, kept for `PolicyParams.log_plays` and turned into event dicts."""
+
+    def __init__(self, T: int, n_lanes: int):
+        self.explored = np.zeros((T, n_lanes), dtype=bool)
+        self.subspace = np.zeros((T, n_lanes), dtype=np.int64)
+        self.choice = np.zeros((T, n_lanes), dtype=np.int64)  # explore column or action index
+        self.reward = np.zeros((T, n_lanes))
+
+    def record(self, t, lanes, explored, subspace, choice, reward) -> None:
+        row = t - 1
+        self.explored[row, lanes] = explored
+        self.subspace[row, lanes] = subspace
+        self.choice[row, lanes] = choice
+        self.reward[row, lanes] = reward
+
+    def events(self, lanes, phases) -> list:
+        """The plays of one seed's lanes, its agents in order: phase by phase, agent by
+        agent, each agent's plays in time order."""
+        kinds = {True: ("explore_play", "column"), False: ("exploit_play", "action")}
+        events = []
+        for j, start, end in phases:
+            rows = slice(start - 1, end)
+            for agent, lane in enumerate(lanes):
+                plays = zip(
+                    range(start, end + 1),
+                    self.explored[rows, lane].tolist(),
+                    self.subspace[rows, lane].tolist(),
+                    self.choice[rows, lane].tolist(),
+                    self.reward[rows, lane].tolist(),
+                )
+                for t, explored, k, choice, r in plays:
+                    kind, key = kinds[explored]
+                    events.append({"t": t, "agent": agent, "phase": j, "event": kind,
+                                   "subspace": k, key: choice, "reward": r})
+        return events
+
+
+# ---------------------------------------------------------------------------
+# runners: one engine for the phased policies and one for genie and oful, each
+# running a batch of seeds; the public runners are batches of one seed
+
+
+def _run_subgoss(instances, params, gossip, noise_rngs, gossip_rngs, seeds, action_rngs) -> list:
+    """Phased play of N agents on each seed of a batch; without a gossip graph, one
+    agent holding all K subspaces. Per-seed arguments are lists over the batch.
+
+    Every (seed, agent) pair is a lane, lane l being agent l % N of seed l // N,
+    and each step plays the move of every lane in one set of array operations.
+    A lane plays its explore slots, refreshes its estimates at its own switch
+    step (`end_explore_update`) and then exploits its best-estimate subspace.
+    Its exploit statistics and coordinates are loaded into the step batch
+    (`play`, `X`) at its switch step and saved at the phase end; before the
+    switch its row of the batch is computed with the others and discarded. The
+    protocol between plays runs per lane and per seed. Each lane draws from its
+    own noise stream and each seed from its own gossip and action streams, so
+    no result depends on the batch it runs in.
+    """
+    first = instances[0]
+    K, m, T = first.K, first.m, params.T
+    lam = params.lam
     delta = params.delta_value()
-    lam, S, b = params.lam, instance.s_bound, params.b
-
+    resample = params.resample_actions_per_step
     n_agents = gossip.n_agents if gossip else 1
-    agents = init_agents(K, n_agents)
+    n_lanes = len(instances) * n_agents
+    lanes = np.arange(n_lanes)
+    lane_seed = lanes // n_agents
 
-    if not np.array_equal(instance.action_set[-K * m:], instance.subspaces.basis_columns):
-        raise InvalidConfigError("explore plays need the K*m basis columns as the last actions")
-    env = _EnvView(instance, params, action_rng)
-    n_random = env.n_random
-    noise = _noise_streams(instance, n_agents, T, noise_rngs)
+    for instance in instances:
+        if not np.array_equal(instance.action_set[-K * m:], instance.subspaces.basis_columns):
+            raise InvalidConfigError(
+                "explore plays need the K*m basis columns as the last actions"
+            )
+    envs = [_EnvView(inst, params, rng) for inst, rng in zip(instances, action_rngs)]
+    n_random = envs[0].n_random
+    groups = [init_agents(K, n_agents) for _ in instances]
+    agents = [ag for group in groups for ag in group]
+    explore = ExploreStats((n_lanes, K, m))
+    for lane, ag in enumerate(agents):
+        ag.explore = {k: explore[lane, k] for k in range(K)}
+    saved = LinUcbStats(m, lam, (n_lanes, K))
+    play = LinUcbStats(m, lam, (n_lanes,))
+    subspace = np.zeros(n_lanes, dtype=np.int64)  # the subspace each lane exploits
+    X = np.zeros((n_lanes, m, first.action_set.shape[0]))
+    noise = _noise(instances, n_agents, T, noise_rngs)
+    # radius by play count: a row gains at most one play per step from its saved
+    # count on, so no count passes T
+    beta = np.array([bounds.beta(delta, m, lam, c, first.s_bound) for c in range(T + 1)])
+    inst_regret = np.empty((n_lanes, T))
+    log = _PlayLog(T, n_lanes) if params.log_plays else None
 
-    inst_regret = np.zeros((n_agents, T))
-    comm_count = np.zeros(n_agents, dtype=np.int64)
-    recommendations = []
-    active_history = []
-    events = []
-    log_plays = params.log_plays
+    def estimate(ls):
+        for lane in ls.tolist():
+            end_explore_update(agents[lane], instances[lane_seed[lane]].subspaces.bases)
 
+    def load_coords(ls):
+        for lane in ls.tolist():
+            X[lane] = views[lane_seed[lane]][3][subspace[lane]]
+
+    recommendations = [[] for _ in instances]
+    active_history = [[] for _ in instances]
+    phases = []
+    n_gossip = 0
     j = 1
     start = 1
     while start <= T:
-        schedule = PhaseSchedule(b=b, j=j, explore_budget_mode=params.explore_budget_mode)
+        schedule = PhaseSchedule(b=params.b, j=j, explore_budget_mode=params.explore_budget_mode)
         end_full = start + schedule.phase_length - 1
         end = min(end_full, T)
         slots = end - start + 1
 
-        n_exp = [min(explore_plan(ag, schedule, m), slots) for ag in agents]
-        logs = [[] for _ in range(n_agents)]
-        exploit = [None] * n_agents  # (subspace, LinUcbStats) from the switch step on
-
-        def estimate(i):
-            ag = agents[i]
-            end_explore_update(ag, bases)
-            if n_exp[i] < slots:
-                k = ag.best_estimate_id
-                stats = ag.linucb.get(k)
-                if stats is None:
-                    stats = ag.linucb[k] = LinUcbStats(m, lam)
-                exploit[i] = (k, stats)
+        n_exp = np.array([min(explore_plan(ag, schedule, m), slots) for ag in agents])
+        switches = {s: lanes[n_exp == s] for s in set(n_exp.tolist()) if s < slots}
+        n_active = np.array([len(ag.active_set) for ag in agents])
+        active = np.zeros((n_lanes, n_active.max()), dtype=np.int64)
+        for lane, ag in enumerate(agents):
+            active[lane, : n_active[lane]] = ag.active_set
+        explorers, exploiters = lanes, lanes[:0]
 
         for s in range(slots):
             t = start + s
-            _, values, vstar, coords = env.at(t)
-            for i in range(n_agents):
-                if s < n_exp[i]:
-                    active = agents[i].active_set
-                    k = active[s % len(active)]
-                    explore = agents[i].explore
-                    stats = explore.get(k)
-                    if stats is None:
-                        stats = explore[k] = ExploreStats(m)
-                    col = stats.next_column()
-                    # the played column's row in the action set, so that vstar, the
-                    # maximum of the same values array, never falls below it
-                    a_val = float(values[n_random + k * m + col])
-                    r = a_val + noise[i][t]
-                    stats.add_play(col, r)
-                    inst_regret[i, t - 1] = vstar - a_val
-                    if log_plays:
-                        logs[i].append(
-                            {"t": t, "agent": i, "phase": j, "event": "explore_play",
-                             "subspace": k, "column": col, "reward": r}
-                        )
-                    continue
-                if s == n_exp[i]:
-                    estimate(i)
-                k, stats = exploit[i]
-                X = coords[k]
-                bval = bounds.beta(delta, m, lam, stats.count, S)
-                idx = int(ucb_scores(stats, X, bval).argmax())
-                r = float(values[idx]) + noise[i][t]
-                stats.add_play_coords(X[:, idx], r)
-                inst_regret[i, t - 1] = vstar - values[idx]
-                if log_plays:
-                    logs[i].append(
-                        {"t": t, "agent": i, "phase": j, "event": "exploit_play",
-                         "subspace": k, "action": idx, "reward": r}
-                    )
+            if t == 1 or resample:
+                views, values, vstar = _stack_views(envs, t)
+                values, vstar = values[lane_seed], vstar[lane_seed]
+            switching = switches.get(s)
+            if switching is not None:
+                estimate(switching)
+                subspace[switching] = [agents[lane].best_estimate_id for lane in switching]
+                play.copy_lanes(switching, saved, (switching, subspace[switching]))
+                if not resample:
+                    load_coords(switching)
+                explorers, exploiters = lanes[n_exp > s], lanes[n_exp <= s]
+            if exploiters.size:
+                if resample:
+                    load_coords(exploiters)
+                idx = ucb_scores(play, X, beta[play.count]).argmax(axis=1)
+                a_val = values[lanes, idx]
+                r = a_val + noise[t]
+                play.add_play_coords(X[lanes, :, idx], r)
+                inst_regret[:, t - 1] = vstar - a_val
+                if log:
+                    log.record(t, lanes, False, subspace, idx, r)
+            if explorers.size:
+                k = active[explorers, s % n_active[explorers]]
+                col = explore.count[explorers, k].argmin(axis=1)  # ExploreStats.next_column
+                # the played column's row in the action set, so that vstar, the
+                # maximum of the same values array, never falls below it
+                a_val = values[explorers, n_random + k * m + col]
+                r = a_val + noise[t, explorers]
+                explore.add_play((explorers, k, col), r)
+                inst_regret[explorers, t - 1] = vstar[explorers] - a_val
+                if log:
+                    log.record(t, explorers, True, k, col, r)
 
-        for i in range(n_agents):
-            if n_exp[i] == slots:
-                estimate(i)
-            events += logs[i]
+        estimate(lanes[n_exp == slots])
+        switched = lanes[n_exp < slots]
+        saved.copy_lanes((switched, subspace[switched]), play, switched)
+        phases.append((j, start, end))
 
-        recommendations.append([ag.best_estimate_id for ag in agents])
-
-        if end_full <= T and n_agents > 1:
-            pulled = gossip_exchange(agents, gossip, gossip_rng)
-            comm_count += 1
-            for ag, k in zip(agents, pulled):
-                update_active_set(ag, k)
-        active_history.append([ag.active_set for ag in agents])
+        gossips = end_full <= T and n_agents > 1
+        n_gossip += gossips
+        for group, rng, recs, history in zip(groups, gossip_rngs, recommendations, active_history):
+            recs.append([ag.best_estimate_id for ag in group])
+            if gossips:
+                for ag, k in zip(group, gossip_exchange(group, gossip, rng)):
+                    update_active_set(ag, k)
+            history.append([ag.active_set for ag in group])
         j += 1
         start = end_full + 1
 
-    return RunResult(
-        inst_regret=inst_regret,
-        seed=seed,
-        n_phases=j - 1,
-        freeze_phase=detect_freeze(recommendations, instance.true_index),
-        recommendations=recommendations,
-        comm_count=comm_count,
-        events=events,
-        active_history=active_history,
-    )
+    results = []
+    for s, (instance, seed) in enumerate(zip(instances, seeds)):
+        seed_lanes = range(s * n_agents, (s + 1) * n_agents)
+        results.append(RunResult(
+            inst_regret=inst_regret[s * n_agents:(s + 1) * n_agents],
+            seed=seed,
+            n_phases=j - 1,
+            freeze_phase=detect_freeze(recommendations[s], instance.true_index),
+            recommendations=recommendations[s],
+            comm_count=np.full(n_agents, n_gossip, dtype=np.int64),
+            events=log.events(seed_lanes, phases) if log else [],
+            active_history=active_history[s],
+        ))
+    return results
+
+
+def _run_linucb(instances, params, noise_rngs, seeds, action_rngs, k, track_coverage=False) -> list:
+    """Optimistic play from t = 1 in the coordinates of subspace k, or of R^d when k
+    is None, one lane per seed of a batch. Per-seed arguments are lists over the batch.
+
+    Every lane plays every step, so all lanes share one play count and one radius.
+    """
+    first = instances[0]
+    T = params.T
+    dim = first.d if k is None else first.m
+    lam = params.lam
+    delta = params.delta_value()
+    resample = params.resample_actions_per_step
+    n_lanes = len(instances)
+    lanes = np.arange(n_lanes)
+    envs = [_EnvView(inst, params, rng) for inst, rng in zip(instances, action_rngs)]
+    noise = _noise(instances, 1, T, [[rng] for rng in noise_rngs])
+    stats = LinUcbStats(dim, lam, (n_lanes,))
+    X = np.empty((n_lanes, dim, first.action_set.shape[0]))
+    if track_coverage:
+        # V = lam*I + sum x x^T, kept here only for the coverage check
+        theta_k = np.stack([
+            inst.subspaces.bases[k].columns.T @ inst.theta_star for inst in instances
+        ])
+        gram = np.broadcast_to(lam * np.eye(dim), (n_lanes, dim, dim)).copy()
+        covered = np.ones(n_lanes, dtype=bool)
+
+    inst_regret = np.empty((n_lanes, T))
+    for t in range(1, T + 1):
+        if t == 1 or resample:
+            views, values, vstar = _stack_views(envs, t)
+            for lane, (actions, _, _, coords) in enumerate(views):
+                X[lane] = actions.T if k is None else coords[k]
+        bval = bounds.beta(delta, dim, lam, t - 1, first.s_bound)
+        idx = ucb_scores(stats, X, bval).argmax(axis=1)
+        x = X[lanes, :, idx]
+        if track_coverage:
+            diff = stats.theta_hat() - theta_k
+            covered &= ~(np.sqrt((diff[:, None, :] @ gram @ diff[:, :, None])[:, 0, 0]) > bval)
+            gram += x[:, :, None] * x[:, None, :]
+        a_val = values[lanes, idx]
+        stats.add_play_coords(x, a_val + noise[t])
+        inst_regret[:, t - 1] = vstar - a_val
+
+    return [
+        RunResult(
+            inst_regret=inst_regret[lane:lane + 1],
+            seed=seed,
+            n_phases=0,
+            freeze_phase=None,
+            recommendations=[],
+            comm_count=np.zeros(1, dtype=np.int64),
+            events=[],
+            coverage_ok=bool(covered[lane]) if track_coverage else None,
+        )
+        for lane, seed in enumerate(seeds)
+    ]
 
 
 def run_subgoss_multi(
     instance, params, gossip: GossipMatrix, noise_rngs, gossip_rng, seed=None, action_rng=None
 ) -> RunResult:
     """N collaborating agents on a gossip graph."""
-    return _run_subgoss(instance, params, gossip, noise_rngs, gossip_rng, seed, action_rng)
+    return _run_subgoss(
+        [instance], params, gossip, [noise_rngs], [gossip_rng], [seed], [action_rng]
+    )[0]
 
 
 def run_single_agent_subgoss(instance, params, noise_rng, seed=None, action_rng=None) -> RunResult:
     """One agent searching all K subspaces, no communication."""
-    return _run_subgoss(instance, params, None, [noise_rng], None, seed, action_rng)
+    return _run_subgoss([instance], params, None, [[noise_rng]], [None], [seed], [action_rng])[0]
 
 
 def run_genie(
@@ -445,55 +574,11 @@ def run_genie(
 ) -> RunResult:
     """Projected optimistic play on the true subspace from t = 1; no exploration or gossip."""
     return _run_linucb(
-        instance, params, noise_rng, seed, action_rng, instance.true_index, track_coverage
-    )
+        [instance], params, [noise_rng], [seed], [action_rng], instance.true_index,
+        track_coverage,
+    )[0]
 
 
 def run_oful_baseline(instance, params, noise_rng, seed=None, action_rng=None) -> RunResult:
     """Ambient-dimension optimistic baseline (OFUL): identity projector, d-dimensional Gram."""
-    return _run_linucb(instance, params, noise_rng, seed, action_rng, None)
-
-
-def _run_linucb(
-    instance, params, noise_rng, seed, action_rng, k, track_coverage: bool = False
-) -> RunResult:
-    """Optimistic play from t = 1 in the coordinates of subspace k, or of R^d when k is None."""
-    T = params.T
-    dim = instance.d if k is None else instance.m
-    delta = params.delta_value()
-    lam, S = params.lam, instance.s_bound
-    env = _EnvView(instance, params, action_rng)
-    nz = _noise_streams(instance, 1, T, [noise_rng])[0]
-    if track_coverage:
-        # V = lam*I + sum x x^T, kept here only for the coverage check
-        theta_k = instance.subspaces.bases[k].columns.T @ instance.theta_star
-        gram = lam * np.eye(dim)
-
-    stats = LinUcbStats(dim, lam)
-    inst_regret = np.zeros((1, T))
-    covered = True
-    for t in range(1, T + 1):
-        actions, values, vstar, coords = env.at(t)
-        X = actions.T if k is None else coords[k]
-        bval = bounds.beta(delta, dim, lam, stats.count, S)
-        idx = int(ucb_scores(stats, X, bval).argmax())
-        x = X[:, idx]
-        if track_coverage:
-            diff = stats.theta_hat() - theta_k
-            if math.sqrt(float(diff @ gram @ diff)) > bval:
-                covered = False
-            gram += x[:, None] * x
-        r = float(values[idx]) + nz[t]
-        stats.add_play_coords(x, r)
-        inst_regret[0, t - 1] = vstar - values[idx]
-
-    return RunResult(
-        inst_regret=inst_regret,
-        seed=seed,
-        n_phases=0,
-        freeze_phase=None,
-        recommendations=[],
-        comm_count=np.zeros(1, dtype=np.int64),
-        events=[],
-        coverage_ok=covered if track_coverage else None,
-    )
+    return _run_linucb([instance], params, [noise_rng], [seed], [action_rng], None)[0]

@@ -23,7 +23,7 @@ import conftest
 
 from subgoss import bounds as bounds_mod
 from subgoss.cli import main as cli_main
-from subgoss.harness import RunConfig, aggregate, instance_gap, run, run_one_seed
+from subgoss.harness import RunConfig, aggregate, instance_gap, run
 from subgoss.linalg import (
     ExploreStats,
     LinUcbStats,
@@ -116,8 +116,8 @@ def test_criterion_1_estimator_oracles():
 
 def test_criterion_2_confidence_coverage():
     cfg = RunConfig(d=6, m=2, K=3, T=2000, policy="genie",
-                    delta=0.05, track_coverage=True, master_seed=2)
-    covered = sum(run_one_seed(cfg, s).coverage_ok for s in range(500))
+                    delta=0.05, track_coverage=True, master_seed=2, n_seeds=500)
+    covered = sum(res.coverage_ok for res in run(cfg))
     frac = covered / 500
     ok = frac >= 0.92
     assert report(2, ok, f"all-t coverage in {covered}/500 seeds = {frac:.3f} (need >= 0.92)")
@@ -128,12 +128,12 @@ def test_criterion_2_confidence_coverage():
 
 
 def test_criterion_3_projected_regret_bound():
-    cfg = RunConfig(T=10_000, policy="genie", master_seed=3, **FIG1)
+    cfg = RunConfig(T=10_000, policy="genie", master_seed=3, n_seeds=500, **FIG1)
     bound = bounds_mod.projected_linucb_bound(10_000, 2, 1.0, 1e-4)
     within = 0
     r_mid, r_end = [], []
-    for s in range(500):
-        cum = run_one_seed(cfg, s).cum_regret()[0]
+    for res in run(cfg):
+        cum = res.cum_regret()[0]
         within += cum[-1] <= bound
         r_mid.append(cum[2499])
         r_end.append(cum[-1])
@@ -183,12 +183,11 @@ def test_criterion_4_tail_bound():
 
 def test_criterion_5_freeze_and_spread():
     cfg = RunConfig(T=T_BIG, N=4, policy="subgoss_multi", noise_std=1.0,
-                    master_seed=5, **FIG1)
+                    master_seed=5, n_seeds=100, **FIG1)
     comm_cap = math.ceil(math.log2(1 + T_BIG)) + 1
     frozen = 0
     comm_ok = True
-    for s in range(100):
-        res = run_one_seed(cfg, s)
+    for res in run(cfg):
         if res.freeze_phase is not None:
             frozen += 1
             for recs in res.recommendations[res.freeze_phase - 1:]:

@@ -43,27 +43,24 @@ class TestValidate:
 
 
 @pytest.mark.parametrize(
-    "overrides, env, message",
+    "overrides, message",
     [
-        ({"T": "100"}, None, "T must be an integer"),
-        ({"T": 0}, None, "T must be an integer >= 1"),
-        ({"n_seeds": 1.5}, None, "n_seeds must be an integer"),
-        ({"b": 1.0}, None, "b must be a number > 1"),
-        ({"lambda": 0}, None, "lam must be a number > 0"),
-        ({}, "abc", "SUBGOSS_WORKERS must be an integer"),
-        ({"log_plays": True}, None, "unknown config keys"),
-        ({"d": 3, "m": 2, "K": 2}, None, "2m <= d"),
-        ({"delta": "abc"}, None, "delta must be null or a number in (0, 1)"),
-        ({"delta": 1.5}, None, "delta must be null or a number in (0, 1)"),
-        ({"delta_mode": "fixed", "delta": 0.05}, None, "unknown config keys"),
+        ({"T": "100"}, "T must be an integer"),
+        ({"T": 0}, "T must be an integer >= 1"),
+        ({"n_seeds": 1.5}, "n_seeds must be an integer"),
+        ({"b": 1.0}, "b must be a number > 1"),
+        ({"lambda": 0}, "lam must be a number > 0"),
+        ({"log_plays": True}, "unknown config keys"),
+        ({"d": 3, "m": 2, "K": 2}, "2m <= d"),
+        ({"delta": "abc"}, "delta must be null or a number in (0, 1)"),
+        ({"delta": 1.5}, "delta must be null or a number in (0, 1)"),
+        ({"delta_mode": "fixed", "delta": 0.05}, "unknown config keys"),
     ],
-    ids=["T-string", "T-zero", "n_seeds-float", "b-one", "lambda-zero", "workers-abc",
+    ids=["T-string", "T-zero", "n_seeds-float", "b-one", "lambda-zero",
          "log_plays-removed", "2m-above-d", "delta-string", "delta-above-one",
          "delta_mode-removed"],
 )
-def test_malformed_input_is_exit_2(tmp_path, capsys, monkeypatch, overrides, env, message):
-    if env is not None:
-        monkeypatch.setenv("SUBGOSS_WORKERS", env)
+def test_malformed_input_is_exit_2(tmp_path, capsys, overrides, message):
     cfg = write_config(tmp_path, **overrides)
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
     err = capsys.readouterr().err
@@ -208,9 +205,10 @@ class TestBounds:
         ({}, ["--gap", "0.3", "--spread-moment", "inf"], "spread moment"),
         ({}, ["--gap", "1e300"], "float range"),
         ({"lambda": 0.5}, ["--gap", "0.3"], "lambda >= 1"),
+        ({"s_bound": 1e-11}, [], "s_bound=1e-11"),
     ],
     ids=["gap-nan", "gap-inf", "gap-negative", "moment-negative", "moment-below-one",
-         "moment-nan", "moment-inf", "gap-overflow", "lambda-half"],
+         "moment-nan", "moment-inf", "gap-overflow", "lambda-half", "zero-gap-from-s_bound"],
 )
 def test_bad_bound_input_is_exit_2_and_leaves_no_file(tmp_path, capsys, overrides, flags,
                                                        message):

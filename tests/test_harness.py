@@ -162,14 +162,6 @@ class TestRun:
             assert len(res) == 1
             assert res[0].inst_regret.shape == (n if policy == "subgoss_multi" else 1, 120)
 
-    def test_worker_pool_matches_sequential(self, monkeypatch):
-        cfg = small_config(n_seeds=3, T=60)
-        seq = run(cfg)
-        monkeypatch.setenv("SUBGOSS_WORKERS", "2")
-        par = run(cfg)
-        for a, b in zip(seq, par):
-            assert np.array_equal(a.inst_regret, b.inst_regret)
-
     @pytest.mark.parametrize(
         "policy, N", [("subgoss_multi", 2), ("subgoss_single", 1), ("genie", 1), ("oful", 1)]
     )

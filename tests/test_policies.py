@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from subgoss import bounds, policies
+from subgoss import bounds, harness, policies
 from subgoss.environment import (
     ProblemInstance,
     SubspaceCollection,
@@ -614,6 +614,100 @@ def test_genie_and_oful_match_hand_written_loops():
             want, _ = reference_linucb(inst, p, rng_for(6), rng_for(34), genie=False)
             got = run_oful_baseline(inst, p, rng_for(6), action_rng=rng_for(34))
             assert np.array_equal(got.inst_regret, want)
+
+
+def reference_subgoss(instance, params, gossip, noise_rngs, gossip_rng, action_rng):
+    """Hand-written phased loop, one seed at a time, agents in lockstep with per-agent
+    statistics objects: the reference for the lane engine behind the phased runners.
+    Returns (inst_regret, recommendations, active_history, events)."""
+    K, m, T = instance.K, instance.m, params.T
+    delta, lam, S = params.delta_value(), params.lam, instance.s_bound
+    n_agents = gossip.n_agents if gossip else 1
+    agents = init_agents(K, n_agents)
+    linucb = [{} for _ in agents]
+    env = _EnvView(instance, params, action_rng)
+    noise = _noise_streams(instance, n_agents, T, noise_rngs)
+    inst_regret = np.zeros((n_agents, T))
+    recommendations, active_history, events = [], [], []
+    j, start = 1, 1
+    while start <= T:
+        schedule = PhaseSchedule(b=params.b, j=j, explore_budget_mode=params.explore_budget_mode)
+        end_full = start + schedule.phase_length - 1
+        slots = min(end_full, T) - start + 1
+        n_exp = [min(explore_plan(ag, schedule, m), slots) for ag in agents]
+        logs = [[] for _ in agents]
+        for s in range(slots):
+            t = start + s
+            _, values, vstar, coords = env.at(t)
+            for i, ag in enumerate(agents):
+                if s < n_exp[i]:
+                    k = ag.active_set[s % len(ag.active_set)]
+                    stats = ag.explore.setdefault(k, ExploreStats(m))
+                    col = stats.next_column()
+                    a_val = float(values[env.n_random + k * m + col])
+                    r = a_val + noise[i][t]
+                    stats.add_play(col, r)
+                    inst_regret[i, t - 1] = vstar - a_val
+                    logs[i].append({"t": t, "agent": i, "phase": j, "event": "explore_play",
+                                    "subspace": k, "column": col, "reward": r})
+                    continue
+                if s == n_exp[i]:
+                    end_explore_update(ag, instance.subspaces.bases)
+                k = ag.best_estimate_id
+                stats = linucb[i].setdefault(k, LinUcbStats(m, lam))
+                bval = bounds.beta(delta, m, lam, stats.count, S)
+                idx = int(ucb_scores(stats, coords[k], bval).argmax())
+                r = float(values[idx]) + noise[i][t]
+                stats.add_play_coords(coords[k][:, idx], r)
+                inst_regret[i, t - 1] = vstar - values[idx]
+                logs[i].append({"t": t, "agent": i, "phase": j, "event": "exploit_play",
+                                "subspace": k, "action": idx, "reward": r})
+        for i, ag in enumerate(agents):
+            if n_exp[i] == slots:
+                end_explore_update(ag, instance.subspaces.bases)
+            events += logs[i]
+        recommendations.append([ag.best_estimate_id for ag in agents])
+        if end_full <= T and n_agents > 1:
+            for ag, k in zip(agents, gossip_exchange(agents, gossip, gossip_rng)):
+                update_active_set(ag, k)
+        active_history.append([ag.active_set for ag in agents])
+        j += 1
+        start = end_full + 1
+    return inst_regret, recommendations, active_history, events
+
+
+@pytest.mark.parametrize("resample", [False, True], ids=["fixed", "resampled"])
+@pytest.mark.parametrize(
+    "shape",
+    [
+        dict(d=8, m=2, K=4, N=2, T=300, policy="subgoss_multi"),
+        # one sticky id per agent: an agent whose active set grows to three ids can
+        # explore a whole phase after exploiting in the one before
+        dict(d=6, m=2, K=4, N=4, T=267, b=3.0, policy="subgoss_multi", master_seed=840),
+        dict(d=6, m=2, K=5, N=5, T=388, policy="subgoss_multi", master_seed=729),
+        dict(d=6, m=1, K=3, N=1, T=200, b=1.5, policy="subgoss_single"),
+    ],
+    ids=["multi2", "multi4-k-equals-n", "multi5-k-equals-n", "single"],
+)
+def test_phased_runs_match_hand_written_loop(shape, resample):
+    """Each seed of a batched harness.run equals the reference loop on that seed's
+    instance and streams: trajectories, recommendations, active sets and events."""
+    config = RunConfig(n_seeds=3, resample_actions_per_step=resample, **shape)
+    params = PolicyParams(T=config.T, b=config.b, log_plays=True,
+                          resample_actions_per_step=resample)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(RunConfig, "policy_params", lambda self: params)
+        results = harness.run(config)
+    gossip = harness.build_gossip(config)
+    for s, res in enumerate(results):
+        ms = config.master_seed
+        want = reference_subgoss(
+            harness._instance(config, s), params, gossip,
+            [harness._rng(ms, s, harness._ROLE_NOISE, i) for i in range(config.N)],
+            harness._rng(ms, s, harness._ROLE_GOSSIP), harness._rng(ms, s, harness._ROLE_ACTIONS),
+        )
+        assert np.array_equal(res.inst_regret, want[0])
+        assert (res.recommendations, res.active_history, res.events) == want[1:]
 
 
 def run_policy(policy, inst, p, action_rng):

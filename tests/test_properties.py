@@ -1,5 +1,6 @@
 """Property tests over small random configurations."""
 
+import dataclasses
 import json
 import tempfile
 from pathlib import Path
@@ -8,14 +9,15 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from subgoss import policies
+from subgoss import harness, policies
 from subgoss.cli import main
 from subgoss.environment import generate_instance
-from subgoss.harness import POLICIES
+from subgoss.harness import POLICIES, RunConfig
 from subgoss.linalg import LinUcbStats, ucb_scores
 from subgoss.network import complete_graph
 from subgoss.policies import (
     PolicyParams,
+    RunResult,
     init_agents,
     run_genie,
     run_oful_baseline,
@@ -74,6 +76,45 @@ def test_resampling_the_fixed_set_reproduces_fixed_mode(data):
     assert fixed.recommendations == drawn.recommendations
     assert fixed.events == drawn.events
     assert fixed.coverage_ok == drawn.coverage_ok
+
+
+@hypothesis.settings(max_examples=60, deadline=None)
+@hypothesis.given(data=st.data())
+def test_batched_run_equals_each_seed_alone(data):
+    """harness.run plays the seeds of a config together, one lane per (seed, agent),
+    in batches of a drawn size; every field of every seed's result, the logged play
+    events included, equals that seed run alone by run_one_seed."""
+    K = data.draw(st.integers(2, 6), label="K")
+    policy = data.draw(st.sampled_from(POLICIES), label="policy")
+    if policy == "subgoss_multi":
+        N = data.draw(st.sampled_from([n for n in range(2, K + 1) if K % n == 0]), label="N")
+    else:
+        N = 1
+    m = data.draw(st.integers(1, 3), label="m")
+    config = RunConfig(
+        d=2 * m + data.draw(st.integers(0, 3), label="d - 2m"), m=m, K=K, N=N, policy=policy,
+        T=data.draw(st.integers(1, 300), label="T"),
+        n_seeds=data.draw(st.integers(1, 4), label="n_seeds"),
+        master_seed=data.draw(st.integers(0, 2**16), label="master_seed"),
+        true_index=data.draw(st.integers(0, K - 1), label="true_index"),
+        n_extra_actions=data.draw(st.integers(1, 10), label="n_extra_actions"),
+        b=data.draw(st.floats(1.1, 4.0), label="b"),
+        explore_budget_mode=data.draw(st.sampled_from(["theoretical", "experimental"])),
+        track_coverage=data.draw(st.booleans(), label="track_coverage"),
+        resample_actions_per_step=data.draw(st.booleans(), label="resample"),
+    )
+    params = dataclasses.replace(config.policy_params(), log_plays=True)
+    lanes = data.draw(st.integers(1, 8), label="lanes per batch")
+    with mock.patch.object(RunConfig, "policy_params", lambda self: params), \
+            mock.patch.object(harness, "_BATCH_LANES", lanes):
+        batched = harness.run(config)
+        alone = [harness.run_one_seed(config, s) for s in range(config.n_seeds)]
+    assert any(r.events for r in alone) == policy.startswith("subgoss")
+    for got, want in zip(batched, alone, strict=True):
+        for field in dataclasses.fields(RunResult):
+            a, b = getattr(got, field.name), getattr(want, field.name)
+            same = np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
+            assert same, field.name
 
 
 @hypothesis.settings(max_examples=100, deadline=None)
