@@ -76,17 +76,30 @@ def _explore_tail(b: float, T: int) -> float:
     return math.log(h) / math.log(b) + (math.sqrt(h) - 1.0) / (math.sqrt(b) - 1.0)
 
 
+# most phase indices tau0 scans: the scan takes about 2 log 2 / log(b) steps, so b
+# near 1 would make it run for minutes
+TAU0_MAX_SCAN = 10**6
+
+
 def tau0(b: float, m: int, K: int, N: int) -> int:
     """Smallest phase index from which the phase always outlasts its theoretical explore budget.
 
-    Scans the condition ceil(b**(j-1)) >= 8m(K/N+2)*ceil(b**((j-1)/2)) up to the
-    analytic tail b**((j-1)/2) >= 16m(K/N+2), beyond which it provably holds.
+    Scans the condition ceil(b**(j-1)) >= 8m(K/N+2)*ceil(b**((j-1)/2)) down
+    from the analytic tail b**((j-1)/2) >= 16m(K/N+2), beyond which it provably
+    holds, and raises InvalidConfigError if the scan would pass TAU0_MAX_SCAN
+    indices.
     """
     if b <= 1 or m < 1 or K < 1 or N < 1:
         raise InvalidConfigError("need b > 1 and positive m, K, N")
     c = 8.0 * m * (K / N + 2.0)
     # tail certificate: b**((j-1)/2) >= 2c makes the inequality hold for all larger j
     j_tail = int(math.ceil(2.0 * math.log(2.0 * c) / math.log(b) + 1.0)) + 1
+    # the scan stops near the crossing b**((j-1)/2) = c, about 2 log 2 / log b
+    # indices below j_tail
+    if j_tail - (2.0 * math.log(c) / math.log(b) + 1.0) > TAU0_MAX_SCAN:
+        raise InvalidConfigError(
+            f"b={b!r} is too close to 1: the tau0 scan would pass {TAU0_MAX_SCAN} phase indices"
+        )
 
     def holds(j: int) -> bool:
         return math.ceil(b ** (j - 1)) >= c * math.ceil(b ** ((j - 1) / 2.0))

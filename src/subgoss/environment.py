@@ -19,7 +19,7 @@ from .errors import (
     InvalidConfigError,
     InvalidDimensionError,
 )
-from .linalg import project, random_orthonormal_basis, subspace_overlap
+from .linalg import project, random_orthonormal_bases, subspace_overlaps
 
 DISJOINT_TOL = 1e-8
 
@@ -39,12 +39,15 @@ class SubspaceCollection:
         for b in bases:
             if (b.d, b.m) != (d, m):
                 raise InvalidDimensionError("all bases must share (d, m)")
-        for i in range(len(bases)):
-            for j in range(i + 1, len(bases)):
-                if subspace_overlap(bases[i], bases[j]) >= 1.0 - DISJOINT_TOL:
-                    raise GenerationFailureError(
-                        f"subspaces {i} and {j} share a direction"
-                    )
+        # every pair, in the order (0, 1), (0, 2), ..., (1, 2), ...
+        first, second = np.triu_indices(len(bases), 1)
+        if first.size:
+            columns = np.stack([b.columns for b in bases])
+            overlap = subspace_overlaps(columns[first], columns[second])
+            shared = np.flatnonzero(overlap >= 1.0 - DISJOINT_TOL)
+            if shared.size:
+                i, j = first[shared[0]], second[shared[0]]
+                raise GenerationFailureError(f"subspaces {i} and {j} share a direction")
 
     @property
     def K(self) -> int:
@@ -62,7 +65,10 @@ class SubspaceCollection:
     def basis_columns(self) -> np.ndarray:
         """(K*m, d) read-only block of every basis column as a row, subspace by subspace.
 
-        Every action set ends with these rows; built once per collection.
+        Every action set ends with these rows; built once per collection. The
+        block keeps the layout np.vstack gives it, Fortran order for C-ordered
+        bases: an action set with one random row inherits that layout, and the
+        bits of its values `actions @ theta_star` depend on it.
         """
         columns = np.vstack([b.columns.T for b in self.bases])
         columns.setflags(write=False)
@@ -150,9 +156,8 @@ def generate_instance(
 
     collection = None
     for _ in range(max_tries):
-        bases = tuple(random_orthonormal_basis(d, m, rng) for _ in range(K))
         try:
-            collection = SubspaceCollection(bases)
+            collection = SubspaceCollection(random_orthonormal_bases(K, d, m, rng))
             break
         except GenerationFailureError:
             continue

@@ -274,14 +274,30 @@ def _write_csv(path, header: str, blocks) -> None:
 
 
 def _raw_blocks(results):
-    # one (seed, agent) block at a time, so that memory stays flat in the seed count
+    """The rows "t,seed,agent,inst_regret,cum_regret" of each (seed, agent) block as
+    one string, one block at a time, so that memory stays flat in the seed count.
+
+    Each distinct instant regret of a block is formatted once, keyed by its bits
+    so that 0.0 and -0.0 stay apart: the phased policies repeat few values (about
+    15 distinct of 2000 on a fixed action set, 300 on resampled ones); on a block
+    whose values are all distinct, as oful gives on resampled sets, this is slower
+    than formatting every value in the template. The cumulative column fills a
+    T-row template by one % operation.
+    """
+    templates = {}  # T -> the T-row template
     for r in results:
+        if r.T not in templates:
+            templates[r.T] = "".join(f"{t},%s,%.12e\n" for t in range(1, r.T + 1))
         cum = r.cum_regret()
         for i in range(r.n_agents):
-            yield [
-                f"{t},{r.seed},{i},{x:.12e},{c:.12e}\n"
-                for t, x, c in zip(range(1, r.T + 1), r.inst_regret[i].tolist(), cum[i].tolist())
-            ]
+            bits = np.ascontiguousarray(r.inst_regret[i]).view(np.int64)
+            distinct, where = np.unique(bits, return_inverse=True)
+            prefix = f"{r.seed},{i},"
+            heads = [f"{prefix}{x:.12e}" for x in distinct.view(np.float64).tolist()]
+            cells = [None] * (2 * r.T)
+            cells[::2] = np.array(heads, dtype=object)[where].tolist()
+            cells[1::2] = cum[i].tolist()
+            yield (templates[r.T] % tuple(cells),)
 
 
 def emit_csv(obj, path) -> None:

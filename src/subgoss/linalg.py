@@ -49,13 +49,18 @@ class Basis:
         return self.columns.shape[1]
 
 
-def random_orthonormal_basis(d: int, m: int, rng: np.random.Generator) -> Basis:
-    """Left singular vectors of a d x m standard Gaussian matrix (Haar on the Stiefel manifold)."""
+def random_orthonormal_bases(count: int, d: int, m: int, rng: np.random.Generator) -> tuple:
+    """`count` bases from one (count, d, m) standard Gaussian draw: the left singular
+    vectors of each d x m slice (Haar on the Stiefel manifold)."""
     if not 1 <= m < d:
         raise InvalidDimensionError(f"need 1 <= m < d, got m={m}, d={d}")
-    g = rng.standard_normal((d, m))
-    u, _, _ = np.linalg.svd(g, full_matrices=False)
-    return Basis(u)
+    u, _, _ = np.linalg.svd(rng.standard_normal((count, d, m)), full_matrices=False)
+    return tuple(Basis(columns) for columns in u)
+
+
+def random_orthonormal_basis(d: int, m: int, rng: np.random.Generator) -> Basis:
+    """One random basis, the batch of one of `random_orthonormal_bases`."""
+    return random_orthonormal_bases(1, d, m, rng)[0]
 
 
 def project(basis: Basis, x: np.ndarray) -> np.ndarray:
@@ -66,20 +71,26 @@ def project(basis: Basis, x: np.ndarray) -> np.ndarray:
     return basis.columns @ (basis.columns.T @ x)
 
 
+def subspace_overlaps(first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """Largest singular value of U1^T U2 for each pair of stacked (..., d, m) bases U1
+    and U2, by one stacked SVD; equals 1 iff the spans share a direction."""
+    s = np.linalg.svd(first.swapaxes(-1, -2) @ second, compute_uv=False)
+    return np.minimum(1.0, s[..., 0])
+
+
 def subspace_overlap(b1: Basis, b2: Basis) -> float:
-    """Largest singular value of U1^T U2; equals 1 iff the spans share a direction."""
+    """The overlap of two bases, the batch of one of `subspace_overlaps`."""
     if b1.d != b2.d:
         raise InvalidDimensionError("bases live in different ambient dimensions")
-    s = np.linalg.svd(b1.columns.T @ b2.columns, compute_uv=False)
-    return float(min(1.0, s[0])) if s.size else 0.0
+    return float(subspace_overlaps(b1.columns, b2.columns))
 
 
 class ExploreStats:
     """Round-robin explore statistics: per-column reward sums and play counts.
 
     ExploreStats(m) holds one subspace. ExploreStats((L, K, m)) holds the K
-    subspaces of L lanes at once, and stats[l, k] is lane l's subspace k, with
-    arrays that are views into the batch.
+    subspaces of L lanes at once, and stats[index] selects lanes or subspaces of
+    the batch.
     """
 
     __slots__ = ("reward_sum", "count")
@@ -108,18 +119,21 @@ class ExploreStats:
         self.reward_sum[column] += reward
         self.count[column] += 1
 
+    def mean(self) -> np.ndarray:
+        """Per-column reward mean ybar; a column not yet played, as in phases too
+        short to cover every column, gets 0."""
+        return np.where(self.count > 0, self.reward_sum / np.maximum(self.count, 1), 0.0)
+
 
 def explore_estimate(stats: ExploreStats, basis: Basis) -> np.ndarray:
     """Least-squares estimate from explore plays: U ybar with ybar the per-column reward mean.
 
     Equals the unconstrained least-squares solution for the round-robin design
-    whose columns are basis vectors. Columns not yet played get a zero mean,
-    which happens in phases too short to cover every column.
+    whose columns are basis vectors.
     """
     if stats.total_count == 0:
         raise InsufficientSamplesError("no explore play recorded yet")
-    ybar = np.where(stats.count > 0, stats.reward_sum / np.maximum(stats.count, 1), 0.0)
-    return basis.columns @ ybar
+    return basis.columns @ stats.mean()
 
 
 class LinUcbStats:

@@ -20,7 +20,7 @@ from .errors import (
     InvariantViolationError,
     ProtocolError,
 )
-from .linalg import ExploreStats, LinUcbStats, explore_estimate, ucb_scores
+from .linalg import ExploreStats, LinUcbStats, ucb_scores
 from .network import GossipMatrix, sample_neighbor
 
 
@@ -62,7 +62,7 @@ class PhaseSchedule:
 
 @dataclass
 class AgentState:
-    """One agent: its sticky and active sets and its per-subspace statistics.
+    """One agent: its sticky and active sets and its explore-estimate norms.
 
     The protocol functions below update it in place.
     """
@@ -71,9 +71,13 @@ class AgentState:
     n_subspaces: int
     sticky_set: frozenset
     active_set: tuple  # sorted subspace ids
-    explore: dict = field(default_factory=dict)  # k -> ExploreStats
-    last_estimates: dict = field(default_factory=dict)  # k -> (theta, norm)
+    # explore-estimate norm of each subspace at the last refresh, -inf where none
+    norms: np.ndarray | None = None
     best_estimate_id: int | None = None
+
+    def __post_init__(self):
+        if self.norms is None:
+            self.norms = np.full(self.n_subspaces, -np.inf)
 
     def check_invariants(self) -> None:
         if not self.sticky_set <= set(self.active_set):
@@ -113,26 +117,24 @@ def explore_plan(state: AgentState, schedule: PhaseSchedule, m: int) -> int:
     return min(schedule.explore_budget(m) * len(state.active_set), schedule.phase_length)
 
 
-def end_explore_update(state: AgentState, bases) -> None:
-    """Refresh explore estimates for every active subspace and pick the largest-norm one.
+def end_explore_update(stats: ExploreStats, columns: np.ndarray, active: np.ndarray):
+    """Explore-estimate norms and best-estimate ids of a group of L lanes.
 
-    An active subspace without any explore sample, as in phases too short to
-    cover the active set, gets norm -inf and is left out of the argmax.
+    `active` is an (L, A) array of each lane's active ids in ascending order,
+    padded at the end by repeats of the last one; `stats` holds the (L, A, m)
+    explore statistics and `columns` the (L, A, d, m) bases of those ids.
+    Returns the (L, A) norms of the estimates theta_k = U_k ybar_k
+    (`linalg.explore_estimate`) and the (L,) ids of the largest norm. An id
+    without any explore sample, as in phases too short to cover the active
+    set, gets norm -inf and is left out of the argmax; ties keep the lower id,
+    and a lane whose ids are all unsampled keeps its lowest one.
     """
-    estimates = {}
-    best, best_norm = None, -np.inf
-    for k in state.active_set:
-        stats = state.explore.get(k)
-        if stats is None or stats.total_count == 0:
-            estimates[k] = (None, -np.inf)
-            continue
-        theta = explore_estimate(stats, bases[k])
-        norm = float(np.linalg.norm(theta))
-        estimates[k] = (theta, norm)
-        if norm > best_norm:  # ties keep the lower id (sorted iteration)
-            best, best_norm = k, norm
-    state.last_estimates = estimates
-    state.best_estimate_id = min(state.active_set) if best is None else best
+    theta = (columns @ stats.mean()[..., None])[..., 0]
+    # the square root of a dot product, as float(np.linalg.norm(theta)) is for
+    # one vector; norm(axis=...) differs from it in the last bit
+    norms = np.sqrt((theta[..., None, :] @ theta[..., :, None])[..., 0, 0])
+    norms[stats.count.sum(axis=-1) == 0] = -np.inf
+    return norms, active[np.arange(len(active)), norms.argmax(axis=1)]
 
 
 def gossip_exchange(states, gossip_matrix: GossipMatrix, rng) -> list:
@@ -162,7 +164,7 @@ def update_active_set(state: AgentState, subspace_id: int) -> None:
         if len(non_sticky) != 2:
             raise InvariantViolationError("full active set must hold 2 non-sticky ids")
         # ties, such as two ids never explored (norm -inf), keep the lower id
-        best_ns = max(non_sticky, key=lambda k: state.last_estimates.get(k, (None, -np.inf))[1])
+        best_ns = max(non_sticky, key=lambda k: state.norms[k])
         active = set(state.sticky_set) | {best_ns, subspace_id}
     state.active_set = tuple(sorted(active))
     state.check_invariants()
@@ -233,30 +235,14 @@ def detect_freeze(recommendations, true_index: int) -> int | None:
 # environment precomputation shared by the runners
 
 
-class _SubspaceCoords(dict):
-    """Coordinates U_k^T A^T of one action set A in subspace k, projected on first use."""
-
-    __slots__ = ("_bases", "_actions")
-
-    def __init__(self, bases, actions: np.ndarray):
-        super().__init__()
-        self._bases = bases
-        self._actions = actions
-
-    def __missing__(self, k):
-        X = self[k] = self._bases[k].columns.T @ self._actions.T
-        return X
-
-
 class _EnvView:
-    """The action set of step t, its values and optimum, and its subspace coordinates.
+    """The action set of step t, its values and its optimum.
 
     Every action set holds n_random random rows followed by the K*m basis
     columns, subspace by subspace. A fixed set is viewed once for the whole run.
     A resampled set of step t is the t-th draw of the stream `action_rng`, so
     `at` must see t = 1, 2, ... in order, each step once, all of the seed's
-    lanes together; only the view of the current step is kept. Coordinates are
-    projected only onto the subspaces some lane reads.
+    lanes together; only the view of the current step is kept.
     """
 
     def __init__(self, instance: ProblemInstance, params: PolicyParams, action_rng=None):
@@ -270,9 +256,10 @@ class _EnvView:
         self._view = None if self.resample else self._build(instance.action_set)
 
     def _build(self, actions: np.ndarray):
+        # one product over the whole set: values of the random rows and of the
+        # basis rows computed apart differ in the last bit
         values = actions @ self.instance.theta_star
-        coords = _SubspaceCoords(self.instance.subspaces.bases, actions)
-        return actions, values, float(values.max()), coords
+        return actions, values, float(values.max())
 
     def at(self, t: int):
         if self.resample:
@@ -285,30 +272,52 @@ class _EnvView:
         return self._view
 
 
-def _noise_streams(instance, n_agents, T, rngs):
-    if instance.noise_std == 0:
-        return [np.zeros(T + 1) for _ in range(n_agents)]
-    return [
-        np.concatenate(([0.0], instance.noise_std * rngs[i].standard_normal(T)))
-        for i in range(n_agents)
-    ]
-
-
 def _noise(instances, n_agents, T, noise_rngs) -> np.ndarray:
     """Reward noise of a batch, (T + 1) x lanes: row t holds every lane's noise at step t.
 
-    Lane l reads stream l % n_agents of seed l // n_agents.
+    Lane l reads stream l % n_agents of seed l // n_agents; row 0 is zero.
     """
-    return np.column_stack([
-        z for instance, rngs in zip(instances, noise_rngs)
-        for z in _noise_streams(instance, n_agents, T, rngs)
-    ])
+    noise = np.zeros((T + 1, len(instances) * n_agents))
+    for s, (instance, rngs) in enumerate(zip(instances, noise_rngs)):
+        if instance.noise_std != 0:
+            for i in range(n_agents):
+                noise[1:, s * n_agents + i] = instance.noise_std * rngs[i].standard_normal(T)
+    return noise
 
 
 def _stack_views(envs, t):
-    """Every seed's view of step t, with its action values (seeds x actions) and optima stacked."""
-    views = [env.at(t) for env in envs]
-    return views, np.stack([v[1] for v in views]), np.array([v[2] for v in views])
+    """Every seed's view of step t: its action set, and the action values (seeds x
+    actions) and optima (seeds) stacked."""
+    actions, values, vstar = zip(*[env.at(t) for env in envs])
+    return actions, np.stack(values), np.array(vstar)
+
+
+def _transposed(actions) -> np.ndarray:
+    """The action sets of a batch, each as d x actions, stacked; each keeps the
+    memory layout of its transpose, on which the bits of a product with it depend."""
+    return np.stack([a.T for a in actions])
+
+
+def _projectors(instances) -> np.ndarray:
+    """U_k^T of every seed's subspaces, (seeds, K, m, d).
+
+    Times an action set's A^T, or the stacked sets of `_transposed`, it gives
+    coordinates U_k^T A^T with the bits of each subspace's own product
+    `U_k.T @ A.T`: each (m, d) by (d, n) product keeps its shape and the memory
+    layout of `basis_columns`.
+    A single (K*m, d) product differs for m = 1.
+    """
+    first = instances[0]
+    columns = np.stack([inst.subspaces.basis_columns for inst in instances])
+    return columns.reshape(len(instances), first.K, first.m, first.d)
+
+
+def _beta_table(params, dim: int, S: float) -> np.ndarray:
+    """Confidence radius by play count; a count is below T, as it grows by at most
+    one play per step from 0."""
+    delta = params.delta_value()
+    radii = (bounds.beta(delta, dim, params.lam, c, S) for c in range(params.T))
+    return np.fromiter(radii, dtype=float, count=params.T)
 
 
 class _PlayLog:
@@ -361,21 +370,23 @@ def _run_subgoss(instances, params, gossip, noise_rngs, gossip_rngs, seeds, acti
     Every (seed, agent) pair is a lane, lane l being agent l % N of seed l // N,
     and each step plays the move of every lane in one set of array operations.
     A lane plays its explore slots, refreshes its estimates at its own switch
-    step (`end_explore_update`) and then exploits its best-estimate subspace.
-    Its exploit statistics and coordinates are loaded into the step batch
-    (`play`, `X`) at its switch step and saved at the phase end; before the
-    switch its row of the batch is computed with the others and discarded. The
-    protocol between plays runs per lane and per seed. Each lane draws from its
+    step (`end_explore_update`, one call per group of lanes switching together)
+    and then exploits its best-estimate subspace. Its exploit statistics are
+    loaded into the step batch (`play`) at its switch step and saved at the
+    phase end, and so are its coordinates (`X`) of a fixed action set; a
+    resampled set is projected every step. Before the switch a lane's row of
+    the batch is computed with the others and discarded. The protocol between
+    plays runs per lane and per seed. Each lane draws from its
     own noise stream and each seed from its own gossip and action streams, so
     no result depends on the batch it runs in.
     """
     first = instances[0]
     K, m, T = first.K, first.m, params.T
     lam = params.lam
-    delta = params.delta_value()
     resample = params.resample_actions_per_step
     n_agents = gossip.n_agents if gossip else 1
-    n_lanes = len(instances) * n_agents
+    n_seeds = len(instances)
+    n_lanes = n_seeds * n_agents
     lanes = np.arange(n_lanes)
     lane_seed = lanes // n_agents
 
@@ -389,26 +400,35 @@ def _run_subgoss(instances, params, gossip, noise_rngs, gossip_rngs, seeds, acti
     groups = [init_agents(K, n_agents) for _ in instances]
     agents = [ag for group in groups for ag in group]
     explore = ExploreStats((n_lanes, K, m))
+    projectors = _projectors(instances)
+    norms = np.full((n_lanes, K), -np.inf)
     for lane, ag in enumerate(agents):
-        ag.explore = {k: explore[lane, k] for k in range(K)}
+        ag.norms = norms[lane]
     saved = LinUcbStats(m, lam, (n_lanes, K))
     play = LinUcbStats(m, lam, (n_lanes,))
-    subspace = np.zeros(n_lanes, dtype=np.int64)  # the subspace each lane exploits
+    best = np.zeros(n_lanes, dtype=np.int64)  # best-estimate id, the subspace a lane exploits
     X = np.zeros((n_lanes, m, first.action_set.shape[0]))
     noise = _noise(instances, n_agents, T, noise_rngs)
-    # radius by play count: a row gains at most one play per step from its saved
-    # count on, so no count passes T
-    beta = np.array([bounds.beta(delta, m, lam, c, first.s_bound) for c in range(T + 1)])
+    beta = _beta_table(params, m, first.s_bound)
     inst_regret = np.empty((n_lanes, T))
     log = _PlayLog(T, n_lanes) if params.log_plays else None
 
-    def estimate(ls):
-        for lane in ls.tolist():
-            end_explore_update(agents[lane], instances[lane_seed[lane]].subspaces.bases)
+    def lane_coords(ls):
+        # U_k^T A^T of each lane of ls in its best subspace k. Seed by seed, so that
+        # the lanes of a seed share its A^T: a gather would copy it once per lane,
+        # and a stack of every seed's A^T kept for the run raises peak memory
+        for seed in dict.fromkeys(lane_seed[ls].tolist()):
+            mine = ls[lane_seed[ls] == seed]
+            X[mine] = projectors[seed, best[mine]] @ actions[seed].T
 
-    def load_coords(ls):
-        for lane in ls.tolist():
-            X[lane] = views[lane_seed[lane]][3][subspace[lane]]
+    def refresh(group):
+        if group.size:
+            ids = order[group]
+            index = (group[:, None], ids)
+            bases = projectors[lane_seed[group][:, None], ids].swapaxes(-1, -2)  # the U_k
+            estimated, best[group] = end_explore_update(explore[index], bases, ids)
+            norms[group] = -np.inf
+            norms[index] = estimated  # a padding repeat writes its id's own norm again
 
     recommendations = [[] for _ in instances]
     active_history = [[] for _ in instances]
@@ -425,36 +445,36 @@ def _run_subgoss(instances, params, gossip, noise_rngs, gossip_rngs, seeds, acti
         n_exp = np.array([min(explore_plan(ag, schedule, m), slots) for ag in agents])
         switches = {s: lanes[n_exp == s] for s in set(n_exp.tolist()) if s < slots}
         n_active = np.array([len(ag.active_set) for ag in agents])
-        active = np.zeros((n_lanes, n_active.max()), dtype=np.int64)
-        for lane, ag in enumerate(agents):
-            active[lane, : n_active[lane]] = ag.active_set
+        # active ids in order, each row padded by repeats of its last id
+        width = n_active.max()
+        order = np.array([ag.active_set + ag.active_set[-1:] * (width - len(ag.active_set))
+                          for ag in agents])
         explorers, exploiters = lanes, lanes[:0]
 
         for s in range(slots):
             t = start + s
             if t == 1 or resample:
-                views, values, vstar = _stack_views(envs, t)
+                actions, values, vstar = _stack_views(envs, t)
                 values, vstar = values[lane_seed], vstar[lane_seed]
             switching = switches.get(s)
             if switching is not None:
-                estimate(switching)
-                subspace[switching] = [agents[lane].best_estimate_id for lane in switching]
-                play.copy_lanes(switching, saved, (switching, subspace[switching]))
-                if not resample:
-                    load_coords(switching)
+                refresh(switching)
+                play.copy_lanes(switching, saved, (switching, best[switching]))
                 explorers, exploiters = lanes[n_exp > s], lanes[n_exp <= s]
+                if not resample:
+                    lane_coords(switching)
             if exploiters.size:
-                if resample:
-                    load_coords(exploiters)
+                if resample:  # a set read for one step
+                    lane_coords(exploiters)
                 idx = ucb_scores(play, X, beta[play.count]).argmax(axis=1)
                 a_val = values[lanes, idx]
                 r = a_val + noise[t]
                 play.add_play_coords(X[lanes, :, idx], r)
                 inst_regret[:, t - 1] = vstar - a_val
                 if log:
-                    log.record(t, lanes, False, subspace, idx, r)
+                    log.record(t, lanes, False, best, idx, r)
             if explorers.size:
-                k = active[explorers, s % n_active[explorers]]
+                k = order[explorers, s % n_active[explorers]]
                 col = explore.count[explorers, k].argmin(axis=1)  # ExploreStats.next_column
                 # the played column's row in the action set, so that vstar, the
                 # maximum of the same values array, never falls below it
@@ -465,10 +485,12 @@ def _run_subgoss(instances, params, gossip, noise_rngs, gossip_rngs, seeds, acti
                 if log:
                     log.record(t, explorers, True, k, col, r)
 
-        estimate(lanes[n_exp == slots])
+        refresh(lanes[n_exp == slots])
         switched = lanes[n_exp < slots]
-        saved.copy_lanes((switched, subspace[switched]), play, switched)
+        saved.copy_lanes((switched, best[switched]), play, switched)
         phases.append((j, start, end))
+        for ag, k in zip(agents, best.tolist()):
+            ag.best_estimate_id = k
 
         gossips = end_full <= T and n_agents > 1
         n_gossip += gossips
@@ -507,14 +529,14 @@ def _run_linucb(instances, params, noise_rngs, seeds, action_rngs, k, track_cove
     T = params.T
     dim = first.d if k is None else first.m
     lam = params.lam
-    delta = params.delta_value()
     resample = params.resample_actions_per_step
     n_lanes = len(instances)
     lanes = np.arange(n_lanes)
     envs = [_EnvView(inst, params, rng) for inst, rng in zip(instances, action_rngs)]
     noise = _noise(instances, 1, T, [[rng] for rng in noise_rngs])
     stats = LinUcbStats(dim, lam, (n_lanes,))
-    X = np.empty((n_lanes, dim, first.action_set.shape[0]))
+    projectors = None if k is None else _projectors(instances)[:, k]
+    beta = _beta_table(params, dim, first.s_bound)
     if track_coverage:
         # V = lam*I + sum x x^T, kept here only for the coverage check
         theta_k = np.stack([
@@ -526,10 +548,11 @@ def _run_linucb(instances, params, noise_rngs, seeds, action_rngs, k, track_cove
     inst_regret = np.empty((n_lanes, T))
     for t in range(1, T + 1):
         if t == 1 or resample:
-            views, values, vstar = _stack_views(envs, t)
-            for lane, (actions, _, _, coords) in enumerate(views):
-                X[lane] = actions.T if k is None else coords[k]
-        bval = bounds.beta(delta, dim, lam, t - 1, first.s_bound)
+            actions, values, vstar = _stack_views(envs, t)
+            X = _transposed(actions)
+            # scores are faster on C-ordered coordinates
+            X = np.ascontiguousarray(X) if k is None else projectors @ X
+        bval = beta[t - 1]
         idx = ucb_scores(stats, X, bval).argmax(axis=1)
         x = X[lanes, :, idx]
         if track_coverage:

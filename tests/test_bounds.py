@@ -89,6 +89,13 @@ class TestTau0:
     def test_large_b_small(self):
         assert tau0(1e6, 1, 3, 3) <= 3
 
+    def test_scan_limit_near_b_one(self):
+        # about 1.4/log(b) indices: 1.4e5 at b = 1 + 1e-5, past the limit of 1e6 at 1 + 1e-6
+        assert tau0(1.00001, 1, 2, 1) == 696135
+        for b in (1.000001, 1 + 1e-9):
+            with pytest.raises(InvalidConfigError, match=f"b={b!r}"):
+                tau0(b, 1, 2, 1)
+
     def test_moderate_grid_respects_prop5_bound(self):
         for b in (1.3, 1.7, 2.0, 2.5, 3.5):
             for m in (1, 2, 4):

@@ -2,6 +2,7 @@
 
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -217,6 +218,18 @@ def test_bad_bound_input_is_exit_2_and_leaves_no_file(tmp_path, capsys, override
     assert main(["bounds", "--config", str(cfg), "--out", str(out), *flags]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and message in err
+    assert not out.exists()
+
+
+def test_bounds_with_b_near_one_is_exit_2_and_quick(tmp_path, capsys):
+    # at b = 1 + 1e-9 the full tau0 scan would take about 1.4e9 steps, several
+    # minutes; the config is rejected before the scan starts
+    cfg = write_config(tmp_path, T=20, b=1 + 1e-9)
+    out = tmp_path / "bounds.csv"
+    start = time.perf_counter()
+    assert main(["bounds", "--config", str(cfg), "--out", str(out), "--gap", "0.3"]) == 2
+    assert time.perf_counter() - start < 5
+    assert "b=1.000000001 is too close to 1" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -146,7 +146,7 @@ class TestOptimalAction:
     """The optimal value the runners charge regret against, read from their action-set view."""
 
     def optimal_value(self, inst):
-        _, _, vstar, _ = _EnvView(inst, PolicyParams(T=1)).at(1)
+        _, _, vstar = _EnvView(inst, PolicyParams(T=1)).at(1)
         return vstar
 
     def test_matches_exhaustive_rescan(self):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from subgoss import policies
+from subgoss.cli import main
 from subgoss.environment import resample_actions
 from subgoss.errors import InvalidConfigError
 from subgoss.harness import (
@@ -279,6 +280,57 @@ class TestEmitCsv:
         emit_csv(aggregate(run(cfg)), p1)
         emit_csv(aggregate(run(cfg)), p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+def per_row_csv(results) -> bytes:
+    """The raw CSV with one f-string per row: the reference for the block formatter."""
+    lines = ["t,seed,agent,inst_regret,cum_regret\n"]
+    for r in results:
+        cum = r.cum_regret()
+        for i in range(r.n_agents):
+            rows = zip(range(1, r.T + 1), r.inst_regret[i].tolist(), cum[i].tolist())
+            lines += [f"{t},{r.seed},{i},{x:.12e},{c:.12e}\n" for t, x, c in rows]
+    return "".join(lines).encode()
+
+
+class TestRawBlocks:
+    """The raw CSV, formatted a (seed, agent) block at a time, has the bytes of the
+    per-row f-string."""
+
+    @pytest.mark.parametrize(
+        "curves",
+        [
+            [[[0.5, 0.5, 0.25, 0.5, 0.25, 0.25]], [[0.25, 0.5, 0.5, 0.5, 0.25, 0.5]]],
+            [[[0.0, -0.0, 0.0, -0.0, 1.0], [-0.0, -0.0, 0.0, 2.0, -0.0]]],
+            [[[1e300, -3e-300, 1e300, 2.5e-300, 1.5e300, -1e300]], [[1e-300, 1e-300, 7e299]]],
+            [[[-1e-16, 0.0, -1e-16, 2.5e-17, -1.1102230246251565e-16, 0.1]]],
+        ],
+        ids=["repeated", "signed-zeros", "exponents-300", "rounding-residue"],
+    )
+    def test_edge_values(self, tmp_path, curves):
+        res = [fake_result(c, seed=s) for s, c in enumerate(curves)]
+        path = tmp_path / "raw.csv"
+        emit_csv(res, path)
+        assert path.read_bytes() == per_row_csv(res)
+
+    def test_resampled_run(self, tmp_path):
+        # a fresh action set every step, with many random rows: few values repeat
+        res = run(small_config(T=300, n_seeds=3, n_extra_actions=200,
+                               resample_actions_per_step=True))
+        path = tmp_path / "raw.csv"
+        emit_csv(res, path)
+        distinct = len(np.unique(res[0].inst_regret[0]))
+        assert distinct > 100
+        assert path.read_bytes() == per_row_csv(res)
+
+    def test_single_seed_run_out(self, tmp_path):
+        # with one seed, run --out writes the raw rows
+        fields = {"d": 6, "m": 1, "K": 4, "N": 2, "T": 150, "master_seed": 3}
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(fields))
+        out = tmp_path / "out.csv"
+        assert main(["run", "--config", str(cfg), "--out", str(out), "--n-seeds", "1"]) == 0
+        assert out.read_bytes() == per_row_csv(run(RunConfig(**fields, n_seeds=1)))
 
 
 def test_freeze_phase_recorded_in_multi_runs():

@@ -15,7 +15,9 @@ from subgoss.linalg import (
     explore_estimate,
     project,
     random_orthonormal_basis,
+    random_orthonormal_bases,
     subspace_overlap,
+    subspace_overlaps,
     ucb_scores,
 )
 
@@ -64,6 +66,17 @@ class TestBasis:
             random_orthonormal_basis(3, 3, rng_for(0))
         with pytest.raises(InvalidDimensionError):
             random_orthonormal_basis(2, 0, rng_for(0))
+
+    def test_batch_continues_the_stream_of_single_draws(self):
+        # one (count, d, m) draw is the same stream as count (d, m) draws
+        for d, m in ((3, 1), (8, 2), (10, 3)):
+            r = rng_for(d)
+            singles = [random_orthonormal_basis(d, m, r) for _ in range(5)]
+            batch = random_orthonormal_bases(5, d, m, rng_for(d))
+            for one, stacked in zip(singles, batch):
+                assert np.array_equal(one.columns, stacked.columns)
+        with pytest.raises(InvalidDimensionError):
+            random_orthonormal_bases(4, 3, 3, rng_for(0))
 
     def test_non_orthonormal_rejected(self):
         with pytest.raises(InvalidDimensionError):
@@ -134,6 +147,19 @@ class TestOverlap:
         b1 = Basis(e[:, :1])
         b2 = Basis(((e[:, 0] + e[:, 1]) / np.sqrt(2)).reshape(3, 1))
         assert abs(subspace_overlap(b1, b2) - 1 / np.sqrt(2)) < 1e-12
+
+    def test_stacked_pairs_match_each_pair(self):
+        r = rng_for(9)
+        for m in (1, 2, 3):
+            bases = random_orthonormal_bases(6, 8, m, r)
+            first, second = np.triu_indices(6, 1)
+            stacked = subspace_overlaps(
+                np.stack([bases[i].columns for i in first]),
+                np.stack([bases[j].columns for j in second]),
+            )
+            each = [subspace_overlap(bases[i], bases[j]) for i, j in zip(first, second)]
+            assert stacked.tolist() == each
+        assert subspace_overlaps(np.eye(4)[None, :, :2], np.eye(4)[None, :, :2]).tolist() == [1.0]
 
     def test_dimension_mismatch(self):
         with pytest.raises(InvalidDimensionError):

@@ -14,14 +14,14 @@ from subgoss.environment import (
 )
 from subgoss.errors import InvalidConfigError, InvariantViolationError, ProtocolError
 from subgoss.harness import RunConfig, run_one_seed
-from subgoss.linalg import Basis, ExploreStats, LinUcbStats, ucb_scores
+from subgoss.linalg import Basis, ExploreStats, LinUcbStats, explore_estimate, ucb_scores
 from subgoss.network import complete_graph, simulate_rumor_spread
 from subgoss.policies import (
     AgentState,
     PhaseSchedule,
     PolicyParams,
     _EnvView,
-    _noise_streams,
+    _noise,
     detect_freeze,
     end_explore_update,
     explore_plan,
@@ -197,63 +197,85 @@ class TestExplorePlan:
             explore_plan(ag, sched, 1)
 
 
+def refresh(inst, stats, active_sets):
+    """end_explore_update on lanes of one instance, with stats (L, K, m) and one
+    ascending active id list per lane; returns (L, K) norms, -inf off the active
+    ids, and the best ids."""
+    width = max(map(len, active_sets))
+    ids = np.array([tuple(a) + tuple(a[-1:]) * (width - len(a)) for a in active_sets])
+    lanes = np.arange(len(ids))[:, None]
+    bases = np.stack([b.columns for b in inst.subspaces.bases])
+    estimated, best = end_explore_update(stats[lanes, ids], bases[ids], ids)
+    norms = np.full(stats.count.shape[:2], -np.inf)
+    norms[lanes, ids] = estimated
+    return norms, best.tolist()
+
+
 class TestEndExploreUpdate:
     def test_noiseless_norms_and_best(self):
         inst = toy_instance(m=1, K=2)
-        ag = agent_with([0, 1], [0, 1], n_subspaces=2)
+        stats = ExploreStats((1, 2, 1))
         for k in (0, 1):
-            st = ExploreStats(1)
-            st.add_play(0, float(inst.subspaces.bases[k].columns[:, 0] @ inst.theta_star))
-            ag.explore[k] = st
-        end_explore_update(ag, inst.subspaces.bases)
-        assert ag.best_estimate_id == 0
-        assert ag.last_estimates[0][1] == pytest.approx(0.9)
-        assert ag.last_estimates[1][1] == pytest.approx(0.0)
+            stats.add_play((0, k, 0), float(inst.subspaces.bases[k].columns[:, 0] @ inst.theta_star))
+        norms, best = refresh(inst, stats, [[0, 1]])
+        assert best == [0]
+        assert norms[0, 0] == pytest.approx(0.9)
+        assert norms[0, 1] == pytest.approx(0.0)
 
     def test_relaxed_excludes_unsampled(self):
         inst = toy_instance(m=1, K=3)
-        ag = agent_with([0, 1, 2], [0, 1, 2], n_subspaces=3)
-        st = ExploreStats(1)
-        st.add_play(0, 0.9)
-        ag.explore[0] = st
-        end_explore_update(ag, inst.subspaces.bases)
-        assert ag.best_estimate_id == 0
-        assert ag.last_estimates[1] == (None, -np.inf)
+        stats = ExploreStats((1, 3, 1))
+        stats.add_play((0, 0, 0), 0.9)
+        norms, best = refresh(inst, stats, [[0, 1, 2]])
+        assert best == [0]
+        assert norms[0, 1] == norms[0, 2] == -np.inf
 
     def test_tie_breaks_lowest_id(self):
         inst = toy_instance(m=1, K=3)
-        ag = agent_with([1, 2], [1, 2], n_subspaces=3)
+        stats = ExploreStats((1, 3, 1))
         for k in (1, 2):
-            st = ExploreStats(1)
-            st.add_play(0, 0.5)  # identical norms
-            ag.explore[k] = st
-        end_explore_update(ag, inst.subspaces.bases)
-        assert ag.best_estimate_id == 1
+            stats.add_play((0, k, 0), 0.5)  # identical norms
+        assert refresh(inst, stats, [[1, 2]])[1] == [1]
+
+    def test_all_unsampled_falls_back_to_lowest_active_id(self):
+        # lane 0 sampled only subspace 0, which it no longer holds: it keeps id 1,
+        # its lowest active id, not column 0 of the norm array
+        inst = toy_instance(m=1, K=3)
+        stats = ExploreStats((2, 3, 1))
+        stats.add_play((np.array([0, 1]), np.array([0, 0]), np.array([0, 0])), 0.5)
+        norms, best = refresh(inst, stats, [[1, 2], [0, 2]])
+        assert best == [1, 0]
+        assert np.all(norms[0] == -np.inf)
+        assert norms[1, 0] == pytest.approx(0.5) and norms[1, 2] == -np.inf
 
     def test_matches_log_replay_oracle(self):
-        # noisy plays; recompute estimates from the raw (column, reward) log
+        # noisy plays on three lanes; recompute estimates from the raw (column, reward) log
         inst = toy_instance(m=2, K=3)
         r = rng_for(8)
-        ag = agent_with([0, 2], [0, 2], n_subspaces=3)
-        log = {0: [], 2: []}
-        for k in (0, 2):
-            st = ExploreStats(2)
-            for i in range(6):
-                col = i % 2
-                rew = float(r.standard_normal())
-                st.add_play(col, rew)
-                log[k].append((col, rew))
-            ag.explore[k] = st
-        end_explore_update(ag, inst.subspaces.bases)
-        for k in (0, 2):
+        active_sets = [[0, 2], [1], [0, 1, 2]]
+        stats = ExploreStats((3, 3, 2))
+        log = {}
+        for lane, ids in enumerate(active_sets):
+            for k in ids:
+                for i in range(6 + lane):
+                    col = i % 2
+                    rew = float(r.standard_normal())
+                    stats.add_play((lane, k, col), rew)
+                    log.setdefault((lane, k), []).append((col, rew))
+        norms, best = refresh(inst, stats, active_sets)
+        for (lane, k), plays in log.items():
             sums = np.zeros(2)
             counts = np.zeros(2)
-            for col, rew in log[k]:
+            for col, rew in plays:
                 sums[col] += rew
                 counts[col] += 1
             oracle = inst.subspaces.bases[k].columns @ (sums / counts)
-            assert np.allclose(ag.last_estimates[k][0], oracle, atol=1e-12)
-            assert ag.last_estimates[k][1] == pytest.approx(np.linalg.norm(oracle))
+            assert norms[lane, k] == pytest.approx(np.linalg.norm(oracle), abs=1e-12)
+            # the bits of the per-subspace estimate's norm
+            theta = explore_estimate(stats[lane, k], inst.subspaces.bases[k])
+            assert norms[lane, k] == float(np.linalg.norm(theta))
+        for lane, ids in enumerate(active_sets):
+            assert best[lane] == max(ids, key=lambda k: (norms[lane, k], -k))
 
 
 class TestExploitStep:
@@ -327,14 +349,14 @@ class TestUpdateActiveSet:
 
     def test_case_iii_keeps_best_non_sticky(self):
         ag = agent_with([0, 1, 5, 8], [0, 1])
-        ag.last_estimates = {5: (None, 0.7), 8: (None, 0.2)}
+        ag.norms[[5, 8]] = 0.7, 0.2
         update_active_set(ag, 9)
         assert ag.active_set == (0, 1, 5, 9)  # 8 dropped, 5 retained
 
     def test_case_iii_with_unexplored_non_sticky_keeps_lower_id(self):
         # phases too short to reach ids 5 and 8 leave both without an estimate
         ag = agent_with([0, 1, 5, 8], [0, 1])
-        ag.last_estimates = {0: (None, 0.3), 1: (None, 0.1), 5: (None, -np.inf)}
+        ag.norms[[0, 1]] = 0.3, 0.1
         update_active_set(ag, 9)
         assert ag.active_set == (0, 1, 5, 9)
 
@@ -566,7 +588,7 @@ def reference_linucb(instance, params, noise_rng, action_rng, genie, track_cover
     must match bit for bit."""
     T, delta, lam, S = params.T, params.delta_value(), params.lam, instance.s_bound
     env = _EnvView(instance, params, action_rng)
-    nz = _noise_streams(instance, 1, T, [noise_rng])[0]
+    nz = _noise([instance], 1, T, [[noise_rng]])[:, 0]
     dim = instance.m if genie else instance.d
     basis = instance.subspaces.bases[instance.true_index]
     theta_m = basis.columns.T @ instance.theta_star
@@ -574,8 +596,8 @@ def reference_linucb(instance, params, noise_rng, action_rng, genie, track_cover
     inst_regret = np.zeros((1, T))
     covered = True
     for t in range(1, T + 1):
-        actions, values, vstar, coords = env.at(t)
-        X = coords[instance.true_index] if genie else actions.T
+        actions, values, vstar = env.at(t)
+        X = basis.columns.T @ actions.T if genie else actions.T
         bval = bounds.beta(delta, dim, lam, count, S)
         th = np.linalg.solve(gram, moment)
         if track_coverage:
@@ -616,17 +638,34 @@ def test_genie_and_oful_match_hand_written_loops():
             assert np.array_equal(got.inst_regret, want)
 
 
+def reference_refresh(ag, explore, bases):
+    """One agent's explore refresh, subspace by subspace: the reference for the
+    batched end_explore_update. Sets the agent's norms and best-estimate id."""
+    ag.norms = np.full(ag.n_subspaces, -np.inf)
+    best = None
+    for k in ag.active_set:
+        stats = explore.get(k)
+        if stats is None or stats.total_count == 0:
+            continue
+        ag.norms[k] = float(np.linalg.norm(explore_estimate(stats, bases[k])))
+        if best is None or ag.norms[k] > ag.norms[best]:  # ties keep the lower id
+            best = k
+    ag.best_estimate_id = min(ag.active_set) if best is None else best
+
+
 def reference_subgoss(instance, params, gossip, noise_rngs, gossip_rng, action_rng):
     """Hand-written phased loop, one seed at a time, agents in lockstep with per-agent
     statistics objects: the reference for the lane engine behind the phased runners.
     Returns (inst_regret, recommendations, active_history, events)."""
     K, m, T = instance.K, instance.m, params.T
     delta, lam, S = params.delta_value(), params.lam, instance.s_bound
+    bases = instance.subspaces.bases
     n_agents = gossip.n_agents if gossip else 1
     agents = init_agents(K, n_agents)
+    explore = [{} for _ in agents]
     linucb = [{} for _ in agents]
     env = _EnvView(instance, params, action_rng)
-    noise = _noise_streams(instance, n_agents, T, noise_rngs)
+    noise = _noise([instance], n_agents, T, [noise_rngs]).T
     inst_regret = np.zeros((n_agents, T))
     recommendations, active_history, events = [], [], []
     j, start = 1, 1
@@ -638,11 +677,11 @@ def reference_subgoss(instance, params, gossip, noise_rngs, gossip_rng, action_r
         logs = [[] for _ in agents]
         for s in range(slots):
             t = start + s
-            _, values, vstar, coords = env.at(t)
+            actions, values, vstar = env.at(t)
             for i, ag in enumerate(agents):
                 if s < n_exp[i]:
                     k = ag.active_set[s % len(ag.active_set)]
-                    stats = ag.explore.setdefault(k, ExploreStats(m))
+                    stats = explore[i].setdefault(k, ExploreStats(m))
                     col = stats.next_column()
                     a_val = float(values[env.n_random + k * m + col])
                     r = a_val + noise[i][t]
@@ -652,19 +691,20 @@ def reference_subgoss(instance, params, gossip, noise_rngs, gossip_rng, action_r
                                     "subspace": k, "column": col, "reward": r})
                     continue
                 if s == n_exp[i]:
-                    end_explore_update(ag, instance.subspaces.bases)
+                    reference_refresh(ag, explore[i], bases)
                 k = ag.best_estimate_id
+                coords = bases[k].columns.T @ actions.T
                 stats = linucb[i].setdefault(k, LinUcbStats(m, lam))
                 bval = bounds.beta(delta, m, lam, stats.count, S)
-                idx = int(ucb_scores(stats, coords[k], bval).argmax())
+                idx = int(ucb_scores(stats, coords, bval).argmax())
                 r = float(values[idx]) + noise[i][t]
-                stats.add_play_coords(coords[k][:, idx], r)
+                stats.add_play_coords(coords[:, idx], r)
                 inst_regret[i, t - 1] = vstar - values[idx]
                 logs[i].append({"t": t, "agent": i, "phase": j, "event": "exploit_play",
                                 "subspace": k, "action": idx, "reward": r})
         for i, ag in enumerate(agents):
             if n_exp[i] == slots:
-                end_explore_update(ag, instance.subspaces.bases)
+                reference_refresh(ag, explore[i], bases)
             events += logs[i]
         recommendations.append([ag.best_estimate_id for ag in agents])
         if end_full <= T and n_agents > 1:

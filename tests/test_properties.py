@@ -229,9 +229,9 @@ def test_active_set_stays_within_its_cap(K, data):
     agent = init_agents(K, N)[data.draw(st.integers(0, N - 1), label="agent")]
     norms = st.dictionaries(st.integers(0, K - 1), st.floats(0.0, 10.0))
     for _ in range(data.draw(st.integers(0, 30), label="steps")):
-        agent.last_estimates = {
-            k: (None, v) for k, v in data.draw(norms, label="norms").items()
-        }
+        agent.norms[:] = -np.inf
+        for k, v in data.draw(norms, label="norms").items():
+            agent.norms[k] = v
         update_active_set(agent, data.draw(st.integers(0, K - 1), label="recommended"))
         assert agent.sticky_set <= set(agent.active_set)
         assert len(agent.active_set) <= K // N + 2
