@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
 
 import numpy as np
@@ -116,8 +117,11 @@ def _cmd_bounds(args) -> int:
                 br = bounds_mod.single_agent_bound(inputs)
             else:
                 br = bounds_mod.theorem1_bound(inputs, tau)
-            rows.append(f"{t},{br.projected_linucb:.12e},{br.communication:.12e},"
-                        f"{br.exploration:.12e},{br.total:.12e}\n")
+            terms = (br.projected_linucb, br.communication, br.exploration, br.total)
+            # a product past the float range gives inf without raising
+            if not all(map(math.isfinite, terms)):
+                raise InvalidConfigError(f"bound leaves the float range at t={t}: {terms}")
+            rows.append("{},{:.12e},{:.12e},{:.12e},{:.12e}\n".format(t, *terms))
     except (OverflowError, ZeroDivisionError) as exc:
         raise InvalidConfigError(f"bound leaves the float range: {exc}") from exc
     # every row is computed before the file is opened, so a bad input leaves no file

@@ -25,8 +25,8 @@ _ROLE_GOSSIP = 2
 _ROLE_ACTIONS = 3
 
 # lanes per batch of `run`: past about a hundred lanes a step's array work
-# outweighs its fixed cost, and the batch's noise and regret arrays take
-# 16 bytes per lane per step
+# outweighs its fixed cost, and the batch's noise, regret and play arrays
+# take 18 bytes per lane per step (up to 256 actions)
 _BATCH_LANES = 128
 
 POLICIES = ("subgoss_multi", "subgoss_single", "oful", "genie")

@@ -181,7 +181,6 @@ class PolicyParams:
     lam: float = 1.0
     delta: float | None = None  # None means min(0.5, 1/T)
     explore_budget_mode: str = "experimental"
-    log_plays: bool = False
     resample_actions_per_step: bool = False
 
     def delta_value(self) -> float:
@@ -193,19 +192,24 @@ class PolicyParams:
 
 @dataclass
 class RunResult:
-    """Per-agent regret trajectories and the phase-level record of a run.
+    """Per-agent regret trajectories, the record of every play and the phase-level
+    record of a run.
 
-    `events` holds the per-play records asked for by `PolicyParams.log_plays`,
-    and is empty otherwise.
+    `explored[i, t-1]` tells whether agent i explored at step t, and
+    `played[i, t-1]` is the row of step t's action set it played. An explore
+    play's subspace is (played - n_random) // m and its column
+    (played - n_random) % m; an exploit play's subspace is the agent's entry in
+    `recommendations[j-1]` for the phase j it falls in.
     """
 
     inst_regret: np.ndarray  # (N, T)
+    explored: np.ndarray  # (N, T) bool
+    played: np.ndarray  # (N, T) action-set rows, of the smallest unsigned dtype
     seed: int | None
     n_phases: int
     freeze_phase: int | None
     recommendations: list  # per completed-or-final phase: list of best ids per agent
     comm_count: np.ndarray  # gossip exchanges per agent
-    events: list
     coverage_ok: bool | None = None
     active_history: list = field(default_factory=list)  # per phase, post-gossip active sets
 
@@ -320,44 +324,6 @@ def _beta_table(params, dim: int, S: float) -> np.ndarray:
     return np.fromiter(radii, dtype=float, count=params.T)
 
 
-class _PlayLog:
-    """Every play of every lane, kept for `PolicyParams.log_plays` and turned into event dicts."""
-
-    def __init__(self, T: int, n_lanes: int):
-        self.explored = np.zeros((T, n_lanes), dtype=bool)
-        self.subspace = np.zeros((T, n_lanes), dtype=np.int64)
-        self.choice = np.zeros((T, n_lanes), dtype=np.int64)  # explore column or action index
-        self.reward = np.zeros((T, n_lanes))
-
-    def record(self, t, lanes, explored, subspace, choice, reward) -> None:
-        row = t - 1
-        self.explored[row, lanes] = explored
-        self.subspace[row, lanes] = subspace
-        self.choice[row, lanes] = choice
-        self.reward[row, lanes] = reward
-
-    def events(self, lanes, phases) -> list:
-        """The plays of one seed's lanes, its agents in order: phase by phase, agent by
-        agent, each agent's plays in time order."""
-        kinds = {True: ("explore_play", "column"), False: ("exploit_play", "action")}
-        events = []
-        for j, start, end in phases:
-            rows = slice(start - 1, end)
-            for agent, lane in enumerate(lanes):
-                plays = zip(
-                    range(start, end + 1),
-                    self.explored[rows, lane].tolist(),
-                    self.subspace[rows, lane].tolist(),
-                    self.choice[rows, lane].tolist(),
-                    self.reward[rows, lane].tolist(),
-                )
-                for t, explored, k, choice, r in plays:
-                    kind, key = kinds[explored]
-                    events.append({"t": t, "agent": agent, "phase": j, "event": kind,
-                                   "subspace": k, key: choice, "reward": r})
-        return events
-
-
 # ---------------------------------------------------------------------------
 # runners: one engine for the phased policies and one for genie and oful, each
 # running a batch of seeds; the public runners are batches of one seed
@@ -379,6 +345,10 @@ def _run_subgoss(instances, params, gossip, noise_rngs, gossip_rngs, seeds, acti
     plays runs per lane and per seed. Each lane draws from its
     own noise stream and each seed from its own gossip and action streams, so
     no result depends on the batch it runs in.
+
+    Every play is recorded: `explored` once per phase, as each lane's explore
+    slots are the first of the phase, and `played` where `inst_regret` is
+    written, an explore play as its column's row of the action set.
     """
     first = instances[0]
     K, m, T = first.K, first.m, params.T
@@ -411,7 +381,8 @@ def _run_subgoss(instances, params, gossip, noise_rngs, gossip_rngs, seeds, acti
     noise = _noise(instances, n_agents, T, noise_rngs)
     beta = _beta_table(params, m, first.s_bound)
     inst_regret = np.empty((n_lanes, T))
-    log = _PlayLog(T, n_lanes) if params.log_plays else None
+    explored = np.empty((n_lanes, T), dtype=bool)
+    played = np.empty((n_lanes, T), dtype=np.min_scalar_type(first.action_set.shape[0] - 1))
 
     def lane_coords(ls):
         # U_k^T A^T of each lane of ls in its best subspace k. Seed by seed, so that
@@ -432,7 +403,6 @@ def _run_subgoss(instances, params, gossip, noise_rngs, gossip_rngs, seeds, acti
 
     recommendations = [[] for _ in instances]
     active_history = [[] for _ in instances]
-    phases = []
     n_gossip = 0
     j = 1
     start = 1
@@ -450,6 +420,7 @@ def _run_subgoss(instances, params, gossip, noise_rngs, gossip_rngs, seeds, acti
         order = np.array([ag.active_set + ag.active_set[-1:] * (width - len(ag.active_set))
                           for ag in agents])
         explorers, exploiters = lanes, lanes[:0]
+        explored[:, start - 1:end] = np.arange(slots) < n_exp[:, None]
 
         for s in range(slots):
             t = start + s
@@ -471,24 +442,21 @@ def _run_subgoss(instances, params, gossip, noise_rngs, gossip_rngs, seeds, acti
                 r = a_val + noise[t]
                 play.add_play_coords(X[lanes, :, idx], r)
                 inst_regret[:, t - 1] = vstar - a_val
-                if log:
-                    log.record(t, lanes, False, best, idx, r)
+                played[:, t - 1] = idx
             if explorers.size:
                 k = order[explorers, s % n_active[explorers]]
                 col = explore.count[explorers, k].argmin(axis=1)  # ExploreStats.next_column
                 # the played column's row in the action set, so that vstar, the
                 # maximum of the same values array, never falls below it
-                a_val = values[explorers, n_random + k * m + col]
-                r = a_val + noise[t, explorers]
-                explore.add_play((explorers, k, col), r)
+                row = n_random + k * m + col
+                a_val = values[explorers, row]
+                explore.add_play((explorers, k, col), a_val + noise[t, explorers])
                 inst_regret[explorers, t - 1] = vstar[explorers] - a_val
-                if log:
-                    log.record(t, explorers, True, k, col, r)
+                played[explorers, t - 1] = row
 
         refresh(lanes[n_exp == slots])
         switched = lanes[n_exp < slots]
         saved.copy_lanes((switched, best[switched]), play, switched)
-        phases.append((j, start, end))
         for ag, k in zip(agents, best.tolist()):
             ag.best_estimate_id = k
 
@@ -505,15 +473,16 @@ def _run_subgoss(instances, params, gossip, noise_rngs, gossip_rngs, seeds, acti
 
     results = []
     for s, (instance, seed) in enumerate(zip(instances, seeds)):
-        seed_lanes = range(s * n_agents, (s + 1) * n_agents)
+        mine = slice(s * n_agents, (s + 1) * n_agents)
         results.append(RunResult(
-            inst_regret=inst_regret[s * n_agents:(s + 1) * n_agents],
+            inst_regret=inst_regret[mine],
+            explored=explored[mine],
+            played=played[mine],
             seed=seed,
             n_phases=j - 1,
             freeze_phase=detect_freeze(recommendations[s], instance.true_index),
             recommendations=recommendations[s],
             comm_count=np.full(n_agents, n_gossip, dtype=np.int64),
-            events=log.events(seed_lanes, phases) if log else [],
             active_history=active_history[s],
         ))
     return results
@@ -546,6 +515,7 @@ def _run_linucb(instances, params, noise_rngs, seeds, action_rngs, k, track_cove
         covered = np.ones(n_lanes, dtype=bool)
 
     inst_regret = np.empty((n_lanes, T))
+    played = np.empty((n_lanes, T), dtype=np.min_scalar_type(first.action_set.shape[0] - 1))
     for t in range(1, T + 1):
         if t == 1 or resample:
             actions, values, vstar = _stack_views(envs, t)
@@ -562,16 +532,18 @@ def _run_linucb(instances, params, noise_rngs, seeds, action_rngs, k, track_cove
         a_val = values[lanes, idx]
         stats.add_play_coords(x, a_val + noise[t])
         inst_regret[:, t - 1] = vstar - a_val
+        played[:, t - 1] = idx
 
     return [
         RunResult(
             inst_regret=inst_regret[lane:lane + 1],
+            explored=np.zeros((1, T), dtype=bool),
+            played=played[lane:lane + 1],
             seed=seed,
             n_phases=0,
             freeze_phase=None,
             recommendations=[],
             comm_count=np.zeros(1, dtype=np.int64),
-            events=[],
             coverage_ok=bool(covered[lane]) if track_coverage else None,
         )
         for lane, seed in enumerate(seeds)

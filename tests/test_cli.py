@@ -205,11 +205,13 @@ class TestBounds:
         ({}, ["--gap", "0.3", "--spread-moment", "nan"], "spread moment"),
         ({}, ["--gap", "0.3", "--spread-moment", "inf"], "spread moment"),
         ({}, ["--gap", "1e300"], "float range"),
+        ({}, ["--gap", "0.3", "--spread-moment", "1e308"], "float range"),
         ({"lambda": 0.5}, ["--gap", "0.3"], "lambda >= 1"),
         ({"s_bound": 1e-11}, [], "s_bound=1e-11"),
     ],
     ids=["gap-nan", "gap-inf", "gap-negative", "moment-negative", "moment-below-one",
-         "moment-nan", "moment-inf", "gap-overflow", "lambda-half", "zero-gap-from-s_bound"],
+         "moment-nan", "moment-inf", "gap-overflow", "moment-overflow", "lambda-half",
+         "zero-gap-from-s_bound"],
 )
 def test_bad_bound_input_is_exit_2_and_leaves_no_file(tmp_path, capsys, overrides, flags,
                                                        message):

@@ -19,7 +19,7 @@ from subgoss.errors import (
     InvalidConfigError,
     InvalidDimensionError,
 )
-from subgoss.linalg import Basis, project, random_orthonormal_basis
+from subgoss.linalg import Basis, ExploreStats, LinUcbStats, project, random_orthonormal_basis
 from subgoss.policies import PolicyParams, _EnvView, run_single_agent_subgoss
 
 
@@ -108,35 +108,35 @@ class TestGenerateInstance:
 class TestReward:
     """The rewards the runners draw: the played action's value plus the agent's noise."""
 
-    def logged_plays(self, inst, T):
+    def logged_plays(self, inst, T, monkeypatch):
+        """(action, reward) of every play of a single-agent run in time order: the
+        action is the row of the run's `played` record, the reward is the one the
+        agent's statistics receive."""
+        rewards = []
+        for cls, name in ((ExploreStats, "add_play"), (LinUcbStats, "add_play_coords")):
+            def receive(stats, where, reward, _add=getattr(cls, name)):
+                rewards.append(float(reward[0]))  # one lane
+                _add(stats, where, reward)
+            monkeypatch.setattr(cls, name, receive)
         res = run_single_agent_subgoss(
-            inst, PolicyParams(T=T, log_plays=True), rng_for(123), seed=0, action_rng=rng_for(0)
+            inst, PolicyParams(T=T), rng_for(123), seed=0, action_rng=rng_for(0)
         )
-        bases = inst.subspaces.bases
-        out = []
-        for e in res.events:
-            if e["event"] == "explore_play":
-                a = bases[e["subspace"]].columns[:, e["column"]]
-            elif e["event"] == "exploit_play":
-                a = inst.action_set[e["action"]]
-            else:
-                continue
-            out.append((a, e["reward"]))
-        return out
+        assert len(rewards) == T
+        return list(zip(inst.action_set[res.played[0]], rewards))
 
-    def test_aligned_action_noiseless(self):
+    def test_aligned_action_noiseless(self, monkeypatch):
         inst = small_instance(noise_std=0.0)
         aligned = inst.theta_star / np.linalg.norm(inst.theta_star)
         inst = replace(inst, action_set=np.vstack([aligned, inst.action_set[1:]]))
-        plays = self.logged_plays(inst, 400)
+        plays = self.logged_plays(inst, 400, monkeypatch)
         assert all(abs(r - a @ inst.theta_star) < 1e-12 for a, r in plays)
         aligned_rewards = [r for a, r in plays if np.array_equal(a, aligned)]
         assert aligned_rewards  # the optimistic rule settles on the best action
         assert all(abs(r - np.linalg.norm(inst.theta_star)) < 1e-12 for r in aligned_rewards)
 
-    def test_mean_matches_inner_product(self):
+    def test_mean_matches_inner_product(self, monkeypatch):
         inst = small_instance(noise_std=1.0)
-        plays = self.logged_plays(inst, 10_000)
+        plays = self.logged_plays(inst, 10_000, monkeypatch)
         resid = np.array([r - a @ inst.theta_star for a, r in plays])
         assert abs(resid.mean()) < 3 / np.sqrt(len(resid))
         assert abs(resid.std() - 1.0) < 0.05

@@ -32,12 +32,13 @@ def fake_result(curves, seed=0):
     inst = np.asarray(curves, dtype=float)
     return RunResult(
         inst_regret=inst,
+        explored=np.zeros(inst.shape, dtype=bool),
+        played=np.zeros(inst.shape, dtype=np.uint8),
         seed=seed,
         n_phases=0,
         freeze_phase=None,
         recommendations=[],
         comm_count=np.zeros(inst.shape[0], dtype=np.int64),
-        events=[],
     )
 
 

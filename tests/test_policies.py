@@ -135,12 +135,13 @@ def agent_with(active, sticky, n_subspaces=12):
     )
 
 
-def explore_records(res, agent, phase):
+def explore_records(res, inst, agent, phase, b=2.0):
     """(subspace, column) of every explore play of one agent in one phase, in slot order."""
-    return [
-        (e["subspace"], e["column"]) for e in res.events
-        if e["event"] == "explore_play" and e["agent"] == agent and e["phase"] == phase
-    ]
+    start, end = phase_boundaries(b, phase)
+    steps = slice(start - 1, end)
+    rows = res.played[agent, steps][res.explored[agent, steps]]
+    n_random = inst.action_set.shape[0] - inst.K * inst.m
+    return [divmod(row - n_random, inst.m) for row in rows.tolist()]
 
 
 class TestExplorePlan:
@@ -150,20 +151,20 @@ class TestExplorePlan:
         assert sched.explore_budget(1) == 2 and sched.phase_length == 8
         assert explore_plan(agent_with([3, 7], [3, 7]), sched, 1) == 4
         inst = toy_instance(m=1, K=2, noise_std=1.0)
-        res = run_single_agent_subgoss(inst, params(15, log_plays=True), rng_for(0))
-        assert explore_records(res, 0, 4) == [(0, 0), (1, 0), (0, 0), (1, 0)]
+        res = run_single_agent_subgoss(inst, params(15), rng_for(0))
+        assert explore_records(res, inst, 0, 4) == [(0, 0), (1, 0), (0, 0), (1, 0)]
 
     def test_slots_cycle_the_active_set_of_each_phase(self):
         inst = toy_instance(m=2, K=4, noise_std=1.0, seed=2)
         res = run_subgoss_multi(
-            inst, params(400, log_plays=True), complete_graph(2), multi_rngs(2), rng_for(9)
+            inst, params(400), complete_graph(2), multi_rngs(2), rng_for(9)
         )
         holdings = [[a.active_set for a in init_agents(4, 2)]] + res.active_history[:-1]
         assert any(len(active) > 2 for phase in holdings for active in phase)
         for j in range(1, res.n_phases + 1):
             for i in range(2):
                 active = holdings[j - 1][i]
-                played = [k for k, _ in explore_records(res, i, j)]
+                played = [k for k, _ in explore_records(res, inst, i, j)]
                 assert played == [active[s % len(active)] for s in range(len(played))]
 
     def test_short_phase_fills_entirely(self):
@@ -172,9 +173,10 @@ class TestExplorePlan:
         assert sched.phase_length == 3 and 2 * sched.explore_budget(1) == 4
         assert explore_plan(agent_with([3, 7], [3, 7]), sched, 1) == 3
         inst = toy_instance(m=1, K=2, noise_std=1.0)
-        res = run_single_agent_subgoss(inst, params(6, b=1.5, log_plays=True), rng_for(0))
-        phase3 = [(e["event"], e["subspace"]) for e in res.events if e["phase"] == 3]
-        assert phase3 == [("explore_play", 0), ("explore_play", 1), ("explore_play", 0)]
+        res = run_single_agent_subgoss(inst, params(6, b=1.5), rng_for(0))
+        assert res.explored[0, 3:6].all()
+        phase3 = [k for k, _ in explore_records(res, inst, 0, 3, b=1.5)]
+        assert phase3 == [0, 1, 0]
 
     def test_columns_continue_round_robin_across_phases(self):
         sched = PhaseSchedule(b=2.0, j=4, explore_budget_mode="experimental")
@@ -182,12 +184,12 @@ class TestExplorePlan:
         # phases 1 and 2 are shorter than their budgets: subspace 0 plays column 0
         # in phase 1, so its first play of phase 2 is on column 1
         inst = toy_instance(m=2, K=3, noise_std=1.0)
-        res = run_single_agent_subgoss(inst, params(300, log_plays=True), rng_for(0))
-        assert explore_records(res, 0, 1) == [(0, 0)]
-        assert explore_records(res, 0, 2) == [(0, 1), (1, 0)]
+        res = run_single_agent_subgoss(inst, params(300), rng_for(0))
+        assert explore_records(res, inst, 0, 1) == [(0, 0)]
+        assert explore_records(res, inst, 0, 2) == [(0, 1), (1, 0)]
         for k in range(3):
             cols = [c for j in range(1, res.n_phases + 1)
-                    for kk, c in explore_records(res, 0, j) if kk == k]
+                    for kk, c in explore_records(res, inst, 0, j) if kk == k]
             assert len(cols) > 10 and cols == [n % 2 for n in range(len(cols))]
 
     def test_empty_active_set(self):
@@ -430,12 +432,12 @@ class TestRunSubgossMulti:
         completed = sum(1 for j in range(1, 40) if phase_boundaries(2.0, j)[1] <= T)
         assert np.all(res.comm_count == completed)
 
-    def test_budget_accounting_from_event_log(self):
+    def test_budget_accounting_from_play_record(self):
         inst = toy_instance(m=2, K=4, noise_std=1.0, seed=2)
         T = 400
         res = run_subgoss_multi(
             inst,
-            params(T, log_plays=True),
+            params(T),
             complete_graph(2),
             multi_rngs(2),
             rng_for(9),
@@ -450,27 +452,36 @@ class TestRunSubgossMulti:
                 active = holdings[j - 1][i]
                 budget_total = sched.explore_budget(2) * len(active)
                 expected_explore = min(slots, min(budget_total, sched.phase_length))
-                plays = [
-                    e for e in res.events
-                    if e["agent"] == i and e["phase"] == j
-                    and e["event"] in ("explore_play", "exploit_play")
-                ]
-                explores = [e for e in plays if e["event"] == "explore_play"]
-                assert len(plays) == slots
-                assert len(explores) == expected_explore
+                explores = res.explored[i, start - 1:start - 1 + slots]
+                assert explores.sum() == expected_explore
+        # the phases cover the horizon, each step being one play of every agent
+        assert res.explored.shape == (2, T)
+        last_start = phase_boundaries(2.0, res.n_phases)[0]
+        assert last_start <= T < phase_boundaries(2.0, res.n_phases + 1)[0]
 
     def test_exploit_subspace_matches_recommendation(self):
+        # with m = 1 the optimistic score of an action is convex in its one
+        # coordinate, so an exploit play in subspace k is an extreme of the action
+        # set along k; on the toy subspaces e_k a play in another subspace is not
         inst = toy_instance(m=1, K=4, noise_std=1.0, seed=3)
+        T = 300
         res = run_subgoss_multi(
             inst,
-            params(300, log_plays=True),
+            params(T),
             complete_graph(2),
             multi_rngs(2),
             rng_for(11),
         )
-        for e in res.events:
-            if e["event"] == "exploit_play":
-                assert e["subspace"] == res.recommendations[e["phase"] - 1][e["agent"]]
+        n_exploits = 0
+        for j, recs in enumerate(res.recommendations, start=1):
+            start, end = phase_boundaries(2.0, j)
+            for i, k in enumerate(recs):
+                along = inst.action_set[:, k]
+                for t in range(start, min(end, T) + 1):
+                    if not res.explored[i, t - 1]:
+                        assert along[res.played[i, t - 1]] in (along.min(), along.max())
+                        n_exploits += 1
+        assert n_exploits > T
 
     def test_holding_true_monotone_after_all_correct(self):
         inst = toy_instance(m=1, K=8, noise_std=1.0, seed=4)
@@ -512,8 +523,9 @@ class TestRunSingleAgent:
 
     def test_explores_all_subspaces(self):
         inst = toy_instance(m=1, K=4, noise_std=1.0)
-        res = run_single_agent_subgoss(inst, params(300, log_plays=True), rng_for(2))
-        explored = {e["subspace"] for e in res.events if e["event"] == "explore_play"}
+        res = run_single_agent_subgoss(inst, params(300), rng_for(2))
+        n_random = inst.action_set.shape[0] - inst.K * inst.m
+        explored = set(((res.played[res.explored] - n_random) // inst.m).tolist())
         assert explored == {0, 1, 2, 3}
 
     def test_action_set_without_basis_columns_rejected(self):
@@ -656,7 +668,7 @@ def reference_refresh(ag, explore, bases):
 def reference_subgoss(instance, params, gossip, noise_rngs, gossip_rng, action_rng):
     """Hand-written phased loop, one seed at a time, agents in lockstep with per-agent
     statistics objects: the reference for the lane engine behind the phased runners.
-    Returns (inst_regret, recommendations, active_history, events)."""
+    Returns (inst_regret, explored, played, recommendations, active_history)."""
     K, m, T = instance.K, instance.m, params.T
     delta, lam, S = params.delta_value(), params.lam, instance.s_bound
     bases = instance.subspaces.bases
@@ -667,14 +679,15 @@ def reference_subgoss(instance, params, gossip, noise_rngs, gossip_rng, action_r
     env = _EnvView(instance, params, action_rng)
     noise = _noise([instance], n_agents, T, [noise_rngs]).T
     inst_regret = np.zeros((n_agents, T))
-    recommendations, active_history, events = [], [], []
+    explored = np.zeros((n_agents, T), dtype=bool)
+    played = np.zeros((n_agents, T), dtype=int)
+    recommendations, active_history = [], []
     j, start = 1, 1
     while start <= T:
         schedule = PhaseSchedule(b=params.b, j=j, explore_budget_mode=params.explore_budget_mode)
         end_full = start + schedule.phase_length - 1
         slots = min(end_full, T) - start + 1
         n_exp = [min(explore_plan(ag, schedule, m), slots) for ag in agents]
-        logs = [[] for _ in agents]
         for s in range(slots):
             t = start + s
             actions, values, vstar = env.at(t)
@@ -683,12 +696,12 @@ def reference_subgoss(instance, params, gossip, noise_rngs, gossip_rng, action_r
                     k = ag.active_set[s % len(ag.active_set)]
                     stats = explore[i].setdefault(k, ExploreStats(m))
                     col = stats.next_column()
-                    a_val = float(values[env.n_random + k * m + col])
-                    r = a_val + noise[i][t]
-                    stats.add_play(col, r)
+                    row = env.n_random + k * m + col
+                    a_val = float(values[row])
+                    stats.add_play(col, a_val + noise[i][t])
                     inst_regret[i, t - 1] = vstar - a_val
-                    logs[i].append({"t": t, "agent": i, "phase": j, "event": "explore_play",
-                                    "subspace": k, "column": col, "reward": r})
+                    explored[i, t - 1] = True
+                    played[i, t - 1] = row
                     continue
                 if s == n_exp[i]:
                     reference_refresh(ag, explore[i], bases)
@@ -700,12 +713,10 @@ def reference_subgoss(instance, params, gossip, noise_rngs, gossip_rng, action_r
                 r = float(values[idx]) + noise[i][t]
                 stats.add_play_coords(coords[:, idx], r)
                 inst_regret[i, t - 1] = vstar - values[idx]
-                logs[i].append({"t": t, "agent": i, "phase": j, "event": "exploit_play",
-                                "subspace": k, "action": idx, "reward": r})
+                played[i, t - 1] = idx
         for i, ag in enumerate(agents):
             if n_exp[i] == slots:
                 reference_refresh(ag, explore[i], bases)
-            events += logs[i]
         recommendations.append([ag.best_estimate_id for ag in agents])
         if end_full <= T and n_agents > 1:
             for ag, k in zip(agents, gossip_exchange(agents, gossip, gossip_rng)):
@@ -713,7 +724,7 @@ def reference_subgoss(instance, params, gossip, noise_rngs, gossip_rng, action_r
         active_history.append([ag.active_set for ag in agents])
         j += 1
         start = end_full + 1
-    return inst_regret, recommendations, active_history, events
+    return inst_regret, explored, played, recommendations, active_history
 
 
 @pytest.mark.parametrize("resample", [False, True], ids=["fixed", "resampled"])
@@ -726,18 +737,23 @@ def reference_subgoss(instance, params, gossip, noise_rngs, gossip_rng, action_r
         dict(d=6, m=2, K=4, N=4, T=267, b=3.0, policy="subgoss_multi", master_seed=840),
         dict(d=6, m=2, K=5, N=5, T=388, policy="subgoss_multi", master_seed=729),
         dict(d=6, m=1, K=3, N=1, T=200, b=1.5, policy="subgoss_single"),
+        # one random row: a Fortran-ordered action set, whose products differ in
+        # their bits from those of a C-ordered one
+        dict(d=6, m=1, K=4, N=2, T=300, policy="subgoss_multi", n_extra_actions=1),
+        dict(d=8, m=2, K=4, N=2, T=300, policy="subgoss_multi", n_extra_actions=1),
+        dict(d=6, m=1, K=3, N=1, T=200, b=1.5, policy="subgoss_single", n_extra_actions=1),
     ],
-    ids=["multi2", "multi4-k-equals-n", "multi5-k-equals-n", "single"],
+    ids=["multi2", "multi4-k-equals-n", "multi5-k-equals-n", "single",
+         "multi-m1-one-random-row", "multi-m2-one-random-row", "single-one-random-row"],
 )
 def test_phased_runs_match_hand_written_loop(shape, resample):
     """Each seed of a batched harness.run equals the reference loop on that seed's
-    instance and streams: trajectories, recommendations, active sets and events."""
+    instance and streams: trajectories, plays, recommendations and active sets. The
+    reference exploits its recommended subspace, so equal plays check that the
+    engine does too."""
     config = RunConfig(n_seeds=3, resample_actions_per_step=resample, **shape)
-    params = PolicyParams(T=config.T, b=config.b, log_plays=True,
-                          resample_actions_per_step=resample)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(RunConfig, "policy_params", lambda self: params)
-        results = harness.run(config)
+    params = config.policy_params()
+    results = harness.run(config)
     gossip = harness.build_gossip(config)
     for s, res in enumerate(results):
         ms = config.master_seed
@@ -747,7 +763,9 @@ def test_phased_runs_match_hand_written_loop(shape, resample):
             harness._rng(ms, s, harness._ROLE_GOSSIP), harness._rng(ms, s, harness._ROLE_ACTIONS),
         )
         assert np.array_equal(res.inst_regret, want[0])
-        assert (res.recommendations, res.active_history, res.events) == want[1:]
+        assert np.array_equal(res.explored, want[1])
+        assert np.array_equal(res.played, want[2])
+        assert (res.recommendations, res.active_history) == want[3:]
 
 
 def run_policy(policy, inst, p, action_rng):
@@ -786,20 +804,16 @@ def test_every_agent_plays_from_the_set_keyed_by_step(policy):
     inst = generate_instance(4, 2, 4, 2, 200, 0.0, 1.0, rng_for(12))
     n_random = inst.action_set.shape[0] - inst.K * inst.m
     T = 200
-    p = params(T, log_plays=True, resample_actions_per_step=True)
+    p = params(T, resample_actions_per_step=True)
     res = run_policy(policy, inst, p, rng_for(41))
-    plays = [e for e in res.events if e["event"] in ("explore_play", "exploit_play")]
-    assert len(plays) == res.n_agents * T
-    assert any(e.get("action", n_random) < n_random for e in plays)
-    # replay the stream: step t's set is its t-th draw
+    assert (res.played[~res.explored] < n_random).any()
+    # replay the stream: step t's set is its t-th draw, and each play is charged
+    # the regret of its row in that set, bit for bit
     stream = rng_for(41)
-    values = [resample_actions(inst, n_random, stream) @ inst.theta_star for _ in range(T)]
-    for e in plays:
-        if e["event"] == "explore_play":
-            row = n_random + e["subspace"] * inst.m + e["column"]
-        else:
-            row = e["action"]
-        assert e["reward"] == values[e["t"] - 1][row]
+    values = np.stack([resample_actions(inst, n_random, stream) @ inst.theta_star
+                       for _ in range(T)])
+    charged = values.max(axis=1) - values[np.arange(T), res.played]
+    assert np.array_equal(res.inst_regret, charged)
 
 
 class TestEnvView:
@@ -834,13 +848,14 @@ class TestEnvView:
     @pytest.mark.parametrize("policy", ["multi4", "multi2", "single", "genie", "oful"])
     def test_fixed_mode_ignores_the_stream(self, policy):
         inst = toy_instance(m=2, K=4, noise_std=1.0)
-        p = params(150, log_plays=True)
+        p = params(150)
         a = run_policy(policy, inst, p, None)
         b = run_policy(policy, inst, p, rng_for(5))
         assert np.array_equal(a.inst_regret, b.inst_regret)
         assert a.recommendations == b.recommendations
         assert a.active_history == b.active_history
-        assert a.events == b.events
+        assert np.array_equal(a.explored, b.explored)
+        assert np.array_equal(a.played, b.played)
         assert a.coverage_ok == b.coverage_ok
 
 

@@ -16,6 +16,7 @@ from subgoss.harness import POLICIES, RunConfig
 from subgoss.linalg import LinUcbStats, ucb_scores
 from subgoss.network import complete_graph
 from subgoss.policies import (
+    PhaseSchedule,
     PolicyParams,
     RunResult,
     init_agents,
@@ -51,7 +52,7 @@ def _run(policy, inst, n_agents, params, seed):
 @hypothesis.given(data=st.data())
 def test_resampling_the_fixed_set_reproduces_fixed_mode(data):
     """A resample path that always returns the fixed action set must leave every
-    trajectory, recommendation and logged event as in fixed-action mode."""
+    trajectory, recommendation and play as in fixed-action mode."""
     K = data.draw(st.integers(2, 6), label="K")
     n_agents = data.draw(st.sampled_from([n for n in range(1, K + 1) if K % n == 0]), label="N")
     m = data.draw(st.integers(1, 3), label="m")
@@ -61,7 +62,7 @@ def test_resampling_the_fixed_set_reproduces_fixed_mode(data):
     policy = data.draw(st.sampled_from(["phased", "genie", "oful"]), label="policy")
     inst = generate_instance(d, m, K, seed % K, 10, 1.0, 1.0, np.random.default_rng(seed))
 
-    fixed = _run(policy, inst, n_agents, PolicyParams(T=T, log_plays=True), seed)
+    fixed = _run(policy, inst, n_agents, PolicyParams(T=T), seed)
     draws = []
 
     def fixed_set(instance, n_actions, rng):
@@ -69,12 +70,13 @@ def test_resampling_the_fixed_set_reproduces_fixed_mode(data):
         return instance.action_set
 
     with mock.patch.object(policies, "resample_actions", fixed_set):
-        params = PolicyParams(T=T, log_plays=True, resample_actions_per_step=True)
+        params = PolicyParams(T=T, resample_actions_per_step=True)
         drawn = _run(policy, inst, n_agents, params, seed)
     assert len(draws) == T
     assert np.array_equal(fixed.inst_regret, drawn.inst_regret)
     assert fixed.recommendations == drawn.recommendations
-    assert fixed.events == drawn.events
+    assert np.array_equal(fixed.explored, drawn.explored)
+    assert np.array_equal(fixed.played, drawn.played)
     assert fixed.coverage_ok == drawn.coverage_ok
 
 
@@ -82,8 +84,11 @@ def test_resampling_the_fixed_set_reproduces_fixed_mode(data):
 @hypothesis.given(data=st.data())
 def test_batched_run_equals_each_seed_alone(data):
     """harness.run plays the seeds of a config together, one lane per (seed, agent),
-    in batches of a drawn size; every field of every seed's result, the logged play
-    events included, equals that seed run alone by run_one_seed."""
+    in batches of a drawn size; every field of every seed's result, the play record
+    included, equals that seed run alone by run_one_seed. The play record keeps its
+    invariants: each lane's explore plays open its phase, genie and oful never
+    explore, every played row is in the action set, and with a fixed set each play
+    is charged the regret of its row, bit for bit."""
     K = data.draw(st.integers(2, 6), label="K")
     policy = data.draw(st.sampled_from(POLICIES), label="policy")
     if policy == "subgoss_multi":
@@ -103,18 +108,27 @@ def test_batched_run_equals_each_seed_alone(data):
         track_coverage=data.draw(st.booleans(), label="track_coverage"),
         resample_actions_per_step=data.draw(st.booleans(), label="resample"),
     )
-    params = dataclasses.replace(config.policy_params(), log_plays=True)
     lanes = data.draw(st.integers(1, 8), label="lanes per batch")
-    with mock.patch.object(RunConfig, "policy_params", lambda self: params), \
-            mock.patch.object(harness, "_BATCH_LANES", lanes):
+    with mock.patch.object(harness, "_BATCH_LANES", lanes):
         batched = harness.run(config)
         alone = [harness.run_one_seed(config, s) for s in range(config.n_seeds)]
-    assert any(r.events for r in alone) == policy.startswith("subgoss")
-    for got, want in zip(batched, alone, strict=True):
+    for s, (got, want) in enumerate(zip(batched, alone, strict=True)):
         for field in dataclasses.fields(RunResult):
             a, b = getattr(got, field.name), getattr(want, field.name)
             same = np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
             assert same, field.name
+        start = 0
+        for j in range(1, want.n_phases + 1):
+            end = start + PhaseSchedule(config.b, j).phase_length
+            phase = want.explored[:, start:end]
+            assert (phase[:, 1:] <= phase[:, :-1]).all(), f"phase {j} explores after exploiting"
+            start = end
+        assert policy.startswith("subgoss") or not want.explored.any()
+        assert want.played.max() < config.extra_actions + K * m
+        if not config.resample_actions_per_step:
+            inst = harness._instance(config, s)
+            values = inst.action_set @ inst.theta_star
+            assert np.array_equal(want.inst_regret, values.max() - values[want.played])
 
 
 @hypothesis.settings(max_examples=100, deadline=None)
