@@ -4,6 +4,9 @@ All subspace and agent indices are 0-based internally. Phases are globally
 synchronized: every agent runs its explore round-robin at the start of phase j,
 refreshes its explore estimates, exploits with the projected optimistic rule on
 its best-estimate subspace, and pulls one recommendation at the phase end.
+Agents talk only in subspace ids: the sticky and active sets of all agents of a
+batch are the rows of two (lanes, K) bool masks, and the protocol functions
+below act on every lane at once.
 """
 
 from __future__ import annotations
@@ -57,64 +60,29 @@ class PhaseSchedule:
 
 
 # ---------------------------------------------------------------------------
-# agent state
+# agent state: one row per lane of (lanes, K) bool masks over the subspace ids
 
 
-@dataclass
-class AgentState:
-    """One agent: its sticky and active sets and its explore-estimate norms.
-
-    The protocol functions below update it in place.
-    """
-
-    id: int
-    n_subspaces: int
-    sticky_set: frozenset
-    active_set: tuple  # sorted subspace ids
-    # explore-estimate norm of each subspace at the last refresh, -inf where none
-    norms: np.ndarray | None = None
-    best_estimate_id: int | None = None
-
-    def __post_init__(self):
-        if self.norms is None:
-            self.norms = np.full(self.n_subspaces, -np.inf)
-
-    def check_invariants(self) -> None:
-        if not self.sticky_set <= set(self.active_set):
-            raise InvariantViolationError("sticky set escaped the active set")
-        if len(self.active_set) > len(self.sticky_set) + 2:
-            raise InvariantViolationError("active set exceeded its cap")
-
-
-def init_agents(K: int, N: int) -> list:
-    """Partition the K subspaces equally into sticky sets; active sets start equal to them."""
+def sticky_sets(K: int, N: int) -> np.ndarray:
+    """The (N, K) sticky masks: the K subspaces split equally, agent i holding ids
+    i*K/N up to (i+1)*K/N - 1. Active sets start equal to them."""
     if K % N != 0:
         raise InvalidConfigError(f"K={K} must be an integral multiple of N={N}")
-    size = K // N
-    agents = []
-    for i in range(N):
-        sticky = frozenset(range(i * size, (i + 1) * size))
-        agents.append(
-            AgentState(
-                id=i,
-                n_subspaces=K,
-                sticky_set=sticky,
-                active_set=tuple(sorted(sticky)),
-            )
-        )
-    return agents
+    return np.arange(K) // (K // N) == np.arange(N)[:, None]
 
 
-def explore_plan(state: AgentState, schedule: PhaseSchedule, m: int) -> int:
-    """Number of explore slots at the start of the phase.
+def explore_plan(active: np.ndarray, schedule: PhaseSchedule, m: int) -> np.ndarray:
+    """Number of explore slots of each lane at the start of the phase.
 
-    Slot s plays subspace active_set[s % |active_set|], on that subspace's
-    least-played column (`ExploreStats.next_column`, counted across phases).
-    When the phase is shorter than the total budget the whole phase explores.
+    Slot s plays the lane's (s mod |active|)-th active id in ascending order, on
+    that subspace's least-played column (`ExploreStats.next_column`, counted
+    across phases). When the phase is shorter than the total budget the whole
+    phase explores.
     """
-    if not state.active_set:
+    n_active = active.sum(axis=1)
+    if not n_active.all():
         raise InvariantViolationError("empty active set")
-    return min(schedule.explore_budget(m) * len(state.active_set), schedule.phase_length)
+    return np.minimum(schedule.explore_budget(m) * n_active, schedule.phase_length)
 
 
 def end_explore_update(stats: ExploreStats, columns: np.ndarray, active: np.ndarray):
@@ -137,37 +105,46 @@ def end_explore_update(stats: ExploreStats, columns: np.ndarray, active: np.ndar
     return norms, active[np.arange(len(active)), norms.argmax(axis=1)]
 
 
-def gossip_exchange(states, gossip_matrix: GossipMatrix, rng) -> list:
-    """The best-estimate id each agent pulls from a sampled partner, in agent order."""
-    if gossip_matrix.n_agents != len(states):
+def gossip_exchange(best: np.ndarray, gossip_matrix: GossipMatrix, rngs) -> np.ndarray:
+    """The (seeds, N) best-estimate ids the agents pull from sampled partners.
+
+    `best` holds each seed's best-estimate ids by agent; seed s draws the
+    partners of its agents in agent order from its own stream `rngs[s]`.
+    """
+    if gossip_matrix.n_agents != best.shape[1]:
         raise InvalidConfigError("gossip matrix size does not match the agent count")
-    pulled = []
-    for st in states:
-        payload = states[sample_neighbor(gossip_matrix, st.id, rng)].best_estimate_id
-        if payload is None:
-            raise InvariantViolationError("partner has no recommendation yet")
-        pulled.append(payload)
-    return pulled
+    partners = [[sample_neighbor(gossip_matrix, i, rng) for i in range(best.shape[1])]
+                for rng in rngs]
+    return np.take_along_axis(best, np.array(partners, dtype=np.int64), axis=1)
 
 
-def update_active_set(state: AgentState, subspace_id: int) -> None:
-    """Accept a recommended id; on overflow keep sticky + best non-sticky + recommended."""
-    if not 0 <= subspace_id < state.n_subspaces:
-        raise ProtocolError(f"recommended subspace {subspace_id} out of range")
-    active = set(state.active_set)
-    if subspace_id in active:
-        return
-    if len(active) < len(state.sticky_set) + 2:
-        active.add(subspace_id)
-    else:
-        non_sticky = sorted(active - state.sticky_set)
-        if len(non_sticky) != 2:
-            raise InvariantViolationError("full active set must hold 2 non-sticky ids")
-        # ties, such as two ids never explored (norm -inf), keep the lower id
-        best_ns = max(non_sticky, key=lambda k: state.norms[k])
-        active = set(state.sticky_set) | {best_ns, subspace_id}
-    state.active_set = tuple(sorted(active))
-    state.check_invariants()
+def update_active_set(active, sticky, norms, pulled) -> None:
+    """Accept each lane's recommended id into its row of `active`, in place.
+
+    An id already held changes nothing; one that fits under the cap of
+    |sticky| + 2 ids is added; a full lane keeps its sticky ids, the non-sticky
+    id of larger explore-estimate norm in `norms` and the recommended id. Ties,
+    such as two ids never explored (norm -inf), keep the lower id.
+    """
+    bad = (pulled < 0) | (pulled >= active.shape[1])
+    if bad.any():
+        raise ProtocolError(f"recommended subspace {pulled[bad][0]} out of range")
+    lanes = np.arange(len(active))
+    new = ~active[lanes, pulled]
+    cap = sticky.sum(axis=1) + 2
+    full = new & (active.sum(axis=1) >= cap)
+    non_sticky = active[full] & ~sticky[full]
+    if (non_sticky.sum(axis=1) != 2).any():
+        raise InvariantViolationError("full active set must hold 2 non-sticky ids")
+    score = np.where(non_sticky, norms[full], -np.inf)
+    kept = (non_sticky & (score == score.max(axis=1, keepdims=True))).argmax(axis=1)
+    active[full] = sticky[full]
+    active[lanes[full], kept] = True
+    active[lanes[new], pulled[new]] = True
+    if (sticky & ~active).any():
+        raise InvariantViolationError("sticky set escaped the active set")
+    if (active.sum(axis=1) > cap).any():
+        raise InvariantViolationError("active set exceeded its cap")
 
 
 # ---------------------------------------------------------------------------
@@ -341,10 +318,12 @@ def _run_subgoss(instances, params, gossip, noise_rngs, gossip_rngs, seeds, acti
     loaded into the step batch (`play`) at its switch step and saved at the
     phase end, and so are its coordinates (`X`) of a fixed action set; a
     resampled set is projected every step. Before the switch a lane's row of
-    the batch is computed with the others and discarded. The protocol between
-    plays runs per lane and per seed. Each lane draws from its
-    own noise stream and each seed from its own gossip and action streams, so
-    no result depends on the batch it runs in.
+    the batch is computed with the others and discarded. Each lane's sticky and
+    active sets are rows of (lanes, K) bool masks, and the protocol between
+    plays (`explore_plan`, `gossip_exchange`, `update_active_set`) acts on all
+    lanes in one call each. Each lane draws from its own noise stream and each
+    seed from its own gossip and action streams, so no result depends on the
+    batch it runs in.
 
     Every play is recorded: `explored` once per phase, as each lane's explore
     slots are the first of the phase, and `played` where `inst_regret` is
@@ -367,13 +346,12 @@ def _run_subgoss(instances, params, gossip, noise_rngs, gossip_rngs, seeds, acti
             )
     envs = [_EnvView(inst, params, rng) for inst, rng in zip(instances, action_rngs)]
     n_random = envs[0].n_random
-    groups = [init_agents(K, n_agents) for _ in instances]
-    agents = [ag for group in groups for ag in group]
+    sticky = np.tile(sticky_sets(K, n_agents), (n_seeds, 1))
+    active = sticky.copy()
     explore = ExploreStats((n_lanes, K, m))
     projectors = _projectors(instances)
+    # explore-estimate norm of each lane's subspaces at its last refresh, -inf where none
     norms = np.full((n_lanes, K), -np.inf)
-    for lane, ag in enumerate(agents):
-        ag.norms = norms[lane]
     saved = LinUcbStats(m, lam, (n_lanes, K))
     play = LinUcbStats(m, lam, (n_lanes,))
     best = np.zeros(n_lanes, dtype=np.int64)  # best-estimate id, the subspace a lane exploits
@@ -401,8 +379,9 @@ def _run_subgoss(instances, params, gossip, noise_rngs, gossip_rngs, seeds, acti
             norms[group] = -np.inf
             norms[index] = estimated  # a padding repeat writes its id's own norm again
 
-    recommendations = [[] for _ in instances]
-    active_history = [[] for _ in instances]
+    # per phase, every lane's best id and active mask, kept as lists: small arrays
+    # kept for the whole run fragment the heap and raise the peak memory
+    recommendations, active_history = [], []
     n_gossip = 0
     j = 1
     start = 1
@@ -412,13 +391,14 @@ def _run_subgoss(instances, params, gossip, noise_rngs, gossip_rngs, seeds, acti
         end = min(end_full, T)
         slots = end - start + 1
 
-        n_exp = np.array([min(explore_plan(ag, schedule, m), slots) for ag in agents])
+        n_exp = np.minimum(explore_plan(active, schedule, m), slots)
         switches = {s: lanes[n_exp == s] for s in set(n_exp.tolist()) if s < slots}
-        n_active = np.array([len(ag.active_set) for ag in agents])
-        # active ids in order, each row padded by repeats of its last id
-        width = n_active.max()
-        order = np.array([ag.active_set + ag.active_set[-1:] * (width - len(ag.active_set))
-                          for ag in agents])
+        n_active = active.sum(axis=1)
+        # active ids in ascending order, each row padded by repeats of its last id;
+        # np.nonzero lists every lane's ids in order, lane after lane
+        held = np.nonzero(active)[1]
+        order = held[(np.cumsum(n_active) - n_active)[:, None]
+                     + np.minimum(np.arange(n_active.max()), n_active[:, None] - 1)]
         explorers, exploiters = lanes, lanes[:0]
         explored[:, start - 1:end] = np.arange(slots) < n_exp[:, None]
 
@@ -457,33 +437,32 @@ def _run_subgoss(instances, params, gossip, noise_rngs, gossip_rngs, seeds, acti
         refresh(lanes[n_exp == slots])
         switched = lanes[n_exp < slots]
         saved.copy_lanes((switched, best[switched]), play, switched)
-        for ag, k in zip(agents, best.tolist()):
-            ag.best_estimate_id = k
 
-        gossips = end_full <= T and n_agents > 1
-        n_gossip += gossips
-        for group, rng, recs, history in zip(groups, gossip_rngs, recommendations, active_history):
-            recs.append([ag.best_estimate_id for ag in group])
-            if gossips:
-                for ag, k in zip(group, gossip_exchange(group, gossip, rng)):
-                    update_active_set(ag, k)
-            history.append([ag.active_set for ag in group])
+        recommendations.append(best.tolist())
+        if end_full <= T and n_agents > 1:
+            n_gossip += 1
+            pulled = gossip_exchange(best.reshape(n_seeds, n_agents), gossip, gossip_rngs)
+            update_active_set(active, sticky, norms, pulled.ravel())
+        active_history.append(active.tolist())
         j += 1
         start = end_full + 1
 
+    active_sets = [[tuple(np.flatnonzero(lane).tolist()) for lane in phase]
+                   for phase in active_history]
     results = []
     for s, (instance, seed) in enumerate(zip(instances, seeds)):
         mine = slice(s * n_agents, (s + 1) * n_agents)
+        recs = [phase[mine] for phase in recommendations]
         results.append(RunResult(
             inst_regret=inst_regret[mine],
             explored=explored[mine],
             played=played[mine],
             seed=seed,
             n_phases=j - 1,
-            freeze_phase=detect_freeze(recommendations[s], instance.true_index),
-            recommendations=recommendations[s],
+            freeze_phase=detect_freeze(recs, instance.true_index),
+            recommendations=recs,
             comm_count=np.full(n_agents, n_gossip, dtype=np.int64),
-            active_history=active_history[s],
+            active_history=[phase[mine] for phase in active_sets],
         ))
     return results
 

@@ -15,9 +15,8 @@ from subgoss.environment import (
 from subgoss.errors import InvalidConfigError, InvariantViolationError, ProtocolError
 from subgoss.harness import RunConfig, run_one_seed
 from subgoss.linalg import Basis, ExploreStats, LinUcbStats, explore_estimate, ucb_scores
-from subgoss.network import complete_graph, simulate_rumor_spread
+from subgoss.network import complete_graph, sample_neighbor, simulate_rumor_spread
 from subgoss.policies import (
-    AgentState,
     PhaseSchedule,
     PolicyParams,
     _EnvView,
@@ -26,11 +25,11 @@ from subgoss.policies import (
     end_explore_update,
     explore_plan,
     gossip_exchange,
-    init_agents,
     run_genie,
     run_oful_baseline,
     run_single_agent_subgoss,
     run_subgoss_multi,
+    sticky_sets,
     update_active_set,
 )
 
@@ -110,29 +109,43 @@ class TestPhaseSchedule:
 # agent initialization and the active-set machine
 
 
+def starting_sets(K, N):
+    """Each agent's sticky ids, written out: agent i holds i*K/N .. (i+1)*K/N - 1."""
+    return [tuple(range(i * K // N, (i + 1) * K // N)) for i in range(N)]
+
+
+def masks(id_lists, K=12):
+    """(lanes, K) bool masks, lane l holding the ids of id_lists[l]."""
+    out = np.zeros((len(id_lists), K), dtype=bool)
+    for lane, ids in enumerate(id_lists):
+        out[lane, list(ids)] = True
+    return out
+
+
+def held(mask):
+    """Each lane's held ids of a (lanes, K) mask, ascending."""
+    return [tuple(np.flatnonzero(row).tolist()) for row in mask]
+
+
 class TestInitAgents:
+    """Agent initialization: the sticky split of the K subspaces."""
+
     def test_equal_partition_k12_n3(self):
-        agents = init_agents(12, 3)
+        sticky = sticky_sets(12, 3)
+        assert sticky.shape == (3, 12) and sticky.dtype == bool
         # second agent owns subspaces 4..7 (ids are 0-based)
-        assert agents[1].sticky_set == frozenset({4, 5, 6, 7})
-        assert agents[1].active_set == (4, 5, 6, 7)
+        assert held(sticky) == starting_sets(12, 3)
+        assert held(sticky)[1] == (4, 5, 6, 7)
 
     def test_singletons_when_k_equals_n(self):
-        agents = init_agents(5, 5)
-        assert all(len(a.sticky_set) == 1 for a in agents)
+        assert held(sticky_sets(5, 5)) == [(0,), (1,), (2,), (3,), (4,)]
+
+    def test_one_agent_holds_everything(self):
+        assert sticky_sets(4, 1).all()
 
     def test_divisibility(self):
         with pytest.raises(InvalidConfigError):
-            init_agents(12, 5)
-
-
-def agent_with(active, sticky, n_subspaces=12):
-    return AgentState(
-        id=0,
-        n_subspaces=n_subspaces,
-        sticky_set=frozenset(sticky),
-        active_set=tuple(sorted(active)),
-    )
+            sticky_sets(12, 5)
 
 
 def explore_records(res, inst, agent, phase, b=2.0):
@@ -149,7 +162,8 @@ class TestExplorePlan:
         # m=1, budget 2 per subspace, phase long enough -> a,b,a,b
         sched = PhaseSchedule(b=2.0, j=4, explore_budget_mode="experimental")
         assert sched.explore_budget(1) == 2 and sched.phase_length == 8
-        assert explore_plan(agent_with([3, 7], [3, 7]), sched, 1) == 4
+        # every lane has its own count: one id gets half the slots of two
+        assert explore_plan(masks([[3, 7], [5], [0, 1, 2]]), sched, 1).tolist() == [4, 2, 6]
         inst = toy_instance(m=1, K=2, noise_std=1.0)
         res = run_single_agent_subgoss(inst, params(15), rng_for(0))
         assert explore_records(res, inst, 0, 4) == [(0, 0), (1, 0), (0, 0), (1, 0)]
@@ -159,7 +173,7 @@ class TestExplorePlan:
         res = run_subgoss_multi(
             inst, params(400), complete_graph(2), multi_rngs(2), rng_for(9)
         )
-        holdings = [[a.active_set for a in init_agents(4, 2)]] + res.active_history[:-1]
+        holdings = [starting_sets(4, 2)] + res.active_history[:-1]
         assert any(len(active) > 2 for phase in holdings for active in phase)
         for j in range(1, res.n_phases + 1):
             for i in range(2):
@@ -171,7 +185,8 @@ class TestExplorePlan:
         # phase length 3 below the total budget of 4 -> the whole phase explores
         sched = PhaseSchedule(b=1.5, j=3, explore_budget_mode="experimental")
         assert sched.phase_length == 3 and 2 * sched.explore_budget(1) == 4
-        assert explore_plan(agent_with([3, 7], [3, 7]), sched, 1) == 3
+        # a lane within the phase keeps its budget beside one cut to the phase
+        assert explore_plan(masks([[3, 7], [4]]), sched, 1).tolist() == [3, 2]
         inst = toy_instance(m=1, K=2, noise_std=1.0)
         res = run_single_agent_subgoss(inst, params(6, b=1.5), rng_for(0))
         assert res.explored[0, 3:6].all()
@@ -180,7 +195,7 @@ class TestExplorePlan:
 
     def test_columns_continue_round_robin_across_phases(self):
         sched = PhaseSchedule(b=2.0, j=4, explore_budget_mode="experimental")
-        assert explore_plan(agent_with([5], [5]), sched, 2) == 4
+        assert explore_plan(masks([[5]]), sched, 2).tolist() == [4]
         # phases 1 and 2 are shorter than their budgets: subspace 0 plays column 0
         # in phase 1, so its first play of phase 2 is on column 1
         inst = toy_instance(m=2, K=3, noise_std=1.0)
@@ -194,9 +209,8 @@ class TestExplorePlan:
 
     def test_empty_active_set(self):
         sched = PhaseSchedule(b=2.0, j=1)
-        ag = agent_with([], [])
         with pytest.raises(InvariantViolationError):
-            explore_plan(ag, sched, 1)
+            explore_plan(masks([[0, 1], []]), sched, 1)
 
 
 def refresh(inst, stats, active_sets):
@@ -309,69 +323,98 @@ class TestExploitStep:
 
 
 class TestGossipExchange:
-    def two_agents(self):
-        agents = init_agents(4, 2)
-        for ag, best in zip(agents, (1, 3)):
-            ag.best_estimate_id = best
-        return agents
-
     def test_swap_matrix_deterministic(self):
-        agents = self.two_agents()
         # on two agents the complete graph pulls from the other agent
-        assert gossip_exchange(agents, complete_graph(2), rng_for(0)) == [3, 1]
+        pulled = gossip_exchange(np.array([[1, 3]]), complete_graph(2), [rng_for(0)])
+        assert pulled.tolist() == [[3, 1]]
+
+    def test_each_seed_draws_from_its_own_stream_in_agent_order(self):
+        best = np.array([[0, 4, 8, 11], [2, 5, 7, 9]])
+        g = complete_graph(4)
+        pulled = gossip_exchange(best, g, [rng_for(3), rng_for(4)])
+        for s, seed in enumerate((3, 4)):
+            stream = rng_for(seed)
+            partners = [sample_neighbor(g, i, stream) for i in range(4)]
+            assert pulled[s].tolist() == best[s, partners].tolist()
 
     def test_pull_leaves_sender_untouched(self):
-        agents = self.two_agents()
-        before = [(a.active_set, a.best_estimate_id) for a in agents]
-        gossip_exchange(agents, complete_graph(2), rng_for(0))
-        assert [(a.active_set, a.best_estimate_id) for a in agents] == before
+        best = np.array([[1, 3], [0, 2]])
+        gossip_exchange(best, complete_graph(2), [rng_for(0), rng_for(1)])
+        assert best.tolist() == [[1, 3], [0, 2]]
 
     def test_size_mismatch(self):
-        agents = self.two_agents()
         with pytest.raises(InvalidConfigError):
-            gossip_exchange(agents, complete_graph(3), rng_for(0))
+            gossip_exchange(np.array([[1, 3]]), complete_graph(3), [rng_for(0)])
 
-    def test_missing_recommendation(self):
-        agents = self.two_agents()
-        agents[1].best_estimate_id = None
-        with pytest.raises(InvariantViolationError):
-            gossip_exchange(agents, complete_graph(2), rng_for(0))
+
+def accept(active, sticky, pulled, norms=None):
+    """update_active_set on lanes given as id lists; returns each lane's held ids.
+    `norms` maps a lane to {id: norm}, -inf elsewhere."""
+    act, stk = masks(active), masks(sticky)
+    nrm = np.full(act.shape, -np.inf)
+    for lane, values in (norms or {}).items():
+        for k, v in values.items():
+            nrm[lane, k] = v
+    update_active_set(act, stk, nrm, np.array(pulled))
+    return held(act)
 
 
 class TestUpdateActiveSet:
     def test_case_i_already_active(self):
-        ag = agent_with([0, 1], [0, 1])
-        update_active_set(ag, 1)
-        assert ag.active_set == (0, 1)
+        assert accept([[0, 1]], [[0, 1]], [1]) == [(0, 1)]
 
     def test_case_ii_room_to_add(self):
-        ag = agent_with([0, 1, 5], [0, 1])  # cap is 4
-        update_active_set(ag, 7)
-        assert ag.active_set == (0, 1, 5, 7)
+        assert accept([[0, 1, 5]], [[0, 1]], [7]) == [(0, 1, 5, 7)]  # cap is 4
 
     def test_case_iii_keeps_best_non_sticky(self):
-        ag = agent_with([0, 1, 5, 8], [0, 1])
-        ag.norms[[5, 8]] = 0.7, 0.2
-        update_active_set(ag, 9)
-        assert ag.active_set == (0, 1, 5, 9)  # 8 dropped, 5 retained
+        got = accept([[0, 1, 5, 8]], [[0, 1]], [9], {0: {5: 0.7, 8: 0.2}})
+        assert got == [(0, 1, 5, 9)]  # 8 dropped, 5 retained
+        got = accept([[0, 1, 5, 8]], [[0, 1]], [9], {0: {5: 0.2, 8: 0.7}})
+        assert got == [(0, 1, 8, 9)]
 
     def test_case_iii_with_unexplored_non_sticky_keeps_lower_id(self):
         # phases too short to reach ids 5 and 8 leave both without an estimate
-        ag = agent_with([0, 1, 5, 8], [0, 1])
-        ag.norms[[0, 1]] = 0.3, 0.1
-        update_active_set(ag, 9)
-        assert ag.active_set == (0, 1, 5, 9)
+        got = accept([[0, 1, 5, 8]], [[0, 1]], [9], {0: {0: 0.3, 1: 0.1}})
+        assert got == [(0, 1, 5, 9)]
+
+    def test_case_iii_never_keeps_an_unexplored_sticky_id_in_place(self):
+        # every id at -inf and a sticky id below both non-sticky ids: the lower
+        # non-sticky id is kept, neither the sticky id nor id 0
+        got = accept([[0, 3, 6], [2, 3, 6], [0, 1, 5, 8]], [[0], [2], [0, 1]], [9, 9, 9])
+        assert got == [(0, 3, 9), (2, 3, 9), (0, 1, 5, 9)]
+
+    def test_lanes_take_all_three_branches_in_one_call(self):
+        got = accept(
+            [[0, 1, 5, 8], [4, 5], [2, 3, 9], [0, 1, 5, 8], [6, 7, 10, 11]],
+            [[0, 1], [4, 5], [2, 3], [0, 1], [6, 7]],
+            [8, 0, 11, 3, 1],
+            {3: {5: 0.1, 8: 0.9}, 4: {10: 0.4, 11: 0.4}},
+        )
+        assert got == [
+            (0, 1, 5, 8),  # i: already held
+            (0, 4, 5),  # ii: room to add
+            (2, 3, 9, 11),  # ii: room for the last id
+            (0, 1, 3, 8),  # iii: 8 has the larger norm
+            (1, 6, 7, 10),  # iii: a tie keeps the lower id
+        ]
 
     def test_out_of_range(self):
-        ag = agent_with([0, 1], [0, 1])
-        with pytest.raises(ProtocolError):
-            update_active_set(ag, 99)
-        assert ag.active_set == (0, 1)
+        act, stk = masks([[0, 1], [2, 3]]), masks([[0, 1], [2, 3]])
+        for bad in (99, -1):
+            with pytest.raises(ProtocolError, match=str(bad)):
+                update_active_set(act, stk, np.full((2, 12), -np.inf), np.array([4, bad]))
+        assert held(act) == [(0, 1), (2, 3)]  # no lane changed
 
     def test_invariants_enforced(self):
-        ag = agent_with([0, 1, 2], [0, 1, 3])  # sticky escapes active
-        with pytest.raises(InvariantViolationError):
-            ag.check_invariants()
+        # sticky id 1 escaped a full lane: three non-sticky ids
+        with pytest.raises(InvariantViolationError, match="2 non-sticky"):
+            accept([[0, 1], [0, 5, 8, 9]], [[0, 1], [0, 1]], [0, 3])
+        # sticky id 3 escaped a lane with room: adding an id leaves it out
+        with pytest.raises(InvariantViolationError, match="sticky set escaped"):
+            accept([[0, 1], [0, 1, 2]], [[0, 1], [0, 1, 3]], [0, 4])
+        # a lane over its cap of 4 pulling an id it holds
+        with pytest.raises(InvariantViolationError, match="exceeded its cap"):
+            accept([[0, 1], [0, 1, 5, 6, 7]], [[0, 1], [0, 1]], [0, 5])
 
 
 # ---------------------------------------------------------------------------
@@ -394,8 +437,7 @@ class TestRunSubgossMulti:
         )
         # once an agent's phase-start active set contains the true id, its
         # recommendation equals the true id from that phase on (noiseless argmax exact)
-        starts = [tuple(a.active_set) for a in init_agents(4, 4)]
-        holdings = [starts] + res.active_history[:-1]
+        holdings = [starting_sets(4, 4)] + res.active_history[:-1]
         for j, (recs, holding) in enumerate(zip(res.recommendations, holdings)):
             if j == 0:
                 continue  # phase 1 has a single slot; estimates may be partial
@@ -442,8 +484,7 @@ class TestRunSubgossMulti:
             multi_rngs(2),
             rng_for(9),
         )
-        starts = [tuple(a.active_set) for a in init_agents(4, 2)]
-        holdings = [starts] + res.active_history[:-1]
+        holdings = [starting_sets(4, 2)] + res.active_history[:-1]
         for j in range(1, res.n_phases + 1):
             start, end_full = phase_boundaries(2.0, j)
             slots = min(end_full, T) - start + 1
@@ -650,32 +691,50 @@ def test_genie_and_oful_match_hand_written_loops():
             assert np.array_equal(got.inst_regret, want)
 
 
-def reference_refresh(ag, explore, bases):
+def reference_refresh(active, explore, bases):
     """One agent's explore refresh, subspace by subspace: the reference for the
-    batched end_explore_update. Sets the agent's norms and best-estimate id."""
-    ag.norms = np.full(ag.n_subspaces, -np.inf)
-    best = None
-    for k in ag.active_set:
+    batched end_explore_update. Returns the norms of the active ids with an
+    explore sample, and the best-estimate id."""
+    norms, best = {}, None
+    for k in sorted(active):
         stats = explore.get(k)
         if stats is None or stats.total_count == 0:
             continue
-        ag.norms[k] = float(np.linalg.norm(explore_estimate(stats, bases[k])))
-        if best is None or ag.norms[k] > ag.norms[best]:  # ties keep the lower id
+        norms[k] = float(np.linalg.norm(explore_estimate(stats, bases[k])))
+        if best is None or norms[k] > norms[best]:  # ties keep the lower id
             best = k
-    ag.best_estimate_id = min(ag.active_set) if best is None else best
+    return norms, min(active) if best is None else best
+
+
+def reference_accept(active, sticky, norms, k):
+    """One agent's active set after it pulls id k, as a new set: k is added while
+    there is room for it, and a full set keeps the sticky ids, the non-sticky id
+    of larger norm (missing from `norms`: never explored, below any norm; a tie
+    keeps the lower id) and k."""
+    if k in active:
+        return set(active)
+    if len(active) < len(sticky) + 2:
+        return active | {k}
+    low, high = sorted(active - sticky)
+    kept = high if norms.get(high, -math.inf) > norms.get(low, -math.inf) else low
+    return sticky | {kept, k}
 
 
 def reference_subgoss(instance, params, gossip, noise_rngs, gossip_rng, action_rng):
     """Hand-written phased loop, one seed at a time, agents in lockstep with per-agent
-    statistics objects: the reference for the lane engine behind the phased runners.
-    Returns (inst_regret, explored, played, recommendations, active_history)."""
+    statistics objects and Python sets: the reference for the lane engine behind
+    the phased runners. Returns (inst_regret, explored, played, recommendations,
+    active_history)."""
     K, m, T = instance.K, instance.m, params.T
     delta, lam, S = params.delta_value(), params.lam, instance.s_bound
     bases = instance.subspaces.bases
     n_agents = gossip.n_agents if gossip else 1
-    agents = init_agents(K, n_agents)
-    explore = [{} for _ in agents]
-    linucb = [{} for _ in agents]
+    sticky = [set(ids) for ids in starting_sets(K, n_agents)]
+    active = [set(ids) for ids in sticky]
+    norms = [{} for _ in range(n_agents)]
+    best = [None] * n_agents
+    explore = [{} for _ in range(n_agents)]
+    linucb = [{} for _ in range(n_agents)]
     env = _EnvView(instance, params, action_rng)
     noise = _noise([instance], n_agents, T, [noise_rngs]).T
     inst_regret = np.zeros((n_agents, T))
@@ -687,13 +746,15 @@ def reference_subgoss(instance, params, gossip, noise_rngs, gossip_rng, action_r
         schedule = PhaseSchedule(b=params.b, j=j, explore_budget_mode=params.explore_budget_mode)
         end_full = start + schedule.phase_length - 1
         slots = min(end_full, T) - start + 1
-        n_exp = [min(explore_plan(ag, schedule, m), slots) for ag in agents]
+        order = [sorted(a) for a in active]
+        n_exp = [min(schedule.explore_budget(m) * len(ids), schedule.phase_length, slots)
+                 for ids in order]
         for s in range(slots):
             t = start + s
             actions, values, vstar = env.at(t)
-            for i, ag in enumerate(agents):
+            for i in range(n_agents):
                 if s < n_exp[i]:
-                    k = ag.active_set[s % len(ag.active_set)]
+                    k = order[i][s % len(order[i])]
                     stats = explore[i].setdefault(k, ExploreStats(m))
                     col = stats.next_column()
                     row = env.n_random + k * m + col
@@ -704,8 +765,8 @@ def reference_subgoss(instance, params, gossip, noise_rngs, gossip_rng, action_r
                     played[i, t - 1] = row
                     continue
                 if s == n_exp[i]:
-                    reference_refresh(ag, explore[i], bases)
-                k = ag.best_estimate_id
+                    norms[i], best[i] = reference_refresh(active[i], explore[i], bases)
+                k = best[i]
                 coords = bases[k].columns.T @ actions.T
                 stats = linucb[i].setdefault(k, LinUcbStats(m, lam))
                 bval = bounds.beta(delta, m, lam, stats.count, S)
@@ -714,14 +775,16 @@ def reference_subgoss(instance, params, gossip, noise_rngs, gossip_rng, action_r
                 stats.add_play_coords(coords[:, idx], r)
                 inst_regret[i, t - 1] = vstar - values[idx]
                 played[i, t - 1] = idx
-        for i, ag in enumerate(agents):
+        for i in range(n_agents):
             if n_exp[i] == slots:
-                reference_refresh(ag, explore[i], bases)
-        recommendations.append([ag.best_estimate_id for ag in agents])
+                norms[i], best[i] = reference_refresh(active[i], explore[i], bases)
+        recommendations.append(list(best))
         if end_full <= T and n_agents > 1:
-            for ag, k in zip(agents, gossip_exchange(agents, gossip, gossip_rng)):
-                update_active_set(ag, k)
-        active_history.append([ag.active_set for ag in agents])
+            # every agent pulls from its sampled partner's phase-end best id
+            pulled = [best[sample_neighbor(gossip, i, gossip_rng)] for i in range(n_agents)]
+            active = [reference_accept(active[i], sticky[i], norms[i], pulled[i])
+                      for i in range(n_agents)]
+        active_history.append([tuple(sorted(a)) for a in active])
         j += 1
         start = end_full + 1
     return inst_regret, explored, played, recommendations, active_history
@@ -874,8 +937,7 @@ def test_spread_dominance_against_standalone_rumor_process():
             [rng_for(1000 * seed + i) for i in range(N)],
             rng_for(7000 + seed),
         )
-        starts = [tuple(a.active_set) for a in init_agents(K, N)]
-        holdings = [starts] + res.active_history[:-1]
+        holdings = [starting_sets(K, N)] + res.active_history[:-1]
         n_ph = res.n_phases
         # p1: first phase from which every holder of the true id recommends it
         good = []

@@ -19,13 +19,14 @@ from subgoss.policies import (
     PhaseSchedule,
     PolicyParams,
     RunResult,
-    init_agents,
     run_genie,
     run_oful_baseline,
     run_single_agent_subgoss,
     run_subgoss_multi,
+    sticky_sets,
     update_active_set,
 )
+from test_policies import reference_accept
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
@@ -237,16 +238,29 @@ def test_any_json_config_exits_0_or_2(data):
 @hypothesis.settings(max_examples=200, deadline=None)
 @hypothesis.given(K=st.integers(1, 12), data=st.data())
 def test_active_set_stays_within_its_cap(K, data):
-    """Under any sequence of accepted recommendations and explore norms, the sticky
+    """Under any sequence of accepted recommendations and explore norms, a batch of
+    lanes updated together equals the scalar rule applied lane by lane, the sticky
     set stays inside the active set and the active set holds at most K/N + 2 ids."""
     N = data.draw(st.sampled_from([n for n in range(1, K + 1) if K % n == 0]), label="N")
-    agent = init_agents(K, N)[data.draw(st.integers(0, N - 1), label="agent")]
-    norms = st.dictionaries(st.integers(0, K - 1), st.floats(0.0, 10.0))
-    for _ in range(data.draw(st.integers(0, 30), label="steps")):
-        agent.norms[:] = -np.inf
-        for k, v in data.draw(norms, label="norms").items():
-            agent.norms[k] = v
-        update_active_set(agent, data.draw(st.integers(0, K - 1), label="recommended"))
-        assert agent.sticky_set <= set(agent.active_set)
-        assert len(agent.active_set) <= K // N + 2
-        assert list(agent.active_set) == sorted(set(agent.active_set))
+    agents = data.draw(st.lists(st.integers(0, N - 1), min_size=1, max_size=6), label="agents")
+    sticky = sticky_sets(K, N)[agents]
+    active = sticky.copy()
+    sticky_ids = [set(np.flatnonzero(row).tolist()) for row in sticky]
+    want = [set(ids) for ids in sticky_ids]
+    # few distinct values, so that ties are common; an id left out is at -inf
+    norm = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 10.0))
+    for step in range(data.draw(st.integers(0, 30), label="steps")):
+        norms = np.full(active.shape, -np.inf)
+        lane_norms = [data.draw(st.dictionaries(st.integers(0, K - 1), norm), label=f"norms {step}")
+                      for _ in agents]
+        for lane, values in enumerate(lane_norms):
+            for k, v in values.items():
+                norms[lane, k] = v
+        pulled = data.draw(st.lists(st.integers(0, K - 1), min_size=len(agents),
+                                    max_size=len(agents)), label=f"recommended {step}")
+        update_active_set(active, sticky, norms, np.array(pulled))
+        for lane, ids in enumerate(sticky_ids):
+            want[lane] = reference_accept(want[lane], ids, lane_norms[lane], pulled[lane])
+            assert set(np.flatnonzero(active[lane]).tolist()) == want[lane]
+        assert not (sticky & ~active).any()
+        assert (active.sum(axis=1) <= K // N + 2).all()

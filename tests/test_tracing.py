@@ -45,6 +45,7 @@ def test_tracer_targets_resolve_and_count_a_multi_agent_run(monkeypatch):
         "policies.end_explore_update",
         "policies.gossip_exchange",
         "policies.update_active_set",
+        "network.sample_neighbor",
         "linalg.ExploreStats.add_play",
         "linalg.LinUcbStats.add_play_coords",
     ):
