@@ -26,7 +26,10 @@ _ROLE_ACTIONS = 3
 
 # lanes per batch of `run`: past about a hundred lanes a step's array work
 # outweighs its fixed cost, and the batch's noise, regret and play arrays
-# take 18 bytes per lane per step (up to 256 actions)
+# take 18 bytes per lane per step (up to 256 actions). With candidate columns,
+# 64 multi N=4 seeds at T=2e4 ran in 1.98 s at 128 lanes and 1.64 s at 256
+# (2 cores, numpy 2.4), but 256 lanes doubles those arrays and no benchmark
+# workload has more than 128 lanes
 _BATCH_LANES = 128
 
 POLICIES = ("subgoss_multi", "subgoss_single", "oful", "genie")

@@ -190,10 +190,77 @@ def ucb_scores(stats: LinUcbStats, coords: np.ndarray, beta) -> np.ndarray:
     score_i = <theta_hat, x_i> + beta * ||x_i||_{V^-1}, the closed form of the
     maximum of <theta, x_i> over the confidence ellipsoid of radius beta. This is
     the one scoring rule of every policy. On a batch of lanes, coords is
-    (lanes, m, n) and beta a scalar or one radius per lane. The squared norms are
-    read off the kept inverse; the clip at 0 guards against rounding on
-    near-null actions.
+    (lanes, m, n) and beta a scalar or one radius per lane. One product
+    [V^-1; theta_hat^T] @ coords gives both V^-1 x_i, from which the squared
+    norms are read, and the greedy term; the clip at 0 guards against rounding
+    on near-null actions.
+
+    A column's score has the same bits at any position in a block of any width
+    n >= 2, for m <= 3 (tests/test_linalg.py), so a block of candidate columns
+    scores each as the full set does. With numpy 2.4 on OpenBLAS 0.3.31, a
+    1 x m by m x n product of theta_hat alone, or an einsum, gives m = 3 bits
+    that depend on the width, and a one-column block takes another path.
     """
-    quad = np.einsum("...ij,...ij->...j", coords, stats.inv @ coords)
-    greedy = (stats.theta_hat()[..., None, :] @ coords)[..., 0, :]
+    stacked = np.concatenate([stats.inv, stats.theta_hat()[..., None, :]], axis=-2) @ coords
+    quad = np.einsum("...ij,...ij->...j", coords, stacked[..., :-1, :])
+    greedy = stacked[..., -1, :]
     return greedy + np.asarray(beta)[..., None] * np.sqrt(np.maximum(quad, 0.0))
+
+
+# the 16 directions of the candidate filter, (2, 16), in counter-clockwise order
+# from (1, 0); integer, as only their order and the argmax along each matter
+_DIRECTIONS = np.array([[1, 2, 1, 1, 0, -1, -1, -2, -1, -2, -1, -1, 0, 1, 1, 2],
+                        [0, 1, 1, 2, 1, 2, 1, 1, 0, -1, -1, -2, -1, -2, -1, -1]], dtype=float)
+# how far inside the hull of the extremes a column must lie to be dropped
+_INSIDE_MARGIN = 1e-9
+
+
+def ucb_candidates(coords: np.ndarray) -> np.ndarray:
+    """The columns of each lane's (m, n) block that can win an optimistic argmax.
+
+    coords is (lanes, m, n). With beta > 0 the score of `ucb_scores` is convex in
+    x, so a column strictly inside the convex hull of the others scores at most
+    their maximum, and below it unless the score is constant on the hull: never
+    for m = 2, and for m = 1 only if theta_hat cancels the norm term exactly.
+    Scoring the candidates finds the argmax of every column, exactly in exact
+    arithmetic.
+
+    For m = 2 a column is dropped when it lies more than 1e-9 inside the polygon
+    of the lane's extreme columns in 16 fixed directions (an Akl-Toussaint
+    filter); for m = 1 when it lies more than 1e-9 inside the interval of the
+    lane's smallest and largest columns; for m > 2 every column is kept. The
+    margin keeps the near-ties of an extreme column, whose rounded scores can
+    equal the extreme's.
+
+    Returns an (lanes, C) array of each lane's kept columns in ascending order,
+    C >= 2, each row padded at the end by repeats of its first column, so that
+    the first maximum of a row of scores is never on the padding, and no block
+    is scored one column wide.
+    """
+    lanes, m, n = coords.shape
+    if m == 1:
+        x = coords[:, 0]
+        keep = ((x <= x.min(axis=1, keepdims=True) + _INSIDE_MARGIN)
+                | (x >= x.max(axis=1, keepdims=True) - _INSIDE_MARGIN))
+    elif m == 2:
+        # the extreme column in each direction; in direction order they run
+        # counter-clockwise around the hull, repeats next to each other
+        extreme = np.einsum("ik,lin->lkn", _DIRECTIONS, coords).argmax(axis=2)
+        corner = np.take_along_axis(coords, extreme[:, None, :], axis=2)  # (lanes, 2, 16)
+        edge = (np.roll(corner, -1, axis=2) - corner)[..., None]
+        # a column is inside when strictly left of every edge of nonzero length:
+        # the cross product of the edge and the column's offset from the edge's
+        # start, (lanes, 16, n), is above the margin
+        left = (edge[:, 0] * (coords[:, 1, None, :] - corner[:, 1, :, None])
+                - edge[:, 1] * (coords[:, 0, None, :] - corner[:, 0, :, None]))
+        point = (edge == 0).all(axis=1)
+        keep = ~((left > _INSIDE_MARGIN) | point).all(axis=1)
+        # the extremes stay, also where all columns are one point and no edge counts
+        keep[np.arange(lanes)[:, None], extreme] = True
+    else:
+        keep = np.ones((lanes, n), dtype=bool)
+    count = keep.sum(axis=1)
+    # np.nonzero lists every lane's kept columns in order, lane after lane
+    kept = np.nonzero(keep)[1]
+    slot = np.arange(max(count.max(), 2))
+    return kept[(np.cumsum(count) - count)[:, None] + np.where(slot < count[:, None], slot, 0)]

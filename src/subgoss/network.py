@@ -157,7 +157,8 @@ def estimate_spread_moment(
     rng: np.random.Generator,
     source: int = 0,
 ) -> SpreadMomentEstimate:
-    """Monte-Carlo estimate of E[b**(2*tau_spr)] with its standard error."""
+    """Monte-Carlo estimate of E[b**(2*tau_spr)] with its standard error, nan for
+    one trial of a random spread, which has none."""
     if not 1 < b < math.inf:
         raise InvalidConfigError(f"need 1 < b < inf, got {b}")
     if trials < 1:
@@ -175,5 +176,5 @@ def estimate_spread_moment(
                 f"b**(2*tau) overflowed for b={b}, max tau={taus.max()}"
             ) from exc
     mean = float(vals.mean())
-    stderr = float(vals.std(ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0
+    stderr = float(vals.std(ddof=1) / np.sqrt(trials)) if trials > 1 else math.nan
     return SpreadMomentEstimate(mean, stderr, trials, taus)

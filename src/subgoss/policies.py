@@ -23,7 +23,7 @@ from .errors import (
     InvariantViolationError,
     ProtocolError,
 )
-from .linalg import ExploreStats, LinUcbStats, ucb_scores
+from .linalg import ExploreStats, LinUcbStats, ucb_candidates, ucb_scores
 from .network import GossipMatrix, sample_neighbor
 
 
@@ -293,6 +293,25 @@ def _projectors(instances) -> np.ndarray:
     return columns.reshape(len(instances), first.K, first.m, first.d)
 
 
+def _candidate_tables(instances, projectors):
+    """The candidate rows of a fixed action set (`linalg.ucb_candidates`) in each
+    subspace of each seed, (seeds, K, C), and their coordinates, (seeds, K, m, C).
+
+    Built seed by seed from the seed's full projection U_k^T A^T, which gives each
+    column the bits of a lane's own product; each row is padded to the widest row
+    of the batch by repeats of its first candidate.
+    """
+    rows, coords = [], []
+    for seed, instance in enumerate(instances):
+        full = projectors[seed] @ instance.action_set.T
+        rows.append(ucb_candidates(full))
+        coords.append(np.take_along_axis(full, rows[-1][:, None, :], axis=2))
+    slot = np.arange(max(r.shape[1] for r in rows))
+    pads = [np.where(slot < r.shape[1], slot, 0) for r in rows]
+    return (np.stack([r[:, pad] for r, pad in zip(rows, pads)]),
+            np.stack([x[..., pad] for x, pad in zip(coords, pads)]))
+
+
 def _beta_table(params, dim: int, S: float) -> np.ndarray:
     """Confidence radius by play count; a count is below T, as it grows by at most
     one play per step from 0."""
@@ -316,9 +335,11 @@ def _run_subgoss(instances, params, gossip, noise_rngs, gossip_rngs, seeds, acti
     step (`end_explore_update`, one call per group of lanes switching together)
     and then exploits its best-estimate subspace. Its exploit statistics are
     loaded into the step batch (`play`) at its switch step and saved at the
-    phase end, and so are its coordinates (`X`) of a fixed action set; a
-    resampled set is projected every step. Before the switch a lane's row of
-    the batch is computed with the others and discarded. Each lane's sticky and
+    phase end. A lane scores the rows `cand` of the action set, whose
+    coordinates are `X`: with a fixed set, the candidates of its subspace
+    (`_candidate_tables`, built once and gathered at the switch step); with a
+    resampled set, every row, projected every step. Before the switch a lane's
+    row of the batch is computed with the others and discarded. Each lane's sticky and
     active sets are rows of (lanes, K) bool masks, and the protocol between
     plays (`explore_plan`, `gossip_exchange`, `update_active_set`) acts on all
     lanes in one call each. Each lane draws from its own noise stream and each
@@ -338,6 +359,7 @@ def _run_subgoss(instances, params, gossip, noise_rngs, gossip_rngs, seeds, acti
     n_lanes = n_seeds * n_agents
     lanes = np.arange(n_lanes)
     lane_seed = lanes // n_agents
+    n_actions = first.action_set.shape[0]
 
     for instance in instances:
         if not np.array_equal(instance.action_set[-K * m:], instance.subspaces.basis_columns):
@@ -355,17 +377,22 @@ def _run_subgoss(instances, params, gossip, noise_rngs, gossip_rngs, seeds, acti
     saved = LinUcbStats(m, lam, (n_lanes, K))
     play = LinUcbStats(m, lam, (n_lanes,))
     best = np.zeros(n_lanes, dtype=np.int64)  # best-estimate id, the subspace a lane exploits
-    X = np.zeros((n_lanes, m, first.action_set.shape[0]))
+    if resample:
+        cand = np.broadcast_to(np.arange(n_actions), (n_lanes, n_actions))
+    else:
+        cand_table, coord_table = _candidate_tables(instances, projectors)
+        cand = np.zeros((n_lanes, cand_table.shape[2]), dtype=cand_table.dtype)
+    X = np.zeros((n_lanes, m, cand.shape[1]))
     noise = _noise(instances, n_agents, T, noise_rngs)
     beta = _beta_table(params, m, first.s_bound)
     inst_regret = np.empty((n_lanes, T))
     explored = np.empty((n_lanes, T), dtype=bool)
-    played = np.empty((n_lanes, T), dtype=np.min_scalar_type(first.action_set.shape[0] - 1))
+    played = np.empty((n_lanes, T), dtype=np.min_scalar_type(n_actions - 1))
 
     def lane_coords(ls):
-        # U_k^T A^T of each lane of ls in its best subspace k. Seed by seed, so that
-        # the lanes of a seed share its A^T: a gather would copy it once per lane,
-        # and a stack of every seed's A^T kept for the run raises peak memory
+        # U_k^T A^T of the step's resampled set for each lane of ls in its best
+        # subspace k. Seed by seed, so that the lanes of a seed share its A^T: a
+        # gather would copy it once per lane
         for seed in dict.fromkeys(lane_seed[ls].tolist()):
             mine = ls[lane_seed[ls] == seed]
             X[mine] = projectors[seed, best[mine]] @ actions[seed].T
@@ -413,14 +440,16 @@ def _run_subgoss(instances, params, gossip, noise_rngs, gossip_rngs, seeds, acti
                 play.copy_lanes(switching, saved, (switching, best[switching]))
                 explorers, exploiters = lanes[n_exp > s], lanes[n_exp <= s]
                 if not resample:
-                    lane_coords(switching)
+                    mine = (lane_seed[switching], best[switching])
+                    cand[switching], X[switching] = cand_table[mine], coord_table[mine]
             if exploiters.size:
                 if resample:  # a set read for one step
                     lane_coords(exploiters)
-                idx = ucb_scores(play, X, beta[play.count]).argmax(axis=1)
+                pick = ucb_scores(play, X, beta[play.count]).argmax(axis=1)
+                idx = cand[lanes, pick]
                 a_val = values[lanes, idx]
                 r = a_val + noise[t]
-                play.add_play_coords(X[lanes, :, idx], r)
+                play.add_play_coords(X[lanes, :, pick], r)
                 inst_regret[:, t - 1] = vstar - a_val
                 played[:, t - 1] = idx
             if explorers.size:
@@ -501,9 +530,15 @@ def _run_linucb(instances, params, noise_rngs, seeds, action_rngs, k, track_cove
             X = _transposed(actions)
             # scores are faster on C-ordered coordinates
             X = np.ascontiguousarray(X) if k is None else projectors @ X
+            if resample:
+                cand = np.broadcast_to(np.arange(X.shape[2]), (n_lanes, X.shape[2]))
+            else:  # oful keeps every row: its m = d is above 2
+                cand = ucb_candidates(X)
+                X = np.take_along_axis(X, cand[:, None, :], axis=2)
         bval = beta[t - 1]
-        idx = ucb_scores(stats, X, bval).argmax(axis=1)
-        x = X[lanes, :, idx]
+        pick = ucb_scores(stats, X, bval).argmax(axis=1)
+        idx = cand[lanes, pick]
+        x = X[lanes, :, pick]
         if track_coverage:
             diff = stats.theta_hat() - theta_k
             covered &= ~(np.sqrt((diff[:, None, :] @ gram @ diff[:, :, None])[:, 0, 0]) > bval)

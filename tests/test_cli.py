@@ -251,6 +251,12 @@ class TestSpread:
         mean_tau = float(out.split("mean_tau: ")[1].split()[0])
         assert 1.0 <= mean_tau <= 10.0
 
+    def test_one_trial_has_no_standard_error(self, capsys):
+        assert main(["spread", "--n-agents", "4", "--trials", "1", "--b", "2"]) == 0
+        line = capsys.readouterr().out.splitlines()[-1]
+        assert line.startswith("spread_moment_b2: ")
+        assert line.endswith(" +- nan")
+
     def test_needs_exactly_one_source(self, capsys):
         assert main(["spread"]) == 2
         assert main(["spread", "--n-agents", "4", "--gossip", "g.json"]) == 2

@@ -18,6 +18,7 @@ from subgoss.linalg import (
     random_orthonormal_bases,
     subspace_overlap,
     subspace_overlaps,
+    ucb_candidates,
     ucb_scores,
 )
 
@@ -468,3 +469,51 @@ class TestUcbScoreOracle:
                 ]
             )
             assert got == int(np.argmax(dense))
+
+
+@pytest.mark.parametrize("lanes", [1, 8, 64])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_score_bits_do_not_depend_on_position_or_width(m, lanes):
+    """ucb_scores gives a column the same bits at any position in a block of any width
+    from 2 to n. The runners score padded candidate blocks whose width depends on the
+    batch, so a seed's plays rely on it; a one-column block is never scored."""
+    r = rng_for(100 * m + lanes)
+    n = 144
+    stats = LinUcbStats(m, 1.0, (lanes,))
+    for _ in range(5):
+        stats.add_play_coords(r.standard_normal((lanes, m)), r.standard_normal(lanes))
+    coords = r.standard_normal((lanes, m, n))
+    beta = 1.0 + r.random(lanes)
+    full = ucb_scores(stats, coords, beta)
+    for width in range(2, n + 1):
+        cols = r.permutation(n)[:width]
+        assert np.array_equal(ucb_scores(stats, coords[:, :, cols], beta), full[:, cols]), width
+
+
+class TestUcbCandidates:
+    def test_m1_keeps_both_ends_and_their_ties(self):
+        coords = np.array([[[0.5, -1.0, 2.0, 0.0, -1.0, 2.0, 1.5]]])
+        assert ucb_candidates(coords).tolist() == [[1, 2, 4, 5]]
+
+    def test_near_ties_of_an_end_are_kept(self):
+        # scores of columns 1e-12 apart can round to the same value
+        coords = np.array([[[0.5, 1.0 - 1e-12, 1.0, 0.0, 0.7]]])
+        assert ucb_candidates(coords).tolist() == [[1, 2, 3]]
+
+    def test_m2_drops_the_inside_of_the_hull(self):
+        # a square's corners, its center, a point on an edge and one just inside
+        square = [(1, 1), (-1, 1), (-1, -1), (1, -1)]
+        points = [(0, 0), *square, (1, 0), (0.999, 0.5)]
+        coords = np.array(points, dtype=float).T[None]
+        assert ucb_candidates(coords).tolist() == [[1, 2, 3, 4, 5]]
+
+    def test_m3_keeps_every_column(self):
+        coords = rng_for(0).standard_normal((2, 3, 5))
+        assert ucb_candidates(coords).tolist() == [list(range(5))] * 2
+
+    def test_rows_are_padded_by_their_first_candidate_to_two_or_more(self):
+        # lane 0 is a triangle with an inside point, lane 1 one point five times
+        lane0 = [(0, 0), (2, 0), (0.5, 0.5), (0, 2), (0.4, 0.4)]
+        coords = np.stack([np.array(lane0, dtype=float).T, np.ones((2, 5))])
+        assert ucb_candidates(coords).tolist() == [[0, 1, 3], [0, 0, 0]]
+        assert ucb_candidates(np.ones((1, 2, 1))).tolist() == [[0, 0]]

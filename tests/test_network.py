@@ -163,6 +163,11 @@ class TestSpreadMoment:
         assert est.mean == pytest.approx(1.7**2)
         assert est.stderr < 1e-12
 
+    def test_one_trial_has_no_standard_error(self):
+        est = estimate_spread_moment(complete_graph(4), 2.0, 1, rng_for(0))
+        assert est.mean == 2.0 ** (2 * est.taus[0])
+        assert np.isnan(est.stderr)
+
     def test_matches_dp_oracle_n8(self):
         g = complete_graph(8)
         b = 1.3

@@ -13,7 +13,7 @@ from subgoss import harness, policies
 from subgoss.cli import main
 from subgoss.environment import generate_instance
 from subgoss.harness import POLICIES, RunConfig
-from subgoss.linalg import LinUcbStats, ucb_scores
+from subgoss.linalg import LinUcbStats, ucb_candidates, ucb_scores
 from subgoss.network import complete_graph
 from subgoss.policies import (
     PhaseSchedule,
@@ -162,6 +162,73 @@ def test_sherman_morrison_inverse_matches_solve(dim, lam, n_plays, scale, seed):
     assert close(stats.inv, np.linalg.inv(gram))
     assert close(stats.theta_hat(), th)
     assert close(ucb_scores(stats, actions, 1.3), th @ actions + 1.3 * np.sqrt(quad))
+
+
+def _columns(draw, r, m, n):
+    """An (m, n) block of one of the shapes that make ties and flat hulls: random;
+    mixed with zero, duplicate, collinear and one-ulp-apart columns; an axis-aligned
+    instance projected on one of its subspaces, where the other subspaces' basis
+    columns project to exactly 0; or, for m = 1, all columns equal."""
+    kind = draw(st.sampled_from(["random", "mixed", "axis", "equal"]), label="kind")
+    scale = draw(st.sampled_from([1e-3, 1.0, 10.0]), label="scale")
+    if kind == "equal":
+        return np.full((m, n), scale * r.standard_normal()) if m == 1 else np.zeros((m, n))
+    if kind == "axis":
+        K = draw(st.integers(1, 6), label="K")
+        n_random = draw(st.integers(0, 4), label="n_random")
+        actions = np.vstack([r.standard_normal((n_random, K * m)), np.eye(K * m)])
+        k = draw(st.integers(0, K - 1), label="subspace")
+        return scale * actions[:, k * m:(k + 1) * m].T
+    x = scale * r.standard_normal((m, n))
+    if kind == "mixed":
+        for j in range(1, n):
+            a, b = r.integers(0, j, size=2)
+            how = r.integers(0, 5)
+            if how == 1:
+                x[:, j] = 0.0
+            elif how == 2:
+                x[:, j] = x[:, a]
+            elif how == 3:  # on the line through two earlier columns
+                w = r.choice([-0.5, 0.0, 0.25, 0.5, 1.0, 1.5])
+                x[:, j] = w * x[:, a] + (1 - w) * x[:, b]
+            elif how == 4:  # a rounding step away from an earlier column
+                x[:, j] = np.nextafter(x[:, a], r.choice([-np.inf, np.inf]))
+    return x
+
+
+@hypothesis.settings(max_examples=300, deadline=None)
+@hypothesis.given(data=st.data())
+def test_candidates_never_lose_the_argmax(data):
+    """Scoring only ucb_candidates' columns and mapping the argmax back through them
+    picks the column that scoring every column picks, for any positive radius and any
+    ridge statistics, on blocks with ties, zero columns, collinear columns and flat
+    hulls. The candidates also attain the largest projection on every direction."""
+    m = data.draw(st.integers(1, 2), label="m")
+    lanes = data.draw(st.integers(1, 4), label="lanes")
+    r = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    blocks = [_columns(data.draw, r, m, data.draw(st.integers(1, 40), label="n"))
+              for _ in range(lanes)]
+    n = min(b.shape[1] for b in blocks)
+    coords = np.stack([b[:, :n] for b in blocks])
+    # random SPD V^-1 and theta_hat from random plays; none leaves theta_hat at 0
+    stats = LinUcbStats(m, data.draw(st.floats(0.1, 10.0), label="lam"), (lanes,))
+    for _ in range(data.draw(st.integers(0, 6), label="plays")):
+        stats.add_play_coords(r.standard_normal((lanes, m)), 3 * r.standard_normal(lanes))
+    beta = np.array(data.draw(st.lists(st.floats(1e-3, 10.0), min_size=lanes,
+                                       max_size=lanes), label="beta"))
+
+    cand = ucb_candidates(coords)
+    assert cand.shape[1] >= 2
+    for row in cand:  # ascending, then padded by its first entry
+        kept = np.unique(row)
+        assert np.array_equal(row[:len(kept)], kept) and (row[len(kept):] == row[0]).all()
+    pick = ucb_scores(stats, np.take_along_axis(coords, cand[:, None, :], axis=2), beta)
+    got = cand[np.arange(lanes), pick.argmax(axis=1)]
+    assert np.array_equal(got, ucb_scores(stats, coords, beta).argmax(axis=1))
+    # the largest projection on each direction is attained by a candidate
+    along = np.einsum("ui,lin->lun", r.standard_normal((64, m)), coords)
+    assert np.array_equal(np.take_along_axis(along, cand[:, None, :], axis=2).max(axis=2),
+                          along.max(axis=2))
 
 
 _JUNK = st.one_of(
