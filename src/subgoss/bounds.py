@@ -160,44 +160,9 @@ def lemma2_tail_count(eps: float, m: int, n: int) -> float:
     return 2.0 * m * math.exp(-eps * eps * n / (2.0 * m * m))
 
 
-def lemma2_tail_phase(eps: float, m: int, b: float, j: int) -> float:
-    """Phase-indexed form 2m exp(-(4 eps^2 / m) b**((j-1)/2))."""
-    if eps <= 0:
-        raise InvalidConfigError("eps must be positive")
-    return 2.0 * m * math.exp(-(4.0 * eps * eps / m) * b ** ((j - 1) / 2.0))
-
-
 def lemma3_tail(Delta: float, m: int, b: float, j: int) -> float:
     """Wrong-subspace probability tail 4m exp(-(Delta^2 / m) b**((j-1)/2))."""
     if Delta <= 0:
         raise InvalidConfigError("Delta must be positive")
     return 4.0 * m * math.exp(-(Delta * Delta / m) * b ** ((j - 1) / 2.0))
 
-
-def collaboration_ratio(
-    T: int,
-    d: int,
-    m: int,
-    b: float,
-    lam: float,
-    delta: float,
-    Delta: float,
-    alpha: float,
-):
-    """Single-agent to multi-agent bound ratio in the K = N = d/m regime.
-
-    alpha parameterizes the complete-graph spread-moment constant, which the
-    analysis leaves uninstantiated.
-    """
-    proj = projected_linucb_bound(T, m, lam, delta, 1.0) + 2.0
-    g = g_of_b(b)
-    tail = _explore_tail(b, T)
-    r_single = proj + 2.0 * g * (
-        math.ceil(b * (16.0 * d) ** 2) + (8.0 * b**2 / math.log(b)) * (m**2 / Delta**2)
-    ) + 16.0 * d * tail
-    r_multi = proj + 2.0 * g * (
-        math.ceil(b**2 * (48.0 * m) ** 4)
-        + (48.0 * b**3 / math.log(b)) * (m**3 * d / Delta**6)
-        + alpha * d / m
-    ) + 48.0 * m * tail
-    return r_single, r_multi, r_single / r_multi

@@ -8,7 +8,6 @@ agent_id), so runs are bit-reproducible and agents are statistically independent
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,7 +15,9 @@ import numpy as np
 from .environment import compute_gap, generate_instance
 from .errors import DegenerateInstanceError, InvalidConfigError, SubgossError
 from .network import GossipMatrix, complete_graph, load_gossip
-from .policies import PolicyParams, RunResult, _run_linucb, _run_subgoss
+from .policies import (
+    PolicyParams, RunResult, _is_int, _is_real, _run_linucb, _run_subgoss, check_fields,
+)
 
 # rng stream roles
 _ROLE_INSTANCE = 0
@@ -34,30 +35,17 @@ _BATCH_LANES = 128
 
 POLICIES = ("subgoss_multi", "subgoss_single", "oful", "genie")
 
-
-def _is_int(x) -> bool:
-    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
-
-
-def _is_real(x) -> bool:
-    return _is_int(x) or isinstance(x, (float, np.floating)) and math.isfinite(x)
-
-
-# (fields, test, requirement) of every RunConfig field
+# (fields, test, requirement) of the RunConfig fields that PolicyParams lacks;
+# the shared fields are checked by building the config's PolicyParams
 _FIELD_CHECKS = (
     (("d", "K"), lambda v: _is_int(v) and v >= 2, "an integer >= 2"),
-    (("m", "T", "N", "n_seeds"), lambda v: _is_int(v) and v >= 1, "an integer >= 1"),
+    (("m", "N", "n_seeds"), lambda v: _is_int(v) and v >= 1, "an integer >= 1"),
     (("master_seed", "true_index"), lambda v: _is_int(v) and v >= 0, "an integer >= 0"),
     (("n_extra_actions",), lambda v: v is None or _is_int(v) and v >= 1, "null or an integer >= 1"),
-    (("delta",), lambda v: v is None or _is_real(v) and 0 < v < 1, "null or a number in (0, 1)"),
-    (("b",), lambda v: _is_real(v) and v > 1, "a number > 1"),
-    (("lam", "s_bound"), lambda v: _is_real(v) and v > 0, "a number > 0"),
+    (("s_bound",), lambda v: _is_real(v) and v > 0, "a number > 0"),
     (("noise_std",), lambda v: _is_real(v) and v >= 0, "a number >= 0"),
-    (("track_coverage", "resample_actions_per_step"),
-     lambda v: isinstance(v, bool), "true or false"),
+    (("track_coverage",), lambda v: isinstance(v, bool), "true or false"),
     (("gossip",), lambda v: isinstance(v, str), "'complete' or a file path"),
-    (("explore_budget_mode",), lambda v: v in ("theoretical", "experimental"),
-     "'theoretical' or 'experimental'"),
     (("policy",), lambda v: v in POLICIES, f"one of {POLICIES}"),
 )
 
@@ -86,11 +74,8 @@ class RunConfig:
 
     def __post_init__(self):
         """Type and domain checks of every field, so a bad config fails before any run."""
-        for names, ok, need in _FIELD_CHECKS:
-            for name in names:
-                value = getattr(self, name)
-                if not ok(value):
-                    raise InvalidConfigError(f"{name} must be {need}, got {value!r}")
+        check_fields(self, _FIELD_CHECKS)
+        self.policy_params()
         # with 2m > d any two m-dim subspaces of R^d share a direction
         if 2 * self.m > self.d or self.true_index >= self.K:
             raise InvalidConfigError(

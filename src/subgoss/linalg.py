@@ -78,13 +78,6 @@ def subspace_overlaps(first: np.ndarray, second: np.ndarray) -> np.ndarray:
     return np.minimum(1.0, s[..., 0])
 
 
-def subspace_overlap(b1: Basis, b2: Basis) -> float:
-    """The overlap of two bases, the batch of one of `subspace_overlaps`."""
-    if b1.d != b2.d:
-        raise InvalidDimensionError("bases live in different ambient dimensions")
-    return float(subspace_overlaps(b1.columns, b2.columns))
-
-
 class ExploreStats:
     """Round-robin explore statistics: per-column reward sums and play counts.
 

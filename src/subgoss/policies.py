@@ -17,12 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bounds
-from .environment import ProblemInstance, resample_actions
-from .errors import (
-    InvalidConfigError,
-    InvariantViolationError,
-    ProtocolError,
-)
+from .environment import resample_actions
+from .errors import InvalidConfigError, InvariantViolationError, ProtocolError
 from .linalg import ExploreStats, LinUcbStats, ucb_candidates, ucb_scores
 from .network import GossipMatrix, sample_neighbor
 
@@ -31,32 +27,16 @@ from .network import GossipMatrix, sample_neighbor
 # phase arithmetic
 
 
-@dataclass(frozen=True)
-class PhaseSchedule:
-    """Current phase geometry and the explore-budget rule in force."""
+def phase_length(b: float, j: int) -> int:
+    """Phase j spans ceil(b**(j-1)) slots."""
+    return math.ceil(b ** (j - 1))
 
-    b: float
-    j: int
-    explore_budget_mode: str = "experimental"
 
-    def __post_init__(self):
-        if self.explore_budget_mode not in ("theoretical", "experimental"):
-            raise InvalidConfigError(
-                f"unknown explore budget mode {self.explore_budget_mode!r}"
-            )
-        if not self.b > 1 or self.j < 1:
-            raise InvalidConfigError(f"need b > 1 and j >= 1, got b={self.b}, j={self.j}")
-
-    @property
-    def phase_length(self) -> int:
-        """Phase j spans ceil(b**(j-1)) slots."""
-        return math.ceil(self.b ** (self.j - 1))
-
-    def explore_budget(self, m: int) -> int:
-        """Per-subspace explore slots for this phase."""
-        if self.explore_budget_mode == "theoretical":
-            return 8 * m * math.ceil(self.b ** ((self.j - 1) / 2.0))
-        return m * math.ceil(self.b ** ((self.j - 2) / 2.0))
+def explore_budget(b: float, j: int, m: int, mode: str) -> int:
+    """Per-subspace explore slots of phase j under the budget rule `mode`."""
+    if mode == "theoretical":
+        return 8 * m * math.ceil(b ** ((j - 1) / 2.0))
+    return m * math.ceil(b ** ((j - 2) / 2.0))
 
 
 # ---------------------------------------------------------------------------
@@ -71,8 +51,9 @@ def sticky_sets(K: int, N: int) -> np.ndarray:
     return np.arange(K) // (K // N) == np.arange(N)[:, None]
 
 
-def explore_plan(active: np.ndarray, schedule: PhaseSchedule, m: int) -> np.ndarray:
-    """Number of explore slots of each lane at the start of the phase.
+def explore_plan(active: np.ndarray, budget: int, length: int) -> np.ndarray:
+    """Number of explore slots of each lane at the start of a phase of `length`
+    slots, with `budget` slots per active subspace.
 
     Slot s plays the lane's (s mod |active|)-th active id in ascending order, on
     that subspace's least-played column (`ExploreStats.next_column`, counted
@@ -82,7 +63,7 @@ def explore_plan(active: np.ndarray, schedule: PhaseSchedule, m: int) -> np.ndar
     n_active = active.sum(axis=1)
     if not n_active.all():
         raise InvariantViolationError("empty active set")
-    return np.minimum(schedule.explore_budget(m) * n_active, schedule.phase_length)
+    return np.minimum(budget * n_active, length)
 
 
 def end_explore_update(stats: ExploreStats, columns: np.ndarray, active: np.ndarray):
@@ -150,6 +131,35 @@ def update_active_set(active, sticky, norms, pulled) -> None:
 # ---------------------------------------------------------------------------
 # run configuration and result
 
+def _is_int(x) -> bool:
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def _is_real(x) -> bool:
+    return _is_int(x) or isinstance(x, (float, np.floating)) and math.isfinite(x)
+
+
+# (fields, test, requirement) of the `PolicyParams` fields, which `harness.RunConfig`
+# shares by building its PolicyParams
+_PARAM_CHECKS = (
+    (("T",), lambda v: _is_int(v) and v >= 1, "an integer >= 1"),
+    (("delta",), lambda v: v is None or _is_real(v) and 0 < v < 1, "null or a number in (0, 1)"),
+    (("b",), lambda v: _is_real(v) and v > 1, "a number > 1"),
+    (("lam",), lambda v: _is_real(v) and v > 0, "a number > 0"),
+    (("resample_actions_per_step",), lambda v: isinstance(v, bool), "true or false"),
+    (("explore_budget_mode",), lambda v: v in ("theoretical", "experimental"),
+     "'theoretical' or 'experimental'"),
+)
+
+
+def check_fields(config, checks) -> None:
+    """Type and domain checks of a config's fields by a (fields, test, requirement)
+    table, in table order, so a bad value fails before any run."""
+    for names, ok, need in checks:
+        for name in names:
+            if not ok(value := getattr(config, name)):
+                raise InvalidConfigError(f"{name} must be {need}, got {value!r}")
+
 
 @dataclass(frozen=True)
 class PolicyParams:
@@ -159,6 +169,9 @@ class PolicyParams:
     delta: float | None = None  # None means min(0.5, 1/T)
     explore_budget_mode: str = "experimental"
     resample_actions_per_step: bool = False
+
+    def __post_init__(self):
+        check_fields(self, _PARAM_CHECKS)
 
     def delta_value(self) -> float:
         if self.delta is not None:
@@ -216,41 +229,33 @@ def detect_freeze(recommendations, true_index: int) -> int | None:
 # environment precomputation shared by the runners
 
 
-class _EnvView:
-    """The action set of step t, its values and its optimum.
+def _action_sets(instances, params, action_rngs):
+    """Every step's action sets of a batch, t = 1, 2, ... in turn: the per-seed sets,
+    their values stacked (seeds, n) and their optima (seeds,).
 
     Every action set holds n_random random rows followed by the K*m basis
-    columns, subspace by subspace. A fixed set is viewed once for the whole run.
-    A resampled set of step t is the t-th draw of the stream `action_rng`, so
-    `at` must see t = 1, 2, ... in order, each step once, all of the seed's
-    lanes together; only the view of the current step is kept.
+    columns, subspace by subspace. A fixed set is the same at every step, and
+    the engines read it once; the resampled set of step t is the t-th draw of
+    its seed's stream in `action_rngs`. Resample mode without a stream fails
+    here, before any stream is drawn from.
     """
+    resample = params.resample_actions_per_step
+    if resample and None in action_rngs:
+        raise InvalidConfigError("resampled action sets need an action stream")
+    first = instances[0]
+    n_random = first.action_set.shape[0] - first.K * first.m
 
-    def __init__(self, instance: ProblemInstance, params: PolicyParams, action_rng=None):
-        self.instance = instance
-        self.resample = params.resample_actions_per_step
-        self.n_random = instance.action_set.shape[0] - instance.K * instance.m
-        if self.resample and action_rng is None:
-            raise InvalidConfigError("resampled action sets need an action stream")
-        self._rng = action_rng
-        self._t = 0
-        self._view = None if self.resample else self._build(instance.action_set)
+    def steps():
+        while True:
+            actions = ([resample_actions(inst, n_random, rng)
+                        for inst, rng in zip(instances, action_rngs)]
+                       if resample else [inst.action_set for inst in instances])
+            # one product over the whole set: values of the random rows and of the
+            # basis rows computed apart differ in the last bit
+            values = [a @ inst.theta_star for a, inst in zip(actions, instances)]
+            yield actions, np.stack(values), np.array([v.max() for v in values])
 
-    def _build(self, actions: np.ndarray):
-        # one product over the whole set: values of the random rows and of the
-        # basis rows computed apart differ in the last bit
-        values = actions @ self.instance.theta_star
-        return actions, values, float(values.max())
-
-    def at(self, t: int):
-        if self.resample:
-            if t != self._t + 1:
-                raise InvariantViolationError(
-                    f"action set of step {t} asked for after step {self._t}"
-                )
-            self._view = self._build(resample_actions(self.instance, self.n_random, self._rng))
-            self._t = t
-        return self._view
+    return steps()
 
 
 def _noise(instances, n_agents, T, noise_rngs) -> np.ndarray:
@@ -264,13 +269,6 @@ def _noise(instances, n_agents, T, noise_rngs) -> np.ndarray:
             for i in range(n_agents):
                 noise[1:, s * n_agents + i] = instance.noise_std * rngs[i].standard_normal(T)
     return noise
-
-
-def _stack_views(envs, t):
-    """Every seed's view of step t: its action set, and the action values (seeds x
-    actions) and optima (seeds) stacked."""
-    actions, values, vstar = zip(*[env.at(t) for env in envs])
-    return actions, np.stack(values), np.array(vstar)
 
 
 def _transposed(actions) -> np.ndarray:
@@ -366,8 +364,8 @@ def _run_subgoss(instances, params, gossip, noise_rngs, gossip_rngs, seeds, acti
             raise InvalidConfigError(
                 "explore plays need the K*m basis columns as the last actions"
             )
-    envs = [_EnvView(inst, params, rng) for inst, rng in zip(instances, action_rngs)]
-    n_random = envs[0].n_random
+    sets = _action_sets(instances, params, action_rngs)
+    n_random = n_actions - K * m
     sticky = np.tile(sticky_sets(K, n_agents), (n_seeds, 1))
     active = sticky.copy()
     explore = ExploreStats((n_lanes, K, m))
@@ -413,12 +411,13 @@ def _run_subgoss(instances, params, gossip, noise_rngs, gossip_rngs, seeds, acti
     j = 1
     start = 1
     while start <= T:
-        schedule = PhaseSchedule(b=params.b, j=j, explore_budget_mode=params.explore_budget_mode)
-        end_full = start + schedule.phase_length - 1
+        length = phase_length(params.b, j)
+        end_full = start + length - 1
         end = min(end_full, T)
         slots = end - start + 1
 
-        n_exp = np.minimum(explore_plan(active, schedule, m), slots)
+        budget = explore_budget(params.b, j, m, params.explore_budget_mode)
+        n_exp = np.minimum(explore_plan(active, budget, length), slots)
         switches = {s: lanes[n_exp == s] for s in set(n_exp.tolist()) if s < slots}
         n_active = active.sum(axis=1)
         # active ids in ascending order, each row padded by repeats of its last id;
@@ -432,7 +431,7 @@ def _run_subgoss(instances, params, gossip, noise_rngs, gossip_rngs, seeds, acti
         for s in range(slots):
             t = start + s
             if t == 1 or resample:
-                actions, values, vstar = _stack_views(envs, t)
+                actions, values, vstar = next(sets)
                 values, vstar = values[lane_seed], vstar[lane_seed]
             switching = switches.get(s)
             if switching is not None:
@@ -509,7 +508,7 @@ def _run_linucb(instances, params, noise_rngs, seeds, action_rngs, k, track_cove
     resample = params.resample_actions_per_step
     n_lanes = len(instances)
     lanes = np.arange(n_lanes)
-    envs = [_EnvView(inst, params, rng) for inst, rng in zip(instances, action_rngs)]
+    sets = _action_sets(instances, params, action_rngs)
     noise = _noise(instances, 1, T, [[rng] for rng in noise_rngs])
     stats = LinUcbStats(dim, lam, (n_lanes,))
     projectors = None if k is None else _projectors(instances)[:, k]
@@ -526,7 +525,7 @@ def _run_linucb(instances, params, noise_rngs, seeds, action_rngs, k, track_cove
     played = np.empty((n_lanes, T), dtype=np.min_scalar_type(first.action_set.shape[0] - 1))
     for t in range(1, T + 1):
         if t == 1 or resample:
-            actions, values, vstar = _stack_views(envs, t)
+            actions, values, vstar = next(sets)
             X = _transposed(actions)
             # scores are faster on C-ordered coordinates
             X = np.ascontiguousarray(X) if k is None else projectors @ X

@@ -12,11 +12,9 @@ import pytest
 from subgoss.bounds import (
     BoundInputs,
     beta,
-    collaboration_ratio,
     g_of_b,
     h_of_bt,
     lemma2_tail_count,
-    lemma2_tail_phase,
     lemma3_tail,
     projected_linucb_bound,
     single_agent_bound,
@@ -222,30 +220,24 @@ class TestLemmaTails:
         assert lemma2_tail_count(0.5, 2, 0) == pytest.approx(4.0)
 
     def test_phase_form(self):
-        # 2m exp(-(4 eps^2/m) b^((j-1)/2))
-        got = lemma2_tail_phase(0.5, 2, 2.0, 5)
-        assert got == pytest.approx(4 * math.exp(-0.5 * 4.0), rel=1e-12)
+        # at n = 8m b^((j-1)/2) explore samples the tail is the phase-indexed
+        # 2m exp(-(4 eps^2/m) b^((j-1)/2)); here m=2, b=3, j=3
+        got = lemma2_tail_count(0.5, 2, 8 * 2 * 3.0)
+        assert got == pytest.approx(4 * math.exp(-(4 * 0.25 / 2) * 3.0), rel=1e-12)
 
     def test_lemma3_form(self):
         got = lemma3_tail(0.4, 2, 2.0, 5)
         assert got == pytest.approx(4 * 2 * math.exp(-(0.16 / 2) * 4.0), rel=1e-12)
 
     def test_lemma3_vs_lemma2_at_half_gap(self):
-        # proof-step relation: lemma3(Delta) <= 2 * lemma2_phase(Delta/2)
+        # proof-step relation: lemma3(Delta) <= 2 * lemma2(Delta/2) at the
+        # n = 8m b^((j-1)/2) explore samples of phase j
         for Delta in (0.2, 0.5, 1.0):
             for j in (1, 4, 9):
-                assert lemma3_tail(Delta, 2, 2.0, j) <= 2 * lemma2_tail_phase(
-                    Delta / 2, 2, 2.0, j
+                n = 8 * 2 * 2.0 ** ((j - 1) / 2)
+                assert lemma3_tail(Delta, 2, 2.0, j) <= 2 * lemma2_tail_count(
+                    Delta / 2, 2, n
                 ) + 1e-15
-
-
-class TestCollaborationRatio:
-    def test_ratio_structure(self):
-        r_single, r_multi, ratio = collaboration_ratio(
-            T=10**6, d=48, m=3, b=2.0, lam=1.0, delta=1e-6, Delta=0.5, alpha=1.0
-        )
-        assert ratio == pytest.approx(r_single / r_multi, rel=1e-12)
-        assert r_single > 0 and r_multi > 0
 
 
 def test_pure_functions_bit_identical():

@@ -20,7 +20,7 @@ from subgoss.errors import (
     InvalidDimensionError,
 )
 from subgoss.linalg import Basis, ExploreStats, LinUcbStats, project, random_orthonormal_basis
-from subgoss.policies import PolicyParams, _EnvView, run_single_agent_subgoss
+from subgoss.policies import PolicyParams, _action_sets, run_single_agent_subgoss
 
 
 def rng_for(seed):
@@ -143,11 +143,11 @@ class TestReward:
 
 
 class TestOptimalAction:
-    """The optimal value the runners charge regret against, read from their action-set view."""
+    """The optimal value the runners charge regret against, read from their action sets."""
 
     def optimal_value(self, inst):
-        _, _, vstar = _EnvView(inst, PolicyParams(T=1)).at(1)
-        return vstar
+        _, _, vstar = next(_action_sets([inst], PolicyParams(T=1), [None]))
+        return vstar[0]
 
     def test_matches_exhaustive_rescan(self):
         inst = small_instance(seed=17)

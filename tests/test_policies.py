@@ -17,14 +17,15 @@ from subgoss.harness import RunConfig, run_one_seed
 from subgoss.linalg import Basis, ExploreStats, LinUcbStats, explore_estimate, ucb_scores
 from subgoss.network import complete_graph, sample_neighbor, simulate_rumor_spread
 from subgoss.policies import (
-    PhaseSchedule,
     PolicyParams,
-    _EnvView,
+    _action_sets,
     _noise,
     detect_freeze,
     end_explore_update,
+    explore_budget,
     explore_plan,
     gossip_exchange,
+    phase_length,
     run_genie,
     run_oful_baseline,
     run_single_agent_subgoss,
@@ -65,8 +66,8 @@ def toy_instance(m, K, theta_scale=0.9, noise_std=0.0, n_random=5, true_index=0,
 
 def phase_boundaries(b, j):
     """Inclusive (start, end) slots of phase j, from the schedule's phase lengths."""
-    start = 1 + sum(PhaseSchedule(b=b, j=l).phase_length for l in range(1, j))
-    return start, start + PhaseSchedule(b=b, j=j).phase_length - 1
+    start = 1 + sum(phase_length(b, l) for l in range(1, j))
+    return start, start + phase_length(b, j) - 1
 
 
 class TestPhaseBoundaries:
@@ -82,27 +83,30 @@ class TestPhaseBoundaries:
         assert phase_boundaries(2.0, 20)[1] == 2**20 - 1
 
     def test_invalid(self):
-        with pytest.raises(InvalidConfigError):
-            PhaseSchedule(b=1.0, j=1)
-        with pytest.raises(InvalidConfigError):
-            PhaseSchedule(b=2.0, j=0)
+        # the phase arithmetic needs a finite b > 1, which the run parameters hold
+        for b in (1.0, 0.5, math.nan, math.inf):
+            with pytest.raises(InvalidConfigError, match="b must be a number > 1") as got:
+                PolicyParams(T=10, b=b)
+            with pytest.raises(InvalidConfigError) as want:
+                RunConfig(d=6, m=2, K=4, T=10, b=b)
+            assert str(got.value) == str(want.value)
 
 
 class TestPhaseSchedule:
     def test_budgets(self):
-        s = PhaseSchedule(b=2.0, j=9, explore_budget_mode="experimental")
-        assert s.explore_budget(2) == 2 * math.ceil(2 ** 3.5)  # 24
-        t = PhaseSchedule(b=2.0, j=9, explore_budget_mode="theoretical")
-        assert t.explore_budget(2) == 8 * 2 * math.ceil(2 ** 4)
+        assert explore_budget(2.0, 9, 2, "experimental") == 2 * math.ceil(2 ** 3.5)  # 24
+        assert explore_budget(2.0, 9, 2, "theoretical") == 8 * 2 * math.ceil(2 ** 4)
 
     def test_budget_fits_phase(self):
         # spec'd arithmetic: 3 active subspaces, total 72 <= 256 slots
-        s = PhaseSchedule(b=2.0, j=9, explore_budget_mode="experimental")
-        assert 3 * s.explore_budget(2) == 72 <= s.phase_length == 256
+        assert 3 * explore_budget(2.0, 9, 2, "experimental") == 72 <= phase_length(2.0, 9) == 256
 
     def test_unknown_mode(self):
-        with pytest.raises(InvalidConfigError):
-            PhaseSchedule(b=2.0, j=1, explore_budget_mode="bogus")
+        with pytest.raises(InvalidConfigError, match="explore_budget_mode") as got:
+            PolicyParams(T=10, explore_budget_mode="x")
+        with pytest.raises(InvalidConfigError) as want:
+            RunConfig(d=6, m=2, K=4, T=10, explore_budget_mode="x")
+        assert str(got.value) == str(want.value)
 
 
 # ---------------------------------------------------------------------------
@@ -160,10 +164,9 @@ def explore_records(res, inst, agent, phase, b=2.0):
 class TestExplorePlan:
     def test_round_robin_full_budget(self):
         # m=1, budget 2 per subspace, phase long enough -> a,b,a,b
-        sched = PhaseSchedule(b=2.0, j=4, explore_budget_mode="experimental")
-        assert sched.explore_budget(1) == 2 and sched.phase_length == 8
+        assert explore_budget(2.0, 4, 1, "experimental") == 2 and phase_length(2.0, 4) == 8
         # every lane has its own count: one id gets half the slots of two
-        assert explore_plan(masks([[3, 7], [5], [0, 1, 2]]), sched, 1).tolist() == [4, 2, 6]
+        assert explore_plan(masks([[3, 7], [5], [0, 1, 2]]), 2, 8).tolist() == [4, 2, 6]
         inst = toy_instance(m=1, K=2, noise_std=1.0)
         res = run_single_agent_subgoss(inst, params(15), rng_for(0))
         assert explore_records(res, inst, 0, 4) == [(0, 0), (1, 0), (0, 0), (1, 0)]
@@ -183,10 +186,9 @@ class TestExplorePlan:
 
     def test_short_phase_fills_entirely(self):
         # phase length 3 below the total budget of 4 -> the whole phase explores
-        sched = PhaseSchedule(b=1.5, j=3, explore_budget_mode="experimental")
-        assert sched.phase_length == 3 and 2 * sched.explore_budget(1) == 4
+        assert phase_length(1.5, 3) == 3 and 2 * explore_budget(1.5, 3, 1, "experimental") == 4
         # a lane within the phase keeps its budget beside one cut to the phase
-        assert explore_plan(masks([[3, 7], [4]]), sched, 1).tolist() == [3, 2]
+        assert explore_plan(masks([[3, 7], [4]]), 2, 3).tolist() == [3, 2]
         inst = toy_instance(m=1, K=2, noise_std=1.0)
         res = run_single_agent_subgoss(inst, params(6, b=1.5), rng_for(0))
         assert res.explored[0, 3:6].all()
@@ -194,8 +196,8 @@ class TestExplorePlan:
         assert phase3 == [0, 1, 0]
 
     def test_columns_continue_round_robin_across_phases(self):
-        sched = PhaseSchedule(b=2.0, j=4, explore_budget_mode="experimental")
-        assert explore_plan(masks([[5]]), sched, 2).tolist() == [4]
+        budget = explore_budget(2.0, 4, 2, "experimental")
+        assert explore_plan(masks([[5]]), budget, 8).tolist() == [4]
         # phases 1 and 2 are shorter than their budgets: subspace 0 plays column 0
         # in phase 1, so its first play of phase 2 is on column 1
         inst = toy_instance(m=2, K=3, noise_std=1.0)
@@ -208,9 +210,8 @@ class TestExplorePlan:
             assert len(cols) > 10 and cols == [n % 2 for n in range(len(cols))]
 
     def test_empty_active_set(self):
-        sched = PhaseSchedule(b=2.0, j=1)
         with pytest.raises(InvariantViolationError):
-            explore_plan(masks([[0, 1], []]), sched, 1)
+            explore_plan(masks([[0, 1], []]), 1, 1)
 
 
 def refresh(inst, stats, active_sets):
@@ -488,11 +489,10 @@ class TestRunSubgossMulti:
         for j in range(1, res.n_phases + 1):
             start, end_full = phase_boundaries(2.0, j)
             slots = min(end_full, T) - start + 1
-            sched = PhaseSchedule(b=2.0, j=j)
             for i in range(2):
                 active = holdings[j - 1][i]
-                budget_total = sched.explore_budget(2) * len(active)
-                expected_explore = min(slots, min(budget_total, sched.phase_length))
+                budget_total = explore_budget(2.0, j, 2, "experimental") * len(active)
+                expected_explore = min(slots, min(budget_total, phase_length(2.0, j)))
                 explores = res.explored[i, start - 1:start - 1 + slots]
                 assert explores.sum() == expected_explore
         # the phases cover the horizon, each step being one play of every agent
@@ -640,7 +640,7 @@ def reference_linucb(instance, params, noise_rng, action_rng, genie, track_cover
     """Hand-written genie and oful loops: the reference run_genie and run_oful_baseline
     must match bit for bit."""
     T, delta, lam, S = params.T, params.delta_value(), params.lam, instance.s_bound
-    env = _EnvView(instance, params, action_rng)
+    sets = _action_sets([instance], params, [action_rng])
     nz = _noise([instance], 1, T, [[noise_rng]])[:, 0]
     dim = instance.m if genie else instance.d
     basis = instance.subspaces.bases[instance.true_index]
@@ -649,7 +649,7 @@ def reference_linucb(instance, params, noise_rng, action_rng, genie, track_cover
     inst_regret = np.zeros((1, T))
     covered = True
     for t in range(1, T + 1):
-        actions, values, vstar = env.at(t)
+        actions, values, vstar = (view[0] for view in next(sets))
         X = basis.columns.T @ actions.T if genie else actions.T
         bval = bounds.beta(delta, dim, lam, count, S)
         th = np.linalg.solve(gram, moment)
@@ -735,7 +735,8 @@ def reference_subgoss(instance, params, gossip, noise_rngs, gossip_rng, action_r
     best = [None] * n_agents
     explore = [{} for _ in range(n_agents)]
     linucb = [{} for _ in range(n_agents)]
-    env = _EnvView(instance, params, action_rng)
+    n_random = instance.action_set.shape[0] - K * m
+    sets = _action_sets([instance], params, [action_rng])
     noise = _noise([instance], n_agents, T, [noise_rngs]).T
     inst_regret = np.zeros((n_agents, T))
     explored = np.zeros((n_agents, T), dtype=bool)
@@ -743,21 +744,21 @@ def reference_subgoss(instance, params, gossip, noise_rngs, gossip_rng, action_r
     recommendations, active_history = [], []
     j, start = 1, 1
     while start <= T:
-        schedule = PhaseSchedule(b=params.b, j=j, explore_budget_mode=params.explore_budget_mode)
-        end_full = start + schedule.phase_length - 1
+        length = phase_length(params.b, j)
+        budget = explore_budget(params.b, j, m, params.explore_budget_mode)
+        end_full = start + length - 1
         slots = min(end_full, T) - start + 1
         order = [sorted(a) for a in active]
-        n_exp = [min(schedule.explore_budget(m) * len(ids), schedule.phase_length, slots)
-                 for ids in order]
+        n_exp = [min(budget * len(ids), length, slots) for ids in order]
         for s in range(slots):
             t = start + s
-            actions, values, vstar = env.at(t)
+            actions, values, vstar = (view[0] for view in next(sets))
             for i in range(n_agents):
                 if s < n_exp[i]:
                     k = order[i][s % len(order[i])]
                     stats = explore[i].setdefault(k, ExploreStats(m))
                     col = stats.next_column()
-                    row = env.n_random + k * m + col
+                    row = n_random + k * m + col
                     a_val = float(values[row])
                     stats.add_play(col, a_val + noise[i][t])
                     inst_regret[i, t - 1] = vstar - a_val
@@ -880,33 +881,39 @@ def test_every_agent_plays_from_the_set_keyed_by_step(policy):
 
 
 class TestEnvView:
-    """Step t's resampled set is the t-th draw of the action stream."""
+    """The action sets the engines play from (`_action_sets`): step t's resampled set
+    is the t-th draw of its seed's action stream."""
 
     def test_resampling_needs_a_stream(self):
-        inst = toy_instance(m=2, K=2)
+        inst = toy_instance(m=2, K=2, noise_std=1.0)
         p = params(10, resample_actions_per_step=True)
         with pytest.raises(InvalidConfigError, match="action stream"):
-            _EnvView(inst, p)
-        with pytest.raises(InvalidConfigError, match="action stream"):
-            run_genie(inst, p, rng_for(0))
-
-    @pytest.mark.parametrize("steps", [(1, 3), (1, 1), (2,)], ids=["skipped", "repeated", "late"])
-    def test_steps_out_of_order_raise(self, steps):
-        env = _EnvView(toy_instance(m=2, K=2), params(10, resample_actions_per_step=True),
-                       rng_for(0))
-        *ok, bad = steps
-        for t in ok:
-            env.at(t)
-        with pytest.raises(InvariantViolationError, match=f"step {bad}"):
-            env.at(bad)
+            _action_sets([inst, inst], p, [rng_for(0), None])
+        # each public runner fails before it draws from its noise or gossip stream
+        noise, partners = rng_for(1), rng_for(2)
+        states = [noise.bit_generator.state, partners.bit_generator.state]
+        for run in (lambda: run_subgoss_multi(inst, p, complete_graph(2), [noise] * 2, partners),
+                    lambda: run_single_agent_subgoss(inst, p, noise),
+                    lambda: run_genie(inst, p, noise),
+                    lambda: run_oful_baseline(inst, p, noise)):
+            with pytest.raises(InvalidConfigError, match="action stream"):
+                run()
+            assert [noise.bit_generator.state, partners.bit_generator.state] == states
 
     def test_sets_are_successive_draws(self):
-        inst = toy_instance(m=2, K=2)
-        env = _EnvView(inst, params(5, resample_actions_per_step=True), rng_for(8))
-        stream = rng_for(8)
-        for t in range(1, 6):
-            want = resample_actions(inst, env.n_random, stream)
-            assert np.array_equal(env.at(t)[0], want)
+        # two seeds of a batch, each drawing from its own stream
+        insts = [toy_instance(m=2, K=2, seed=0), toy_instance(m=2, K=2, seed=1)]
+        n_random = insts[0].action_set.shape[0] - 4
+        sets = _action_sets(insts, params(5, resample_actions_per_step=True),
+                            [rng_for(8), rng_for(9)])
+        streams = [rng_for(8), rng_for(9)]
+        for _ in range(5):
+            actions, values, vstar = next(sets)
+            for seed, (inst, stream) in enumerate(zip(insts, streams)):
+                want = resample_actions(inst, n_random, stream)
+                assert np.array_equal(actions[seed], want)
+                assert np.array_equal(values[seed], want @ inst.theta_star)
+                assert vstar[seed] == values[seed].max()
 
     @pytest.mark.parametrize("policy", ["multi4", "multi2", "single", "genie", "oful"])
     def test_fixed_mode_ignores_the_stream(self, policy):
@@ -920,6 +927,17 @@ class TestEnvView:
         assert np.array_equal(a.explored, b.explored)
         assert np.array_equal(a.played, b.played)
         assert a.coverage_ok == b.coverage_ok
+
+
+@pytest.mark.parametrize("T", [0, -3, 2.5, True])
+def test_policy_params_reject_malformed_values(T):
+    """A malformed horizon fails when its PolicyParams is built, so no runner can be
+    handed it, with the message a RunConfig gives for the same value."""
+    with pytest.raises(InvalidConfigError) as want:
+        RunConfig(d=6, m=2, K=4, T=T)
+    with pytest.raises(InvalidConfigError) as got:
+        PolicyParams(T=T)
+    assert str(got.value) == str(want.value) == f"T must be an integer >= 1, got {T!r}"
 
 
 def test_spread_dominance_against_standalone_rumor_process():

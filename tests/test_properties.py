@@ -16,9 +16,9 @@ from subgoss.harness import POLICIES, RunConfig
 from subgoss.linalg import LinUcbStats, ucb_candidates, ucb_scores
 from subgoss.network import complete_graph
 from subgoss.policies import (
-    PhaseSchedule,
     PolicyParams,
     RunResult,
+    phase_length,
     run_genie,
     run_oful_baseline,
     run_single_agent_subgoss,
@@ -120,7 +120,7 @@ def test_batched_run_equals_each_seed_alone(data):
             assert same, field.name
         start = 0
         for j in range(1, want.n_phases + 1):
-            end = start + PhaseSchedule(config.b, j).phase_length
+            end = start + phase_length(config.b, j)
             phase = want.explored[:, start:end]
             assert (phase[:, 1:] <= phase[:, :-1]).all(), f"phase {j} explores after exploiting"
             start = end
