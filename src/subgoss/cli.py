@@ -133,6 +133,8 @@ def _cmd_bounds(args) -> int:
 def _cmd_spread(args) -> int:
     if (args.n_agents is None) == (args.gossip is None):
         raise InvalidConfigError("give exactly one of --n-agents or --gossip")
+    if args.seed < 0:
+        raise InvalidConfigError(f"--seed must be >= 0, got {args.seed}")
     if args.n_agents is not None:
         g = network.complete_graph(args.n_agents)
     else:

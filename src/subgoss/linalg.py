@@ -134,11 +134,19 @@ class LinUcbStats:
 
     With V = lambda*I_m + sum x x^T over recorded plays, where x = U^T a are
     the subspace coordinates of the played action, the statistics are
-    inv = V^-1, moment = sum x*r and the play count. The ambient baseline keeps
-    the same statistics in d coordinates, with x = a. inv is kept by one
-    Sherman-Morrison rank-1 update per play, and the ridge estimate
-    inv @ moment is refreshed with it, so no play or score solves a linear
-    system.
+    inv = V^-1 and the play count. The ambient baseline keeps the same
+    statistics in d coordinates, with x = a. inv is kept by one Sherman-Morrison
+    rank-1 update per play, so no play or score solves a linear system.
+
+    The statistics come in two forms. Built without a block, they also keep
+    moment = sum x*r and the ridge estimate inv @ moment, refreshed with inv:
+    `ucb_scores` scores any coordinates from them from scratch, as resampled
+    action sets need. Built over a fixed block X of (*lanes, m, n) column
+    coordinates, they keep instead the two terms of those columns' scores,
+    quad = diag(X^T V^-1 X) and greedy = theta_hat^T X: `add_play_coords` takes
+    each lane's played column of the block and updates both terms by the same
+    rank-1 step, in O(m*n + m^2) per lane, and `scores` reads the optimistic
+    scores off them. Neither form holds what the other keeps.
 
     `lanes` is the shape of a leading batch axis: every array carries it, and
     one call plays, or scores, every lane at once. The default () is a single
@@ -146,44 +154,87 @@ class LinUcbStats:
     lane of a batch gets the bits it would get alone.
     """
 
-    __slots__ = ("inv", "moment", "count", "_theta")
+    # the per-lane arrays; a form leaves the ones it does not keep None
+    _ARRAYS = ("inv", "count", "moment", "_theta", "block", "quad", "greedy")
+    __slots__ = _ARRAYS + ("_lanes",)
 
-    def __init__(self, m: int, lam: float, lanes: tuple = ()):
+    def __init__(self, m: int, lam: float, lanes: tuple = (), block=None):
         if lam <= 0:
             raise NumericalDegeneracyError("regularization must be positive")
         self.inv = np.broadcast_to(np.eye(m) / lam, (*lanes, m, m)).copy()
-        self.moment = np.zeros((*lanes, m))
         self.count = np.zeros(lanes, dtype=np.int64)
-        self._theta = np.zeros((*lanes, m))
+        theta = np.zeros((*lanes, m))
+        if block is None:
+            self.moment, self._theta = np.zeros((*lanes, m)), theta
+            self.block = self.quad = self.greedy = None
+        else:
+            self.block = np.array(block, dtype=float)  # a copy: copy_lanes writes into it
+            # the terms of the empty statistics have the bits `ucb_scores` gives them
+            self.quad, self.greedy = _score_terms(self.inv, theta, self.block)
+            self.moment = self._theta = None
+        # index arrays of the lane axes, which select one column per lane
+        self._lanes = np.indices(lanes, sparse=True)
 
     def add_play_coords(self, x: np.ndarray, reward) -> None:
-        """Record the play of coordinates x (lanes x m) with reward (lanes) in every lane."""
-        u = (self.inv @ x[..., None])[..., 0]
-        # (V + x x^T)^-1 = V^-1 - u u^T / (1 + x^T u), where 1 + x^T u >= 1
-        # since V^-1 is positive definite
-        den = 1.0 + (x[..., None, :] @ u[..., None])[..., 0, 0]
-        self.inv -= u[..., :, None] * u[..., None, :] / den[..., None, None]
-        self.moment += np.asarray(reward)[..., None] * x
+        """Record a play with reward (lanes) in every lane: of coordinates x (lanes x m),
+        or over a block, of the column x (lanes) of each lane's block."""
+        if self.block is None:
+            u = (self.inv @ x[..., None])[..., 0]
+            # (V + x x^T)^-1 = V^-1 - u u^T / (1 + x^T u), where 1 + x^T u >= 1
+            # since V^-1 is positive definite
+            den = 1.0 + (x[..., None, :] @ u[..., None])[..., 0, 0]
+            self.inv -= u[..., :, None] * u[..., None, :] / den[..., None, None]
+            self.moment += np.asarray(reward)[..., None] * x
+            self.count += 1
+            self._theta = (self.inv @ self.moment[..., None])[..., 0]
+            return
+        column = (*self._lanes, x)
+        u = self.inv @ self.block[(*self._lanes, slice(None), x)][..., None]  # V^-1 x
+        # w = u^T X holds x^T V^-1 x_i for every column x_i, the played one's too
+        w = (u.swapaxes(-1, -2) @ self.block)[..., 0, :]
+        den = 1.0 + w[column]
+        scaled = w / den[..., None]
+        # the Sherman-Morrison step above, seen through each column: x_i^T V^-1 x_i
+        # loses w_i^2 / den, and theta_hat^T x_i gains w_i (r - theta_hat^T x) / den
+        self.quad -= w * scaled
+        self.greedy += scaled * (np.asarray(reward) - self.greedy[column])[..., None]
+        self.inv -= u * (u.swapaxes(-1, -2) / den[..., None, None])
         self.count += 1
-        self._theta = (self.inv @ self.moment[..., None])[..., 0]
 
     def theta_hat(self) -> np.ndarray:
-        """Ridge estimate in subspace coordinates."""
+        """Ridge estimate in subspace coordinates, kept without a block only."""
         return self._theta
+
+    def scores(self, beta) -> np.ndarray:
+        """Optimistic scores of the block's columns, (lanes, n), from the kept terms:
+        `ucb_scores` of the block, up to rounding."""
+        return self.greedy + np.asarray(beta)[..., None] * np.sqrt(np.maximum(self.quad, 0.0))
 
     def copy_lanes(self, index, source: LinUcbStats, source_index) -> None:
         """Set the lanes at `index` to copies of the lanes of `source` at `source_index`."""
-        for name in self.__slots__:
-            getattr(self, name)[index] = getattr(source, name)[source_index]
+        for name in self._ARRAYS:
+            if (mine := getattr(self, name)) is not None:
+                mine[index] = getattr(source, name)[source_index]
+
+
+def _score_terms(inv, theta, coords):
+    """diag(X^T V^-1 X) and theta_hat^T X of coordinates X, from one product
+    [V^-1; theta_hat^T] @ X; see `ucb_scores`."""
+    stacked = np.concatenate([inv, theta[..., None, :]], axis=-2) @ coords
+    return np.einsum("...ij,...ij->...j", coords, stacked[..., :-1, :]), stacked[..., -1, :]
 
 
 def ucb_scores(stats: LinUcbStats, coords: np.ndarray, beta) -> np.ndarray:
-    """Optimistic scores for a batch of actions given as m x n coordinates, per lane.
+    """Optimistic scores for a batch of actions given as m x n coordinates, per lane,
+    from scratch.
 
     score_i = <theta_hat, x_i> + beta * ||x_i||_{V^-1}, the closed form of the
-    maximum of <theta, x_i> over the confidence ellipsoid of radius beta. This is
-    the one scoring rule of every policy. On a batch of lanes, coords is
-    (lanes, m, n) and beta a scalar or one radius per lane. One product
+    maximum of <theta, x_i> over the confidence ellipsoid of radius beta. The
+    runners score resampled action sets, and genie with its coverage check, by
+    this form; on a fixed set they read the same scores off the terms that
+    `LinUcbStats` keeps over the set's block, which this form checks
+    (tests/test_linalg.py). On a batch of lanes, coords is (lanes, m, n) and
+    beta a scalar or one radius per lane. One product
     [V^-1; theta_hat^T] @ coords gives both V^-1 x_i, from which the squared
     norms are read, and the greedy term; the clip at 0 guards against rounding
     on near-null actions.
@@ -194,9 +245,7 @@ def ucb_scores(stats: LinUcbStats, coords: np.ndarray, beta) -> np.ndarray:
     1 x m by m x n product of theta_hat alone, or an einsum, gives m = 3 bits
     that depend on the width, and a one-column block takes another path.
     """
-    stacked = np.concatenate([stats.inv, stats.theta_hat()[..., None, :]], axis=-2) @ coords
-    quad = np.einsum("...ij,...ij->...j", coords, stacked[..., :-1, :])
-    greedy = stacked[..., -1, :]
+    quad, greedy = _score_terms(stats.inv, stats.theta_hat(), coords)
     return greedy + np.asarray(beta)[..., None] * np.sqrt(np.maximum(quad, 0.0))
 
 

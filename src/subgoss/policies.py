@@ -333,11 +333,14 @@ def _run_subgoss(instances, params, gossip, noise_rngs, gossip_rngs, seeds, acti
     step (`end_explore_update`, one call per group of lanes switching together)
     and then exploits its best-estimate subspace. Its exploit statistics are
     loaded into the step batch (`play`) at its switch step and saved at the
-    phase end. A lane scores the rows `cand` of the action set, whose
-    coordinates are `X`: with a fixed set, the candidates of its subspace
-    (`_candidate_tables`, built once and gathered at the switch step); with a
-    resampled set, every row, projected every step. Before the switch a lane's
-    row of the batch is computed with the others and discarded. Each lane's sticky and
+    phase end. A lane scores the rows `cand` of the action set. With a fixed
+    set these are the candidates of its subspace (`_candidate_tables`, built
+    once, the rows gathered at the switch step), and the statistics of each
+    (lane, subspace) are kept over that subspace's candidate block, so a lane
+    scores from the kept terms and the block travels with the statistics. With
+    a resampled set a lane scores every row from scratch (`ucb_scores`), on
+    coordinates `X` projected every step. Before the switch a lane's row of
+    the batch is computed with the others and discarded. Each lane's sticky and
     active sets are rows of (lanes, K) bool masks, and the protocol between
     plays (`explore_plan`, `gossip_exchange`, `update_active_set`) acts on all
     lanes in one call each. Each lane draws from its own noise stream and each
@@ -372,15 +375,17 @@ def _run_subgoss(instances, params, gossip, noise_rngs, gossip_rngs, seeds, acti
     projectors = _projectors(instances)
     # explore-estimate norm of each lane's subspaces at its last refresh, -inf where none
     norms = np.full((n_lanes, K), -np.inf)
-    saved = LinUcbStats(m, lam, (n_lanes, K))
-    play = LinUcbStats(m, lam, (n_lanes,))
     best = np.zeros(n_lanes, dtype=np.int64)  # best-estimate id, the subspace a lane exploits
     if resample:
         cand = np.broadcast_to(np.arange(n_actions), (n_lanes, n_actions))
+        X = np.zeros((n_lanes, m, n_actions))
+        saved = LinUcbStats(m, lam, (n_lanes, K))
+        play = LinUcbStats(m, lam, (n_lanes,))
     else:
         cand_table, coord_table = _candidate_tables(instances, projectors)
         cand = np.zeros((n_lanes, cand_table.shape[2]), dtype=cand_table.dtype)
-    X = np.zeros((n_lanes, m, cand.shape[1]))
+        saved = LinUcbStats(m, lam, (n_lanes, K), coord_table[lane_seed])
+        play = LinUcbStats(m, lam, (n_lanes,), saved.block[:, 0])
     noise = _noise(instances, n_agents, T, noise_rngs)
     beta = _beta_table(params, m, first.s_bound)
     inst_regret = np.empty((n_lanes, T))
@@ -416,8 +421,10 @@ def _run_subgoss(instances, params, gossip, noise_rngs, gossip_rngs, seeds, acti
         end = min(end_full, T)
         slots = end - start + 1
 
+        # a phase explores at most its slots within T; clipped here, the budget
+        # and length of a huge b stay in int64
         budget = explore_budget(params.b, j, m, params.explore_budget_mode)
-        n_exp = np.minimum(explore_plan(active, budget, length), slots)
+        n_exp = explore_plan(active, min(budget, slots), slots)
         switches = {s: lanes[n_exp == s] for s in set(n_exp.tolist()) if s < slots}
         n_active = active.sum(axis=1)
         # active ids in ascending order, each row padded by repeats of its last id;
@@ -439,16 +446,18 @@ def _run_subgoss(instances, params, gossip, noise_rngs, gossip_rngs, seeds, acti
                 play.copy_lanes(switching, saved, (switching, best[switching]))
                 explorers, exploiters = lanes[n_exp > s], lanes[n_exp <= s]
                 if not resample:
-                    mine = (lane_seed[switching], best[switching])
-                    cand[switching], X[switching] = cand_table[mine], coord_table[mine]
+                    cand[switching] = cand_table[lane_seed[switching], best[switching]]
             if exploiters.size:
                 if resample:  # a set read for one step
                     lane_coords(exploiters)
-                pick = ucb_scores(play, X, beta[play.count]).argmax(axis=1)
+                    pick = ucb_scores(play, X, beta[play.count]).argmax(axis=1)
+                    x = X[lanes, :, pick]
+                else:
+                    pick = x = play.scores(beta[play.count]).argmax(axis=1)
                 idx = cand[lanes, pick]
                 a_val = values[lanes, idx]
                 r = a_val + noise[t]
-                play.add_play_coords(X[lanes, :, pick], r)
+                play.add_play_coords(x, r)
                 inst_regret[:, t - 1] = vstar - a_val
                 played[:, t - 1] = idx
             if explorers.size:
@@ -500,17 +509,20 @@ def _run_linucb(instances, params, noise_rngs, seeds, action_rngs, k, track_cove
     is None, one lane per seed of a batch. Per-seed arguments are lists over the batch.
 
     Every lane plays every step, so all lanes share one play count and one radius.
+    On a fixed set the statistics are kept over the block of scored columns, and
+    each step reads the scores off their kept terms; a resampled set, or the
+    coverage check, which needs theta_hat, scores from scratch (`ucb_scores`).
     """
     first = instances[0]
     T = params.T
     dim = first.d if k is None else first.m
     lam = params.lam
     resample = params.resample_actions_per_step
+    kept = not (resample or track_coverage)
     n_lanes = len(instances)
     lanes = np.arange(n_lanes)
     sets = _action_sets(instances, params, action_rngs)
     noise = _noise(instances, 1, T, [[rng] for rng in noise_rngs])
-    stats = LinUcbStats(dim, lam, (n_lanes,))
     projectors = None if k is None else _projectors(instances)[:, k]
     beta = _beta_table(params, dim, first.s_bound)
     if track_coverage:
@@ -521,27 +533,37 @@ def _run_linucb(instances, params, noise_rngs, seeds, action_rngs, k, track_cove
         gram = np.broadcast_to(lam * np.eye(dim), (n_lanes, dim, dim)).copy()
         covered = np.ones(n_lanes, dtype=bool)
 
+    def scored(actions):
+        # the rows each lane scores and their coordinates
+        X = _transposed(actions)
+        # scores are faster on C-ordered coordinates
+        X = np.ascontiguousarray(X) if k is None else projectors @ X
+        if resample:
+            return np.broadcast_to(np.arange(X.shape[2]), (n_lanes, X.shape[2])), X
+        # only the candidates can win; oful's m = d is above 2, so it keeps every row
+        cand = ucb_candidates(X)
+        return cand, np.take_along_axis(X, cand[:, None, :], axis=2)
+
+    actions, values, vstar = next(sets)
+    cand, X = scored(actions)
+    stats = LinUcbStats(dim, lam, (n_lanes,), X if kept else None)
     inst_regret = np.empty((n_lanes, T))
     played = np.empty((n_lanes, T), dtype=np.min_scalar_type(first.action_set.shape[0] - 1))
     for t in range(1, T + 1):
-        if t == 1 or resample:
+        if resample and t > 1:
             actions, values, vstar = next(sets)
-            X = _transposed(actions)
-            # scores are faster on C-ordered coordinates
-            X = np.ascontiguousarray(X) if k is None else projectors @ X
-            if resample:
-                cand = np.broadcast_to(np.arange(X.shape[2]), (n_lanes, X.shape[2]))
-            else:  # oful keeps every row: its m = d is above 2
-                cand = ucb_candidates(X)
-                X = np.take_along_axis(X, cand[:, None, :], axis=2)
+            cand, X = scored(actions)
         bval = beta[t - 1]
-        pick = ucb_scores(stats, X, bval).argmax(axis=1)
+        if kept:
+            pick = x = stats.scores(bval).argmax(axis=1)
+        else:
+            pick = ucb_scores(stats, X, bval).argmax(axis=1)
+            x = X[lanes, :, pick]
+            if track_coverage:
+                diff = stats.theta_hat() - theta_k
+                covered &= ~(np.sqrt((diff[:, None, :] @ gram @ diff[:, :, None])[:, 0, 0]) > bval)
+                gram += x[:, :, None] * x[:, None, :]
         idx = cand[lanes, pick]
-        x = X[lanes, :, pick]
-        if track_coverage:
-            diff = stats.theta_hat() - theta_k
-            covered &= ~(np.sqrt((diff[:, None, :] @ gram @ diff[:, :, None])[:, 0, 0]) > bval)
-            gram += x[:, :, None] * x[:, None, :]
         a_val = values[lanes, idx]
         stats.add_play_coords(x, a_val + noise[t])
         inst_regret[:, t - 1] = vstar - a_val

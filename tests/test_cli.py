@@ -235,6 +235,11 @@ def test_bounds_with_b_near_one_is_exit_2_and_quick(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_spread_needs_a_nonnegative_seed(capsys):
+    assert main(["spread", "--n-agents", "4", "--seed", "-1"]) == 2
+    assert "--seed must be >= 0, got -1" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("b", ["nan", "inf"])
 def test_spread_needs_a_finite_b(capsys, b):
     assert main(["spread", "--n-agents", "4", "--trials", "10", "--b", b]) == 2

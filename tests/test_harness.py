@@ -1,5 +1,6 @@
 """Config parsing, seed orchestration, aggregation, and CSV output."""
 
+import dataclasses
 import json
 import re
 
@@ -184,6 +185,19 @@ class TestRun:
         assert len(drawn) == cfg.T
         for actions in drawn:
             assert np.array_equal(actions, resample_actions(inst, cfg.extra_actions, stream))
+
+    @pytest.mark.parametrize("mode", ["experimental", "theoretical"])
+    @pytest.mark.parametrize("policy, N", [("subgoss_multi", 2), ("subgoss_single", 1)])
+    def test_huge_b_runs_as_a_large_one(self, policy, N, mode):
+        # at T=50 both b leave phase 2 longer than the horizon, explored up to its
+        # slots; b=1e200 puts its length and budget past int64
+        runs = [run(small_config(policy=policy, N=N, T=50, b=b, explore_budget_mode=mode))
+                for b in (1e10, 1e200)]
+        for got, want in zip(*runs, strict=True):
+            assert got.n_phases == want.n_phases == 2
+            for field in dataclasses.fields(RunResult):
+                a, b = getattr(got, field.name), getattr(want, field.name)
+                assert np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b, field.name
 
     def test_instance_gap_positive(self):
         assert instance_gap(small_config()) > 0

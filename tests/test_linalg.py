@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from subgoss.environment import generate_instance
 from subgoss.errors import (
     InsufficientSamplesError,
     InvalidDimensionError,
@@ -12,6 +13,7 @@ from subgoss.linalg import (
     Basis,
     ExploreStats,
     LinUcbStats,
+    _score_terms,
     explore_estimate,
     project,
     random_orthonormal_basis,
@@ -376,6 +378,80 @@ class TestLinUcbStats:
     def test_nonpositive_lambda_rejected(self):
         with pytest.raises(NumericalDegeneracyError):
             LinUcbStats(2, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# LinUcbStats over a fixed block: the kept score terms against the from-scratch form
+
+# how far the kept terms may drift from the from-scratch ones in 1e5 plays: quad
+# relative to itself, greedy relative to the block's largest |greedy|. Measured
+# drift on the Fig-1 blocks below: 3e-12 and 6e-11.
+KEPT_QUAD_RTOL = 1e-9
+KEPT_GREEDY_RTOL = 1e-9
+
+
+def fig1_block(kind):
+    """A Fig-1-size instance's block, (1, m, n), and its parameter in the block's
+    coordinates: oful's 24 x 144 action matrix, or genie's m=2 candidate block of
+    the true subspace (`ucb_candidates` of its coordinates)."""
+    inst = generate_instance(24, 2, 12, 0, 120, 1.0, 1.0, rng_for(5))
+    if kind == "oful":
+        return np.ascontiguousarray(inst.action_set.T)[None], inst.theta_star
+    u = inst.subspaces.bases[0].columns
+    full = (u.T @ inst.action_set.T)[None]
+    cand = ucb_candidates(full)
+    return np.take_along_axis(full, cand[:, None, :], axis=2), u.T @ inst.theta_star
+
+
+def play_both(kept, oracle, X, theta, steps, r, beta=2.0):
+    """`steps` optimistic plays picked by the kept form, with noisy linear rewards,
+    recorded in both forms: the kept one by column, the oracle by coordinates."""
+    lanes = np.arange(X.shape[0])
+    for _ in range(steps):
+        pick = kept.scores(beta).argmax(axis=1)
+        x = X[lanes, :, pick]
+        reward = x @ theta + r.standard_normal(len(lanes))
+        kept.add_play_coords(pick, reward)
+        oracle.add_play_coords(x, reward)
+
+
+@pytest.mark.parametrize("kind", ["oful", "genie"])
+def test_kept_terms_track_the_from_scratch_form(kind):
+    X, theta = fig1_block(kind)
+    m = X.shape[1]
+    kept, oracle = LinUcbStats(m, 1.0, (1,), X), LinUcbStats(m, 1.0, (1,))
+    assert kept.moment is None and kept.theta_hat() is None
+    # the empty statistics score with the bits of the from-scratch form
+    assert np.array_equal(kept.scores(1.7), ucb_scores(oracle, X, 1.7))
+    play_both(kept, oracle, X, theta, 100_000, rng_for(1))
+    assert kept.count == oracle.count == 100_000
+    quad, greedy = _score_terms(oracle.inv, oracle.theta_hat(), X)
+    assert np.max(np.abs(kept.quad - quad) / quad) < KEPT_QUAD_RTOL
+    assert np.max(np.abs(kept.greedy - greedy)) < KEPT_GREEDY_RTOL * np.abs(greedy).max()
+    assert close(kept.inv, oracle.inv, 1e-9)
+
+
+def test_kept_terms_of_a_single_lane_and_copied_lanes():
+    r = rng_for(8)
+    X = r.standard_normal((3, 2, 7))
+    theta = r.standard_normal(2)
+    # one lane without a lane axis: a column index and a float reward
+    kept, oracle = LinUcbStats(2, 1.0, (), X[0]), LinUcbStats(2, 1.0)
+    for col in (3, 3, 0, 6):
+        kept.add_play_coords(col, float(X[0, :, col] @ theta))
+        oracle.add_play_coords(X[0, :, col], float(X[0, :, col] @ theta))
+    assert close(kept.scores(0.9), ucb_scores(oracle, X[0], 0.9), 1e-12)
+    # copy_lanes carries the block with the terms kept over it, both ways
+    saved = LinUcbStats(2, 1.0, (3, 2), np.stack([X, X[::-1]], axis=1))
+    play = LinUcbStats(2, 1.0, (3,), saved.block[:, 0])
+    lanes, best = np.arange(3), np.array([1, 0, 1])
+    play.copy_lanes(lanes, saved, (lanes, best))
+    assert np.array_equal(play.block, X[[2, 1, 0]])
+    play.add_play_coords(np.array([1, 2, 3]), np.ones(3))
+    saved.copy_lanes((lanes, best), play, lanes)
+    assert saved.count.tolist() == [[0, 1], [1, 0], [0, 1]]
+    for name in ("inv", "block", "quad", "greedy"):
+        assert np.array_equal(getattr(saved, name)[lanes, best], getattr(play, name)), name
 
 
 def ellipsoid_max_oracle(stats, gram, basis, a, beta, n_grid=200_000):

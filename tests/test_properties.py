@@ -231,6 +231,33 @@ def test_candidates_never_lose_the_argmax(data):
                           along.max(axis=2))
 
 
+@hypothesis.settings(max_examples=100, deadline=None)
+@hypothesis.given(data=st.data())
+def test_kept_scores_pick_as_the_from_scratch_form(data):
+    """Statistics kept over a fixed block pick the column that `ucb_scores` picks from
+    the same plays, at every step, on random blocks, plays and radii."""
+    m = data.draw(st.sampled_from([1, 2, 3, 6, 24]), label="m")
+    n = data.draw(st.integers(2, 40), label="n")
+    lanes = data.draw(st.integers(1, 4), label="lanes")
+    lam = data.draw(st.floats(0.1, 10.0), label="lam")
+    r = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    X = data.draw(st.sampled_from([1e-2, 1.0, 10.0]), label="scale") * r.standard_normal(
+        (lanes, m, n))
+    theta = r.standard_normal((lanes, m))
+    kept, oracle = LinUcbStats(m, lam, (lanes,), X), LinUcbStats(m, lam, (lanes,))
+    at = np.arange(lanes)
+    for _ in range(data.draw(st.integers(1, 60), label="plays")):
+        beta = r.uniform(0.0, 5.0, lanes)
+        pick = kept.scores(beta).argmax(axis=1)
+        assert np.array_equal(pick, ucb_scores(oracle, X, beta).argmax(axis=1))
+        # a random column now and then, so that the plays spread over the block
+        pick = np.where(r.random(lanes) < 0.3, r.integers(0, n, lanes), pick)
+        x = X[at, :, pick]
+        reward = (x * theta).sum(axis=1) + r.standard_normal(lanes)
+        kept.add_play_coords(pick, reward)
+        oracle.add_play_coords(x, reward)
+
+
 _JUNK = st.one_of(
     st.none(), st.booleans(), st.integers(-3, 3), st.floats(), st.text(max_size=3),
     st.lists(st.integers(0, 2), max_size=2),
