@@ -53,13 +53,21 @@ class BoundBreakdown:
 
 def beta(delta: float, m: int, lam: float, n: int, S: float = 1.0) -> float:
     """Confidence-ellipsoid radius S*sqrt(lambda) + sqrt(2 log(1/delta) + m log(1 + n/(lambda m)))."""
+    radius = beta_of_count(delta, m, lam, S)
+    if n < 0:
+        raise InvalidConfigError("need n >= 0, lambda > 0, m >= 1")
+    return radius(n)
+
+
+def beta_of_count(delta: float, m: int, lam: float, S: float = 1.0):
+    """`beta` as a function of the play count n >= 0 alone, the other inputs checked
+    once: a table of radii by count maps it over the counts."""
     if not 0 < delta < 1:
         raise InvalidConfigError("delta must lie in (0, 1)")
-    if n < 0 or lam <= 0 or m < 1:
+    if lam <= 0 or m < 1:
         raise InvalidConfigError("need n >= 0, lambda > 0, m >= 1")
-    return S * math.sqrt(lam) + math.sqrt(
-        2.0 * math.log(1.0 / delta) + m * math.log1p(n / (lam * m))
-    )
+    offset, log_term, scale = S * math.sqrt(lam), 2.0 * math.log(1.0 / delta), lam * m
+    return lambda n: offset + math.sqrt(log_term + m * math.log1p(n / scale))
 
 
 def g_of_b(b: float) -> float:

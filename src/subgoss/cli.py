@@ -6,7 +6,8 @@ Subcommands:
   spread    rumor-spread statistics for a gossip graph
   validate  config sanity + gossip irreducibility check
 
-Exit codes: 0 success, 2 configuration error, 1 runtime error.
+Exit codes: 0 success, 2 configuration error (a config too large to allocate
+included), 1 runtime error.
 """
 
 from __future__ import annotations
@@ -175,6 +176,11 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](args)
     except (InvalidConfigError, InvalidDimensionError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        # a config whose arrays cannot be allocated, by T, d or the action count
+        print(f"config error: the run does not fit in memory: {exc or 'MemoryError'}",
+              file=sys.stderr)
         return 2
     except (SubgossError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

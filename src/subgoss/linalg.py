@@ -108,9 +108,11 @@ class ExploreStats:
 
     def add_play(self, column, reward) -> None:
         """One play per entry of `column`, an index into the arrays; on a batch,
-        (lanes, subspaces, columns) index arrays naming each entry at most once."""
-        self.reward_sum[column] += reward
-        self.count[column] += 1
+        (lanes, subspaces, columns) index arrays, with `reward` of their broadcast
+        shape. An entry named more than once gets its rewards added one at a time,
+        in C order of the index arrays, as by one call per play in that order."""
+        np.add.at(self.reward_sum, column, reward)
+        np.add.at(self.count, column, 1)
 
     def mean(self) -> np.ndarray:
         """Per-column reward mean ybar; a column not yet played, as in phases too
@@ -129,24 +131,37 @@ def explore_estimate(stats: ExploreStats, basis: Basis) -> np.ndarray:
     return basis.columns @ stats.mean()
 
 
+# the largest m at which statistics over a block keep V^-1 X, (m + 1) x n per
+# lane, in place of V^-1. The step on V^-1 X saves several numpy calls, but its
+# outer product grows as m*n: over 2*10^3 steps with scoring it took 0.75-0.91 of
+# the V^-1 step's time at m = 2 (n = 12 or 24, 2 to 128 lanes), and 1.11 (2
+# lanes) to 2.1 (30 lanes) of it at m = 24, n = 144, oful's Fig-1 block
+_KEEP_INV_X_MAX_M = 2
+
+
 class LinUcbStats:
     """Projected-LinUCB statistics of one subspace, or of a batch of lanes, in m coordinates.
 
     With V = lambda*I_m + sum x x^T over recorded plays, where x = U^T a are
-    the subspace coordinates of the played action, the statistics are
-    inv = V^-1 and the play count. The ambient baseline keeps the same
-    statistics in d coordinates, with x = a. inv is kept by one Sherman-Morrison
-    rank-1 update per play, so no play or score solves a linear system.
+    the subspace coordinates of the played action, the statistics hold V^-1,
+    through the Sherman-Morrison rank-1 update of one play,
+    (V + x x^T)^-1 = V^-1 - u u^T / (1 + x^T u) with u = V^-1 x, and the play
+    count. The ambient baseline keeps the same statistics in d coordinates,
+    with x = a. No play or score solves a linear system.
 
-    The statistics come in two forms. Built without a block, they also keep
-    moment = sum x*r and the ridge estimate inv @ moment, refreshed with inv:
-    `ucb_scores` scores any coordinates from them from scratch, as resampled
-    action sets need. Built over a fixed block X of (*lanes, m, n) column
-    coordinates, they keep instead the two terms of those columns' scores,
-    quad = diag(X^T V^-1 X) and greedy = theta_hat^T X: `add_play_coords` takes
-    each lane's played column of the block and updates both terms by the same
-    rank-1 step, in O(m*n + m^2) per lane, and `scores` reads the optimistic
-    scores off them. Neither form holds what the other keeps.
+    The statistics come in two forms. Built without a block, they keep
+    inv = V^-1, moment = sum x*r and the ridge estimate inv @ moment, refreshed
+    with inv: `ucb_scores` scores any coordinates from them from scratch, as
+    resampled action sets need. Built over a fixed block X of (*lanes, m, n)
+    column coordinates, they keep instead quad = diag(X^T V^-1 X) and
+    terms = [V^-1 X; theta_hat^T X], the two terms of those columns' scores
+    under V^-1 X; for m above `_KEEP_INV_X_MAX_M`, terms holds theta_hat^T X
+    alone and inv = V^-1 is kept apart. `add_play_coords` takes each lane's
+    played column of the block, reads theta_hat^T x, and u = V^-1 x where kept,
+    off its column of `terms`, and updates every kept array by the rank-1 step
+    seen through every column, in O(m*n) per lane; `scores` reads the
+    optimistic scores off them. Neither form holds the moment and theta_hat of
+    the other.
 
     `lanes` is the shape of a leading batch axis: every array carries it, and
     one call plays, or scores, every lane at once. The default () is a single
@@ -155,22 +170,26 @@ class LinUcbStats:
     """
 
     # the per-lane arrays; a form leaves the ones it does not keep None
-    _ARRAYS = ("inv", "count", "moment", "_theta", "block", "quad", "greedy")
+    _ARRAYS = ("inv", "count", "moment", "_theta", "block", "terms", "quad")
     __slots__ = _ARRAYS + ("_lanes",)
 
     def __init__(self, m: int, lam: float, lanes: tuple = (), block=None):
         if lam <= 0:
             raise NumericalDegeneracyError("regularization must be positive")
-        self.inv = np.broadcast_to(np.eye(m) / lam, (*lanes, m, m)).copy()
+        inv = np.broadcast_to(np.eye(m) / lam, (*lanes, m, m))
         self.count = np.zeros(lanes, dtype=np.int64)
         theta = np.zeros((*lanes, m))
         if block is None:
-            self.moment, self._theta = np.zeros((*lanes, m)), theta
-            self.block = self.quad = self.greedy = None
+            self.inv, self.moment, self._theta = inv.copy(), np.zeros((*lanes, m)), theta
+            self.block = self.terms = self.quad = None
         else:
             self.block = np.array(block, dtype=float)  # a copy: copy_lanes writes into it
             # the terms of the empty statistics have the bits `ucb_scores` gives them
-            self.quad, self.greedy = _score_terms(self.inv, theta, self.block)
+            self.quad, stacked = _score_terms(inv, theta, self.block)
+            if m <= _KEEP_INV_X_MAX_M:
+                self.inv, self.terms = None, stacked
+            else:
+                self.inv, self.terms = inv.copy(), stacked[..., -1:, :].copy()
             self.moment = self._theta = None
         # index arrays of the lane axes, which select one column per lane
         self._lanes = np.indices(lanes, sparse=True)
@@ -180,25 +199,32 @@ class LinUcbStats:
         or over a block, of the column x (lanes) of each lane's block."""
         if self.block is None:
             u = (self.inv @ x[..., None])[..., 0]
-            # (V + x x^T)^-1 = V^-1 - u u^T / (1 + x^T u), where 1 + x^T u >= 1
-            # since V^-1 is positive definite
+            # 1 + x^T u >= 1, since V^-1 is positive definite
             den = 1.0 + (x[..., None, :] @ u[..., None])[..., 0, 0]
             self.inv -= u[..., :, None] * u[..., None, :] / den[..., None, None]
             self.moment += np.asarray(reward)[..., None] * x
             self.count += 1
             self._theta = (self.inv @ self.moment[..., None])[..., 0]
             return
-        column = (*self._lanes, x)
-        u = self.inv @ self.block[(*self._lanes, slice(None), x)][..., None]  # V^-1 x
+        # [V^-1 x; theta_hat^T x], or theta_hat^T x alone where V^-1 is kept apart;
+        # an array index, a 0-d one too, gathers a copy, which is changed below
+        lift = self.terms[(*self._lanes, slice(None), np.asarray(x))]
+        if self.inv is None:
+            u = lift[..., :-1]
+        else:
+            u = (self.inv @ self.block[(*self._lanes, slice(None), x)][..., None])[..., 0]
         # w = u^T X holds x^T V^-1 x_i for every column x_i, the played one's too
-        w = (u.swapaxes(-1, -2) @ self.block)[..., 0, :]
-        den = 1.0 + w[column]
+        w = (u[..., None, :] @ self.block)[..., 0, :]
+        den = 1.0 + w[(*self._lanes, x)]
         scaled = w / den[..., None]
-        # the Sherman-Morrison step above, seen through each column: x_i^T V^-1 x_i
-        # loses w_i^2 / den, and theta_hat^T x_i gains w_i (r - theta_hat^T x) / den
+        # the Sherman-Morrison step seen through each column: V^-1 x_i loses
+        # u w_i / den, x_i^T V^-1 x_i loses w_i^2 / den, and theta_hat^T x_i
+        # gains w_i (r - theta_hat^T x) / den
+        lift[..., -1] -= reward
         self.quad -= w * scaled
-        self.greedy += scaled * (np.asarray(reward) - self.greedy[column])[..., None]
-        self.inv -= u * (u.swapaxes(-1, -2) / den[..., None, None])
+        self.terms -= lift[..., :, None] * scaled[..., None, :]
+        if self.inv is not None:
+            self.inv -= u[..., :, None] * (u[..., None, :] / den[..., None, None])
         self.count += 1
 
     def theta_hat(self) -> np.ndarray:
@@ -208,7 +234,8 @@ class LinUcbStats:
     def scores(self, beta) -> np.ndarray:
         """Optimistic scores of the block's columns, (lanes, n), from the kept terms:
         `ucb_scores` of the block, up to rounding."""
-        return self.greedy + np.asarray(beta)[..., None] * np.sqrt(np.maximum(self.quad, 0.0))
+        return self.terms[..., -1, :] + np.asarray(beta)[..., None] * np.sqrt(
+            np.maximum(self.quad, 0.0))
 
     def copy_lanes(self, index, source: LinUcbStats, source_index) -> None:
         """Set the lanes at `index` to copies of the lanes of `source` at `source_index`."""
@@ -218,10 +245,10 @@ class LinUcbStats:
 
 
 def _score_terms(inv, theta, coords):
-    """diag(X^T V^-1 X) and theta_hat^T X of coordinates X, from one product
-    [V^-1; theta_hat^T] @ X; see `ucb_scores`."""
+    """diag(X^T V^-1 X) and [V^-1 X; theta_hat^T X] of coordinates X, the latter
+    from one product [V^-1; theta_hat^T] @ X; see `ucb_scores`."""
     stacked = np.concatenate([inv, theta[..., None, :]], axis=-2) @ coords
-    return np.einsum("...ij,...ij->...j", coords, stacked[..., :-1, :]), stacked[..., -1, :]
+    return np.einsum("...ij,...ij->...j", coords, stacked[..., :-1, :]), stacked
 
 
 def ucb_scores(stats: LinUcbStats, coords: np.ndarray, beta) -> np.ndarray:
@@ -245,8 +272,8 @@ def ucb_scores(stats: LinUcbStats, coords: np.ndarray, beta) -> np.ndarray:
     1 x m by m x n product of theta_hat alone, or an einsum, gives m = 3 bits
     that depend on the width, and a one-column block takes another path.
     """
-    quad, greedy = _score_terms(stats.inv, stats.theta_hat(), coords)
-    return greedy + np.asarray(beta)[..., None] * np.sqrt(np.maximum(quad, 0.0))
+    quad, stacked = _score_terms(stats.inv, stats.theta_hat(), coords)
+    return stacked[..., -1, :] + np.asarray(beta)[..., None] * np.sqrt(np.maximum(quad, 0.0))
 
 
 # the 16 directions of the candidate filter, (2, 16), in counter-clockwise order

@@ -66,6 +66,25 @@ def explore_plan(active: np.ndarray, budget: int, length: int) -> np.ndarray:
     return np.minimum(budget * n_active, length)
 
 
+def explore_slots(order: np.ndarray, n_active: np.ndarray, count: np.ndarray, slots: np.ndarray):
+    """The subspace ids and columns, each (lanes, len(slots)), that every lane
+    plays in the explore slots `slots` of a phase, as `explore_plan` lays them out.
+
+    `order` holds each lane's active ids in ascending order (padded at the end),
+    `n_active` their number and `count` the (lanes, K, m) explore counts at the
+    phase start. Slot s plays id k = order[s mod |active|], which the phase
+    played s // |active| times before it. Every explore play takes the
+    least-played column, lowest index first, so a subspace's counts are always
+    a round-robin prefix and its least-played column is its total count mod m:
+    slot s plays column (count_k + s // |active|) mod m, the column
+    `ExploreStats.next_column` picks at that slot.
+    """
+    per = n_active[:, None]
+    ids = np.take_along_axis(order, slots % per, axis=1)
+    total = np.take_along_axis(count.sum(axis=2), ids, axis=1)
+    return ids, (total + slots // per) % count.shape[2]
+
+
 def end_explore_update(stats: ExploreStats, columns: np.ndarray, active: np.ndarray):
     """Explore-estimate norms and best-estimate ids of a group of L lanes.
 
@@ -145,7 +164,9 @@ _PARAM_CHECKS = (
     (("T",), lambda v: _is_int(v) and v >= 1, "an integer >= 1"),
     (("delta",), lambda v: v is None or _is_real(v) and 0 < v < 1, "null or a number in (0, 1)"),
     (("b",), lambda v: _is_real(v) and v > 1, "a number > 1"),
-    (("lam",), lambda v: _is_real(v) and v > 0, "a number > 0"),
+    # V^-1 starts at I / lam, so 1 / lam must not overflow
+    (("lam",), lambda v: _is_real(v) and v > 0 and math.isfinite(1.0 / float(v)),
+     "a number > 0 with a finite inverse"),
     (("resample_actions_per_step",), lambda v: isinstance(v, bool), "true or false"),
     (("explore_budget_mode",), lambda v: v in ("theoretical", "experimental"),
      "'theoretical' or 'experimental'"),
@@ -310,12 +331,17 @@ def _candidate_tables(instances, projectors):
             np.stack([x[..., pad] for x, pad in zip(coords, pads)]))
 
 
+# entries, lanes times slots, of each explore table the phased engine builds at
+# once: a phase that explores long, as under the theoretical budget, or a batch of
+# many lanes gets its tables a chunk of slots at a time, which bounds their memory
+_EXPLORE_CHUNK = 4096
+
+
 def _beta_table(params, dim: int, S: float) -> np.ndarray:
     """Confidence radius by play count; a count is below T, as it grows by at most
     one play per step from 0."""
-    delta = params.delta_value()
-    radii = (bounds.beta(delta, dim, params.lam, c, S) for c in range(params.T))
-    return np.fromiter(radii, dtype=float, count=params.T)
+    radius = bounds.beta_of_count(params.delta_value(), dim, params.lam, S)
+    return np.fromiter(map(radius, range(params.T)), dtype=float, count=params.T)
 
 
 # ---------------------------------------------------------------------------
@@ -331,25 +357,33 @@ def _run_subgoss(instances, params, gossip, noise_rngs, gossip_rngs, seeds, acti
     and each step plays the move of every lane in one set of array operations.
     A lane plays its explore slots, refreshes its estimates at its own switch
     step (`end_explore_update`, one call per group of lanes switching together)
-    and then exploits its best-estimate subspace. Its exploit statistics are
-    loaded into the step batch (`play`) at its switch step and saved at the
-    phase end. A lane scores the rows `cand` of the action set. With a fixed
-    set these are the candidates of its subspace (`_candidate_tables`, built
-    once, the rows gathered at the switch step), and the statistics of each
-    (lane, subspace) are kept over that subspace's candidate block, so a lane
-    scores from the kept terms and the block travels with the statistics. With
-    a resampled set a lane scores every row from scratch (`ucb_scores`), on
-    coordinates `X` projected every step. Before the switch a lane's row of
-    the batch is computed with the others and discarded. Each lane's sticky and
-    active sets are rows of (lanes, K) bool masks, and the protocol between
-    plays (`explore_plan`, `gossip_exchange`, `update_active_set`) acts on all
-    lanes in one call each. Each lane draws from its own noise stream and each
-    seed from its own gossip and action streams, so no result depends on the
-    batch it runs in.
+    and then exploits its best-estimate subspace. Each phase's explore plays
+    are laid out as a table at the phase start (`explore_slots`, a chunk of
+    slots at a time). On a fixed set every explore play of the phase enters
+    the explore statistics there, as blocks of plays, and its values and
+    regrets are gathered at once, so the step loop starts at the first slot
+    where a lane exploits; a resampled set is drawn every step, and its
+    explore plays are read from the table and recorded step by step. A lane's
+    exploit statistics are loaded into the step batch (`play`) at its switch
+    step and saved at the phase end. A lane scores the rows `cand` of the
+    action set. With a fixed set these are the candidates of its subspace
+    (`_candidate_tables`, built once, the rows gathered at the switch step),
+    and the statistics of each (lane, subspace) are kept over that subspace's
+    candidate block, so a lane scores from the kept terms and the block travels
+    with the statistics. With a resampled set a lane scores every row from
+    scratch (`ucb_scores`), on coordinates `X` projected every step. Before the
+    switch a lane's row of the batch is computed with the others and
+    discarded. Each lane's sticky and active sets are rows of (lanes, K) bool
+    masks, and the protocol between plays (`explore_plan`, `gossip_exchange`,
+    `update_active_set`) acts on all lanes in one call each. Each lane draws
+    from its own noise stream and each seed from its own gossip and action
+    streams, so no result depends on the batch it runs in.
 
     Every play is recorded: `explored` once per phase, as each lane's explore
     slots are the first of the phase, and `played` where `inst_regret` is
-    written, an explore play as its column's row of the action set.
+    written, an explore play as its column's row of the action set; on a fixed
+    set an exploit step writes every lane, and the explore slots are written
+    again at the phase end.
     """
     first = instances[0]
     K, m, T = first.K, first.m, params.T
@@ -400,6 +434,17 @@ def _run_subgoss(instances, params, gossip, noise_rngs, gossip_rngs, seeds, acti
             mine = ls[lane_seed[ls] == seed]
             X[mine] = projectors[seed, best[mine]] @ actions[seed].T
 
+    chunk_slots = max(1, _EXPLORE_CHUNK // n_lanes)
+
+    def explore_chunks():
+        # the phase's explore table, chunk_slots slots at a time: the slots, and each
+        # lane's subspace ids, columns and action-set rows there, (lanes, slots). The
+        # rows index the same values array as vstar, which never falls below them
+        for lo in range(0, width, chunk_slots):
+            chunk = np.arange(lo, min(lo + chunk_slots, width))
+            ids, cols = explore_slots(order, n_active, phase_count, chunk)
+            yield chunk, ids, cols, n_random + ids * m + cols
+
     def refresh(group):
         if group.size:
             ids = order[group]
@@ -412,6 +457,9 @@ def _run_subgoss(instances, params, gossip, noise_rngs, gossip_rngs, seeds, acti
     # per phase, every lane's best id and active mask, kept as lists: small arrays
     # kept for the whole run fragment the heap and raise the peak memory
     recommendations, active_history = [], []
+    if not resample:
+        actions, values, vstar = next(sets)
+        values, vstar = values[lane_seed], vstar[lane_seed]
     n_gossip = 0
     j = 1
     start = 1
@@ -434,10 +482,21 @@ def _run_subgoss(instances, params, gossip, noise_rngs, gossip_rngs, seeds, acti
                      + np.minimum(np.arange(n_active.max()), n_active[:, None] - 1)]
         explorers, exploiters = lanes, lanes[:0]
         explored[:, start - 1:end] = np.arange(slots) < n_exp[:, None]
+        width = int(n_exp.max())
+        phase_count = explore.count.copy()
+        chunks = explore_chunks()
+        if not resample:
+            # on a fixed set every explore play of the phase enters the statistics
+            # here: a lane reads them only at its refresh, after its explore slots
+            for chunk, ids, cols, rows in chunks:
+                mine = chunk < n_exp[:, None]
+                rewards = values[lanes[:, None], rows] + noise[start + chunk].T
+                explore.add_play((np.broadcast_to(lanes[:, None], mine.shape)[mine],
+                                  ids[mine], cols[mine]), rewards[mine])
 
-        for s in range(slots):
+        for s in range(0 if resample else int(n_exp.min()), slots):
             t = start + s
-            if t == 1 or resample:
+            if resample:
                 actions, values, vstar = next(sets)
                 values, vstar = values[lane_seed], vstar[lane_seed]
             switching = switches.get(s)
@@ -460,18 +519,25 @@ def _run_subgoss(instances, params, gossip, noise_rngs, gossip_rngs, seeds, acti
                 play.add_play_coords(x, r)
                 inst_regret[:, t - 1] = vstar - a_val
                 played[:, t - 1] = idx
-            if explorers.size:
-                k = order[explorers, s % n_active[explorers]]
-                col = explore.count[explorers, k].argmin(axis=1)  # ExploreStats.next_column
-                # the played column's row in the action set, so that vstar, the
-                # maximum of the same values array, never falls below it
-                row = n_random + k * m + col
+            if resample and explorers.size:
+                if s % chunk_slots == 0:
+                    _, ids, cols, rows = next(chunks)
+                i = s % chunk_slots
+                k, col, row = ids[explorers, i], cols[explorers, i], rows[explorers, i]
                 a_val = values[explorers, row]
                 explore.add_play((explorers, k, col), a_val + noise[t, explorers])
                 inst_regret[explorers, t - 1] = vstar[explorers] - a_val
                 played[explorers, t - 1] = row
 
         refresh(lanes[n_exp == slots])
+        if not resample:
+            # the explore slots, which the exploit steps wrote over for every lane
+            for chunk, _, _, rows in explore_chunks():
+                mine = chunk < n_exp[:, None]
+                span = slice(start - 1 + chunk[0], start + chunk[-1])
+                np.copyto(inst_regret[:, span], vstar[:, None] - values[lanes[:, None], rows],
+                          where=mine)
+                np.copyto(played[:, span], rows, where=mine, casting="unsafe")
         switched = lanes[n_exp < slots]
         saved.copy_lanes((switched, best[switched]), play, switched)
 

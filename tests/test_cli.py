@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from subgoss import bounds as bounds_mod
+from subgoss import cli
 from subgoss.cli import main
 from subgoss.harness import instance_gap, load_config
 
@@ -51,13 +52,14 @@ class TestValidate:
         ({"n_seeds": 1.5}, "n_seeds must be an integer"),
         ({"b": 1.0}, "b must be a number > 1"),
         ({"lambda": 0}, "lam must be a number > 0"),
+        ({"lambda": 1e-320}, "lam must be a number > 0 with a finite inverse"),
         ({"log_plays": True}, "unknown config keys"),
         ({"d": 3, "m": 2, "K": 2}, "2m <= d"),
         ({"delta": "abc"}, "delta must be null or a number in (0, 1)"),
         ({"delta": 1.5}, "delta must be null or a number in (0, 1)"),
         ({"delta_mode": "fixed", "delta": 0.05}, "unknown config keys"),
     ],
-    ids=["T-string", "T-zero", "n_seeds-float", "b-one", "lambda-zero",
+    ids=["T-string", "T-zero", "n_seeds-float", "b-one", "lambda-zero", "lambda-inverse-overflows",
          "log_plays-removed", "2m-above-d", "delta-string", "delta-above-one",
          "delta_mode-removed"],
 )
@@ -233,6 +235,21 @@ def test_bounds_with_b_near_one_is_exit_2_and_quick(tmp_path, capsys):
     assert time.perf_counter() - start < 5
     assert "b=1.000000001 is too close to 1" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_config_too_large_to_allocate_is_exit_2(tmp_path, capsys, monkeypatch):
+    # the run raises as numpy does on an array past the memory, without allocating it
+    def huge(config):
+        raise MemoryError("Unable to allocate 14.6 TiB for an array with shape "
+                          "(1000000000001, 2) and data type float64")
+
+    monkeypatch.setattr(cli, "run", huge)
+    cfg = write_config(tmp_path, T=10**12)
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: the run does not fit in memory: Unable to allocate")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_spread_needs_a_nonnegative_seed(capsys):

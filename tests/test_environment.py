@@ -111,11 +111,12 @@ class TestReward:
     def logged_plays(self, inst, T, monkeypatch):
         """(action, reward) of every play of a single-agent run in time order: the
         action is the row of the run's `played` record, the reward is the one the
-        agent's statistics receive."""
+        agent's statistics receive. The explore plays of a phase arrive as one
+        block, in slot order, before its exploit plays."""
         rewards = []
         for cls, name in ((ExploreStats, "add_play"), (LinUcbStats, "add_play_coords")):
             def receive(stats, where, reward, _add=getattr(cls, name)):
-                rewards.append(float(reward[0]))  # one lane
+                rewards.extend(np.ravel(reward).tolist())  # one lane
                 _add(stats, where, reward)
             monkeypatch.setattr(cls, name, receive)
         res = run_single_agent_subgoss(

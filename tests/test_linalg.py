@@ -226,6 +226,20 @@ class TestExploreEstimate:
             est = explore_estimate(stats, b)
             assert np.max(np.abs(est - pinv_lsq_oracle(b, plays))) < 1e-9
 
+    def test_repeated_entries_add_as_one_play_at_a_time(self):
+        # a block naming entries more than once gives the bits of one call per play,
+        # in the block's C order
+        r = rng_for(13)
+        lanes, ids, cols = (r.integers(0, n, (3, 40)) for n in (2, 3, 2))
+        rewards = r.standard_normal((3, 40)) * 10.0 ** r.integers(-8, 8, (3, 40))
+        block, single = ExploreStats((2, 3, 2)), ExploreStats((2, 3, 2))
+        block.reward_sum[:] = single.reward_sum[:] = r.standard_normal((2, 3, 2))
+        block.add_play((lanes, ids, cols), rewards)
+        for index, reward in zip(zip(lanes.ravel(), ids.ravel(), cols.ravel()), rewards.ravel()):
+            single.add_play(index, reward)
+        assert np.array_equal(block.reward_sum, single.reward_sum)
+        assert np.array_equal(block.count, single.count) and block.total_count == 120
+
     def test_estimate_stays_in_span(self):
         b = random_orthonormal_basis(8, 3, rng_for(11))
         r = rng_for(12)
@@ -425,10 +439,14 @@ def test_kept_terms_track_the_from_scratch_form(kind):
     assert np.array_equal(kept.scores(1.7), ucb_scores(oracle, X, 1.7))
     play_both(kept, oracle, X, theta, 100_000, rng_for(1))
     assert kept.count == oracle.count == 100_000
-    quad, greedy = _score_terms(oracle.inv, oracle.theta_hat(), X)
+    quad, stacked = _score_terms(oracle.inv, oracle.theta_hat(), X)
+    greedy = stacked[:, -1]
     assert np.max(np.abs(kept.quad - quad) / quad) < KEPT_QUAD_RTOL
-    assert np.max(np.abs(kept.greedy - greedy)) < KEPT_GREEDY_RTOL * np.abs(greedy).max()
-    assert close(kept.inv, oracle.inv, 1e-9)
+    assert np.max(np.abs(kept.terms[:, -1] - greedy)) < KEPT_GREEDY_RTOL * np.abs(greedy).max()
+    # the kept V^-1 X rows, or above m = 2 the kept V^-1 times the block, against
+    # the oracle's V^-1 times the block
+    kept_inv_x = kept.terms[:, :-1] if kept.inv is None else kept.inv @ X
+    assert close(kept_inv_x, oracle.inv @ X, 1e-9)
 
 
 def test_kept_terms_of_a_single_lane_and_copied_lanes():
@@ -450,8 +468,12 @@ def test_kept_terms_of_a_single_lane_and_copied_lanes():
     play.add_play_coords(np.array([1, 2, 3]), np.ones(3))
     saved.copy_lanes((lanes, best), play, lanes)
     assert saved.count.tolist() == [[0, 1], [1, 0], [0, 1]]
-    for name in ("inv", "block", "quad", "greedy"):
+    for name in ("block", "terms", "quad"):
         assert np.array_equal(getattr(saved, name)[lanes, best], getattr(play, name)), name
+    # the kept V^-1 X rows of a played lane against the from-scratch V^-1 times its block
+    oracle = LinUcbStats(2, 1.0, (3,))
+    oracle.add_play_coords(X[[2, 1, 0], :, [1, 2, 3]], np.ones(3))
+    assert close(play.terms[:, :-1], oracle.inv @ play.block, 1e-12)
 
 
 def ellipsoid_max_oracle(stats, gram, basis, a, beta, n_grid=200_000):

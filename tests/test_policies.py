@@ -161,6 +161,15 @@ def explore_records(res, inst, agent, phase, b=2.0):
     return [divmod(row - n_random, inst.m) for row in rows.tolist()]
 
 
+@pytest.mark.parametrize("delta, dim, lam, S", [
+    (None, 2, 1.0, 1.0), (0.05, 1, 1.0, 1.0), (1e-4, 24, 0.5, 2.0), (0.3, 3, 7.25, 0.1),
+])
+def test_beta_table_equals_beta_at_every_count(delta, dim, lam, S):
+    params = PolicyParams(T=3000, delta=delta, lam=lam)
+    want = [bounds.beta(params.delta_value(), dim, lam, n, S) for n in range(params.T)]
+    assert np.array_equal(policies._beta_table(params, dim, S), want)
+
+
 class TestExplorePlan:
     def test_round_robin_full_budget(self):
         # m=1, budget 2 per subspace, phase long enough -> a,b,a,b
@@ -815,6 +824,21 @@ def test_phased_runs_match_hand_written_loop(shape, resample):
     instance and streams: trajectories, plays, recommendations and active sets. The
     reference exploits its recommended subspace, so equal plays check that the
     engine does too."""
+    assert_matches_hand_written_loop(shape, resample)
+
+
+@pytest.mark.parametrize("resample", [False, True], ids=["fixed", "resampled"])
+@pytest.mark.parametrize("shape", [
+    dict(d=8, m=2, K=4, N=2, T=300, policy="subgoss_multi"),
+    dict(d=6, m=1, K=3, N=1, T=200, policy="subgoss_single", explore_budget_mode="theoretical"),
+], ids=["multi2", "single-theoretical"])
+def test_explore_tables_in_small_chunks_match_hand_written_loop(shape, resample, monkeypatch):
+    # phases whose explore slots span many chunks of the engine's explore tables
+    monkeypatch.setattr(policies, "_EXPLORE_CHUNK", 3)
+    assert_matches_hand_written_loop(shape, resample)
+
+
+def assert_matches_hand_written_loop(shape, resample):
     config = RunConfig(n_seeds=3, resample_actions_per_step=resample, **shape)
     params = config.policy_params()
     results = harness.run(config)

@@ -13,11 +13,13 @@ from subgoss import harness, policies
 from subgoss.cli import main
 from subgoss.environment import generate_instance
 from subgoss.harness import POLICIES, RunConfig
-from subgoss.linalg import LinUcbStats, ucb_candidates, ucb_scores
+from subgoss.linalg import ExploreStats, LinUcbStats, ucb_candidates, ucb_scores
 from subgoss.network import complete_graph
 from subgoss.policies import (
     PolicyParams,
     RunResult,
+    explore_plan,
+    explore_slots,
     phase_length,
     run_genie,
     run_oful_baseline,
@@ -358,3 +360,36 @@ def test_active_set_stays_within_its_cap(K, data):
             assert set(np.flatnonzero(active[lane]).tolist()) == want[lane]
         assert not (sticky & ~active).any()
         assert (active.sum(axis=1) <= K // N + 2).all()
+
+
+@hypothesis.settings(max_examples=150, deadline=None)
+@hypothesis.given(data=st.data())
+def test_explore_table_replays_next_column(data):
+    """The phase's explore table names, slot by slot, the subspace of the lane's
+    round-robin over its active ids and the column `ExploreStats.next_column`
+    picks after the plays before it, from counts left by earlier phases'
+    least-played plays; phases too short for the budget included."""
+    K = data.draw(st.integers(1, 6), label="K")
+    m = data.draw(st.integers(1, 4), label="m")
+    lanes = data.draw(st.integers(1, 4), label="lanes")
+    active = np.array(data.draw(st.lists(
+        st.lists(st.booleans(), min_size=K, max_size=K).filter(any),
+        min_size=lanes, max_size=lanes), label="active"))
+    # earlier phases' plays leave each subspace's counts a round-robin prefix
+    totals = np.array(data.draw(st.lists(st.integers(0, 20), min_size=lanes * K,
+                                         max_size=lanes * K), label="totals")).reshape(lanes, K)
+    stats = ExploreStats((lanes, K, m))
+    stats.count[:] = totals[..., None] // m + (np.arange(m) < totals[..., None] % m)
+    budget = data.draw(st.integers(1, 3 * m), label="budget")
+    length = data.draw(st.integers(1, budget * K + 2), label="length")
+    n_exp = explore_plan(active, budget, length)
+    n_active = active.sum(axis=1)
+    order = np.array([np.resize(np.flatnonzero(row), n_active.max()) for row in active])
+    ids, cols = explore_slots(order, n_active, stats.count.copy(), np.arange(n_exp.max()))
+    for lane in range(lanes):
+        held = np.flatnonzero(active[lane])
+        for s in range(n_exp[lane]):
+            k = held[s % len(held)]
+            col = stats[lane, k].next_column()
+            assert (ids[lane, s], cols[lane, s]) == (k, col), (lane, s)
+            stats[lane, k].add_play(col, 0.0)
