@@ -37,5 +37,6 @@ class ProtocolError(SubgossError):
     """A gossip message carried an out-of-range payload."""
 
 
-class SpreadMomentOverflowError(SubgossError):
-    """b**(2*tau) exceeded float range during moment estimation."""
+class SpreadMomentOverflowError(InvalidConfigError):
+    """b**(2*tau) exceeded float range during moment estimation: a b too large
+    for the graph's spread times, so a configuration error."""

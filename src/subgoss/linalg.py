@@ -196,7 +196,11 @@ class LinUcbStats:
 
     def add_play_coords(self, x: np.ndarray, reward) -> None:
         """Record a play with reward (lanes) in every lane: of coordinates x (lanes x m),
-        or over a block, of the column x (lanes) of each lane's block."""
+        or over a block, of the column x (lanes) of each lane's block. Over a block,
+        a reward of shape (J, lanes) records J plays of the column, with those
+        rewards in play order, as one rank-1 step: J x x^T has the Sherman-Morrison
+        step of x x^T with den = 1 + J x^T u and u scaled by J; J = 1 gives the
+        bits of one play."""
         if self.block is None:
             u = (self.inv @ x[..., None])[..., 0]
             # 1 + x^T u >= 1, since V^-1 is positive definite
@@ -206,6 +210,9 @@ class LinUcbStats:
             self.count += 1
             self._theta = (self.inv @ self.moment[..., None])[..., 0]
             return
+        plays, reward = 1, np.asarray(reward)
+        if reward.ndim > self.count.ndim:
+            plays, reward = len(reward), reward.sum(axis=0) / len(reward)
         # [V^-1 x; theta_hat^T x], or theta_hat^T x alone where V^-1 is kept apart;
         # an array index, a 0-d one too, gathers a copy, which is changed below
         lift = self.terms[(*self._lanes, slice(None), np.asarray(x))]
@@ -215,17 +222,19 @@ class LinUcbStats:
             u = (self.inv @ self.block[(*self._lanes, slice(None), x)][..., None])[..., 0]
         # w = u^T X holds x^T V^-1 x_i for every column x_i, the played one's too
         w = (u[..., None, :] @ self.block)[..., 0, :]
-        den = 1.0 + w[(*self._lanes, x)]
-        scaled = w / den[..., None]
-        # the Sherman-Morrison step seen through each column: V^-1 x_i loses
-        # u w_i / den, x_i^T V^-1 x_i loses w_i^2 / den, and theta_hat^T x_i
-        # gains w_i (r - theta_hat^T x) / den
+        jw = w if plays == 1 else plays * w  # one play skips a product by 1
+        den = 1.0 + jw[(*self._lanes, x)]
+        scaled = jw / den[..., None]
+        # the Sherman-Morrison step of J plays seen through each column: V^-1 x_i
+        # loses u J w_i / den, x_i^T V^-1 x_i loses J w_i^2 / den, and theta_hat^T x_i
+        # gains J w_i (rbar - theta_hat^T x) / den, rbar the mean reward
         lift[..., -1] -= reward
         self.quad -= w * scaled
         self.terms -= lift[..., :, None] * scaled[..., None, :]
         if self.inv is not None:
-            self.inv -= u[..., :, None] * (u[..., None, :] / den[..., None, None])
-        self.count += 1
+            ju = u if plays == 1 else plays * u
+            self.inv -= u[..., :, None] * (ju[..., None, :] / den[..., None, None])
+        self.count += plays
 
     def theta_hat(self) -> np.ndarray:
         """Ridge estimate in subspace coordinates, kept without a block only."""
@@ -236,6 +245,29 @@ class LinUcbStats:
         `ucb_scores` of the block, up to rounding."""
         return self.terms[..., -1, :] + np.asarray(beta)[..., None] * np.sqrt(
             np.maximum(self.quad, 0.0))
+
+    def lookahead(self, x, rewards, beta) -> np.ndarray:
+        """Optimistic scores of the block's columns at each of the next k steps,
+        (k, lanes, n), if every lane plays its column x (lanes) at each of them.
+
+        Row j scores the statistics after j plays of x with the first j of the
+        (k, lanes) `rewards`, under the (k, lanes) radii `beta`, by the closed form
+        of J = j plays (`add_play_coords`): with u = V^-1 x, w = u^T X and
+        den = 1 + j x^T u, theta_hat^T X gains w (R_j - j theta_hat^T x) / den,
+        R_j the sum of the j rewards, and diag(X^T V^-1 X) loses j w^2 / den.
+        Row 0 has the bits of `scores(beta[0])`. Kept V^-1 X only
+        (m <= `_KEEP_INV_X_MAX_M`).
+        """
+        lift = self.terms[(*self._lanes, slice(None), np.asarray(x))]
+        w = (lift[..., None, :-1] @ self.block)[..., 0, :]
+        plays = np.arange(len(rewards)).reshape((-1,) + (1,) * self.count.ndim)
+        den = 1.0 + plays * w[(*self._lanes, x)]
+        # R_j, the sum of the first j rewards (0 in row 0)
+        before = np.cumsum(rewards, axis=0) - rewards
+        gain = (before - plays * lift[..., -1]) / den
+        greedy = self.terms[..., -1, :] + gain[..., None] * w
+        quad = self.quad - (plays / den)[..., None] * (w * w)
+        return greedy + np.asarray(beta)[..., None] * np.sqrt(np.maximum(quad, 0.0))
 
     def copy_lanes(self, index, source: LinUcbStats, source_index) -> None:
         """Set the lanes at `index` to copies of the lanes of `source` at `source_index`."""

@@ -11,6 +11,7 @@ below act on every lane at once.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 
@@ -282,13 +283,23 @@ def _action_sets(instances, params, action_rngs):
 def _noise(instances, n_agents, T, noise_rngs) -> np.ndarray:
     """Reward noise of a batch, (T + 1) x lanes: row t holds every lane's noise at step t.
 
-    Lane l reads stream l % n_agents of seed l // n_agents; row 0 is zero.
+    Lane l reads stream l % n_agents of seed l // n_agents; row 0 is zero. A
+    noise level whose draws z give d * noise_std^2 * sum(z^2) past the float
+    range fails here, before any statistic sees them; below it, the reward
+    sums and the squared norms of the explore estimates stay in range.
     """
     noise = np.zeros((T + 1, len(instances) * n_agents))
     for s, (instance, rngs) in enumerate(zip(instances, noise_rngs)):
         if instance.noise_std != 0:
+            std = float(instance.noise_std)
             for i in range(n_agents):
-                noise[1:, s * n_agents + i] = instance.noise_std * rngs[i].standard_normal(T)
+                z = rngs[i].standard_normal(T)
+                # a product of Python floats overflows to inf without a warning
+                if not math.isfinite(std * std * float(z @ z) * instance.d):
+                    raise InvalidConfigError(
+                        f"noise_std={instance.noise_std!r} draws noise past the float range "
+                        f"of the statistics (d={instance.d}, T={T})")
+                noise[1:, s * n_agents + i] = instance.noise_std * z
     return noise
 
 
@@ -333,7 +344,8 @@ def _candidate_tables(instances, projectors):
 
 # entries, lanes times slots, of each explore table the phased engine builds at
 # once: a phase that explores long, as under the theoretical budget, or a batch of
-# many lanes gets its tables a chunk of slots at a time, which bounds their memory
+# many lanes gets its tables a chunk of slots at a time, which bounds their memory;
+# so does the gather of the regrets of a fixed set's plays
 _EXPLORE_CHUNK = 4096
 
 
@@ -342,6 +354,67 @@ def _beta_table(params, dim: int, S: float) -> np.ndarray:
     one play per step from 0."""
     radius = bounds.beta_of_count(params.delta_value(), dim, params.lam, S)
     return np.fromiter(map(radius, range(params.T)), dtype=float, count=params.T)
+
+
+# the most steps one look-ahead scores
+_LOOKAHEAD = 32
+# the steps in a row every counted lane must have kept its pick before a look-ahead
+_SETTLED = 4
+
+
+def _kept_exploit(stats, t, steps, lanes, cand, values, noise, beta, exploiting, played):
+    """Exploit steps t, ..., t + steps - 1 of every lane from `stats`, kept over the
+    block of its candidate rows `cand` of a fixed action set; each step's row goes
+    into the (lanes, T) array `played`.
+
+    `values` holds each lane's values of the set's rows, `noise` the noise rows
+    by step and `beta` the radius by play count. Every step plays the
+    optimistic rule. Only the lanes of `exploiting` count for a block; the
+    others play along, as rows to be discarded. Once every counted lane has
+    picked the same column for r >= `_SETTLED` steps in a row, the step and the
+    next ones, min(2r, `_LOOKAHEAD`) in all, are scored at once
+    (`LinUcbStats.lookahead`) as if every lane kept its pick p at each. Row 0
+    is the step's own score, so the step is always played; so are the steps
+    before the first row in which a counted lane picks another column, and
+    those J plays enter the statistics as one step of J plays. A block accepted
+    whole doubles the next, and a changed pick starts r again. Blocks need kept
+    V^-1 X; with V^-1 kept apart every step is played alone. The picks equal
+    the step-by-step picks up to rounding.
+    """
+    end = t + steps
+    limit = _LOOKAHEAD if stats.inv is None else 1
+    streak, last = 0, None  # steps in a row with the same counted picks, and their bytes
+    while t < end:
+        pick = stats.scores(beta[stats.count]).argmax(axis=1)
+        idx = cand[lanes, pick]
+        a_val = values[lanes, idx]
+        # comparing the bytes of the counted picks is the cheapest test of equal picks
+        key = pick[exploiting].tobytes()
+        streak = streak + 1 if key == last else 1
+        last = key
+        size = min(2 * streak, end - t, limit) if streak >= _SETTLED else 1
+        if size > 1:
+            rewards = a_val + noise[t:t + size]
+            picks = stats.lookahead(pick, rewards, beta[stats.count + np.arange(size)[:, None]]
+                                    ).argmax(axis=2)
+            stay = (picks[1:, exploiting] == pick[exploiting]).all(axis=1)
+            first = int(stay.argmin())  # the first row that leaves p, if any
+            size = 1 + first if not stay[first] else size
+            stats.add_play_coords(pick, rewards[:size])
+            streak += size - 1
+        else:
+            stats.add_play_coords(pick, a_val + noise[t])
+        played[:, t - 1:t - 1 + size] = idx[:, None]
+        t += size
+
+
+def _regret_of_rows(values, vstar, played, regret) -> None:
+    """Write into the (lanes, T) array `regret` the instant regrets of the `played`
+    rows of a fixed action set, vstar - value, `_EXPLORE_CHUNK` entries at a time."""
+    lanes = np.arange(len(played))[:, None]
+    width = max(1, _EXPLORE_CHUNK // len(played))
+    for lo in range(0, played.shape[1], width):
+        regret[:, lo:lo + width] = vstar[:, None] - values[lanes, played[:, lo:lo + width]]
 
 
 # ---------------------------------------------------------------------------
@@ -370,20 +443,22 @@ def _run_subgoss(instances, params, gossip, noise_rngs, gossip_rngs, seeds, acti
     (`_candidate_tables`, built once, the rows gathered at the switch step),
     and the statistics of each (lane, subspace) are kept over that subspace's
     candidate block, so a lane scores from the kept terms and the block travels
-    with the statistics. With a resampled set a lane scores every row from
-    scratch (`ucb_scores`), on coordinates `X` projected every step. Before the
-    switch a lane's row of the batch is computed with the others and
-    discarded. Each lane's sticky and active sets are rows of (lanes, K) bool
+    with the statistics; the exploit steps between two switch slots, or up to
+    the phase end, are one call of `_kept_exploit`, which plays settled picks in
+    blocks. With a resampled set a lane scores every row from scratch
+    (`ucb_scores`), on coordinates `X` projected every step. Before the switch
+    a lane's row of the batch is computed with the others and discarded. Each lane's sticky and active sets are rows of (lanes, K) bool
     masks, and the protocol between plays (`explore_plan`, `gossip_exchange`,
     `update_active_set`) acts on all lanes in one call each. Each lane draws
     from its own noise stream and each seed from its own gossip and action
     streams, so no result depends on the batch it runs in.
 
     Every play is recorded: `explored` once per phase, as each lane's explore
-    slots are the first of the phase, and `played` where `inst_regret` is
-    written, an explore play as its column's row of the action set; on a fixed
-    set an exploit step writes every lane, and the explore slots are written
-    again at the phase end.
+    slots are the first of the phase, and `played`, an explore play as its
+    column's row of the action set. On a resampled set `inst_regret` is written
+    with `played`; on a fixed set an exploit step writes every lane's `played`,
+    the explore slots are written again at the phase end, and the regrets are
+    read off `played` after the last phase (`_regret_of_rows`).
     """
     first = instances[0]
     K, m, T = first.K, first.m, params.T
@@ -494,8 +569,12 @@ def _run_subgoss(instances, params, gossip, noise_rngs, gossip_rngs, seeds, acti
                 explore.add_play((np.broadcast_to(lanes[:, None], mine.shape)[mine],
                                   ids[mine], cols[mine]), rewards[mine])
 
-        for s in range(0 if resample else int(n_exp.min()), slots):
+        # a run of exploit steps on a fixed set ends before the next switch slot
+        block_ends = sorted(switches) + [slots]
+        s = 0 if resample else int(n_exp.min())
+        while s < slots:
             t = start + s
+            steps = 1
             if resample:
                 actions, values, vstar = next(sets)
                 values, vstar = values[lane_seed], vstar[lane_seed]
@@ -506,19 +585,18 @@ def _run_subgoss(instances, params, gossip, noise_rngs, gossip_rngs, seeds, acti
                 explorers, exploiters = lanes[n_exp > s], lanes[n_exp <= s]
                 if not resample:
                     cand[switching] = cand_table[lane_seed[switching], best[switching]]
-            if exploiters.size:
-                if resample:  # a set read for one step
-                    lane_coords(exploiters)
-                    pick = ucb_scores(play, X, beta[play.count]).argmax(axis=1)
-                    x = X[lanes, :, pick]
-                else:
-                    pick = x = play.scores(beta[play.count]).argmax(axis=1)
+            if exploiters.size and resample:  # a set read for one step
+                lane_coords(exploiters)
+                pick = ucb_scores(play, X, beta[play.count]).argmax(axis=1)
                 idx = cand[lanes, pick]
                 a_val = values[lanes, idx]
-                r = a_val + noise[t]
-                play.add_play_coords(x, r)
+                play.add_play_coords(X[lanes, :, pick], a_val + noise[t])
                 inst_regret[:, t - 1] = vstar - a_val
                 played[:, t - 1] = idx
+            elif exploiters.size:
+                steps = block_ends[bisect.bisect_right(block_ends, s)] - s
+                _kept_exploit(play, t, steps, lanes, cand, values, noise, beta, exploiters,
+                              played)
             if resample and explorers.size:
                 if s % chunk_slots == 0:
                     _, ids, cols, rows = next(chunks)
@@ -528,16 +606,14 @@ def _run_subgoss(instances, params, gossip, noise_rngs, gossip_rngs, seeds, acti
                 explore.add_play((explorers, k, col), a_val + noise[t, explorers])
                 inst_regret[explorers, t - 1] = vstar[explorers] - a_val
                 played[explorers, t - 1] = row
+            s += steps
 
         refresh(lanes[n_exp == slots])
         if not resample:
             # the explore slots, which the exploit steps wrote over for every lane
             for chunk, _, _, rows in explore_chunks():
-                mine = chunk < n_exp[:, None]
                 span = slice(start - 1 + chunk[0], start + chunk[-1])
-                np.copyto(inst_regret[:, span], vstar[:, None] - values[lanes[:, None], rows],
-                          where=mine)
-                np.copyto(played[:, span], rows, where=mine, casting="unsafe")
+                np.copyto(played[:, span], rows, where=chunk < n_exp[:, None], casting="unsafe")
         switched = lanes[n_exp < slots]
         saved.copy_lanes((switched, best[switched]), play, switched)
 
@@ -550,6 +626,8 @@ def _run_subgoss(instances, params, gossip, noise_rngs, gossip_rngs, seeds, acti
         j += 1
         start = end_full + 1
 
+    if not resample:
+        _regret_of_rows(values, vstar, played, inst_regret)
     active_sets = [[tuple(np.flatnonzero(lane).tolist()) for lane in phase]
                    for phase in active_history]
     results = []
@@ -576,8 +654,11 @@ def _run_linucb(instances, params, noise_rngs, seeds, action_rngs, k, track_cove
 
     Every lane plays every step, so all lanes share one play count and one radius.
     On a fixed set the statistics are kept over the block of scored columns, and
-    each step reads the scores off their kept terms; a resampled set, or the
-    coverage check, which needs theta_hat, scores from scratch (`ucb_scores`).
+    each step reads the scores off their kept terms: for m <= 2 all steps are one
+    call of `_kept_exploit`, which plays settled picks in blocks, and the
+    regrets are read off `played` after it; `oful`, with V^-1 kept apart, plays
+    step by step. A resampled set, or the coverage check, which needs
+    theta_hat, scores from scratch (`ucb_scores`).
     """
     first = instances[0]
     T = params.T
@@ -615,25 +696,30 @@ def _run_linucb(instances, params, noise_rngs, seeds, action_rngs, k, track_cove
     stats = LinUcbStats(dim, lam, (n_lanes,), X if kept else None)
     inst_regret = np.empty((n_lanes, T))
     played = np.empty((n_lanes, T), dtype=np.min_scalar_type(first.action_set.shape[0] - 1))
-    for t in range(1, T + 1):
-        if resample and t > 1:
-            actions, values, vstar = next(sets)
-            cand, X = scored(actions)
-        bval = beta[t - 1]
-        if kept:
-            pick = x = stats.scores(bval).argmax(axis=1)
-        else:
-            pick = ucb_scores(stats, X, bval).argmax(axis=1)
-            x = X[lanes, :, pick]
-            if track_coverage:
-                diff = stats.theta_hat() - theta_k
-                covered &= ~(np.sqrt((diff[:, None, :] @ gram @ diff[:, :, None])[:, 0, 0]) > bval)
-                gram += x[:, :, None] * x[:, None, :]
-        idx = cand[lanes, pick]
-        a_val = values[lanes, idx]
-        stats.add_play_coords(x, a_val + noise[t])
-        inst_regret[:, t - 1] = vstar - a_val
-        played[:, t - 1] = idx
+    if kept and stats.inv is None:  # kept V^-1 X, for m <= 2
+        _kept_exploit(stats, 1, T, lanes, cand, values, noise, beta, slice(None), played)
+        _regret_of_rows(values, vstar, played, inst_regret)
+    else:
+        for t in range(1, T + 1):
+            if resample and t > 1:
+                actions, values, vstar = next(sets)
+                cand, X = scored(actions)
+            bval = beta[t - 1]
+            if kept:
+                pick = x = stats.scores(bval).argmax(axis=1)
+            else:
+                pick = ucb_scores(stats, X, bval).argmax(axis=1)
+                x = X[lanes, :, pick]
+                if track_coverage:
+                    diff = stats.theta_hat() - theta_k
+                    covered &= ~(np.sqrt((diff[:, None, :] @ gram @ diff[:, :, None])[:, 0, 0])
+                                 > bval)
+                    gram += x[:, :, None] * x[:, None, :]
+            idx = cand[lanes, pick]
+            a_val = values[lanes, idx]
+            stats.add_play_coords(x, a_val + noise[t])
+            inst_regret[:, t - 1] = vstar - a_val
+            played[:, t - 1] = idx
 
     return [
         RunResult(

@@ -3,6 +3,7 @@
 import json
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -58,10 +59,11 @@ class TestValidate:
         ({"delta": "abc"}, "delta must be null or a number in (0, 1)"),
         ({"delta": 1.5}, "delta must be null or a number in (0, 1)"),
         ({"delta_mode": "fixed", "delta": 0.05}, "unknown config keys"),
+        ({"noise_std": 1e308}, "noise_std=1e+308 draws noise past the float range"),
     ],
     ids=["T-string", "T-zero", "n_seeds-float", "b-one", "lambda-zero", "lambda-inverse-overflows",
          "log_plays-removed", "2m-above-d", "delta-string", "delta-above-one",
-         "delta_mode-removed"],
+         "delta_mode-removed", "noise-overflows"],
 )
 def test_malformed_input_is_exit_2(tmp_path, capsys, overrides, message):
     cfg = write_config(tmp_path, **overrides)
@@ -255,6 +257,27 @@ def test_config_too_large_to_allocate_is_exit_2(tmp_path, capsys, monkeypatch):
 def test_spread_needs_a_nonnegative_seed(capsys):
     assert main(["spread", "--n-agents", "4", "--seed", "-1"]) == 2
     assert "--seed must be >= 0, got -1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("policy", ["subgoss_multi", "subgoss_single", "genie", "oful"])
+@pytest.mark.parametrize("noise_std", [1e308, 1e200])
+def test_noise_past_the_float_range_warns_nothing(tmp_path, capsys, policy, noise_std):
+    """A noise level whose draws would overflow the statistics is refused before any
+    arithmetic on them: exit 2 with one line, and no RuntimeWarning on the way."""
+    cfg = write_config(tmp_path, d=24, m=2, K=12, N=4, T=50, noise_std=noise_std)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "x.csv"),
+                     "--policy", policy])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: noise_std=") and err.count("\n") == 1
+
+
+def test_spread_b_past_the_float_range_is_exit_2(capsys):
+    assert main(["spread", "--n-agents", "4", "--b", "1e308"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: b**(2*tau) overflowed") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("b", ["nan", "inf"])

@@ -476,6 +476,79 @@ def test_kept_terms_of_a_single_lane_and_copied_lanes():
     assert close(play.terms[:, :-1], oracle.inv @ play.block, 1e-12)
 
 
+def kept_lanes(m, lanes, n, plays, r):
+    """Kept statistics of `lanes` lanes over random (m, n) blocks after `plays` random
+    plays, and a copy of them."""
+    X = r.standard_normal((lanes, m, n))
+    stats = LinUcbStats(m, 1.0, (lanes,), X)
+    for _ in range(plays):
+        stats.add_play_coords(r.integers(0, n, lanes), r.standard_normal(lanes))
+    return stats, copy_of(stats)
+
+
+def copy_of(stats):
+    twin = LinUcbStats(stats.block.shape[-2], 1.0, stats.count.shape, stats.block)
+    every = np.arange(len(stats.count))
+    twin.copy_lanes(every, stats, every)
+    return twin
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_one_play_commit_has_the_bits_of_one_play(m):
+    """A (1, lanes) reward records one play with the bits of a (lanes,) reward, in
+    the V^-1 X form and with V^-1 kept apart (m = 3)."""
+    r = rng_for(30 + m)
+    one, block = kept_lanes(m, 5, 9, 40, r)
+    for _ in range(30):
+        col, reward = r.integers(0, 9, 5), r.standard_normal(5)
+        one.add_play_coords(col, reward)
+        block.add_play_coords(col, reward[None])
+    for name in ("count", "terms", "quad", "inv"):
+        a, b = getattr(one, name), getattr(block, name)
+        assert (a is None and b is None) or np.array_equal(a, b), name
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("plays", [2, 7, 32])
+def test_block_of_plays_matches_one_play_at_a_time(m, plays):
+    """J plays of one column recorded at once, with their J rewards, leave the kept
+    terms of J plays recorded one at a time, within the drift tolerances of the
+    kept form."""
+    r = rng_for(10 * m + plays)
+    at_once, one_by_one = kept_lanes(m, 6, 11, 25, r)
+    for _ in range(20):
+        col, rewards = r.integers(0, 11, 6), 3 * r.standard_normal((plays, 6))
+        at_once.add_play_coords(col, rewards)
+        for reward in rewards:
+            one_by_one.add_play_coords(col, reward)
+    assert np.array_equal(at_once.count, one_by_one.count)
+    quad, greedy = one_by_one.quad, one_by_one.terms[:, -1]
+    assert np.max(np.abs(at_once.quad - quad) / quad) < KEPT_QUAD_RTOL
+    assert np.max(np.abs(at_once.terms[:, -1] - greedy)) < KEPT_GREEDY_RTOL * np.abs(greedy).max()
+    if m <= 2:
+        assert close(at_once.terms[:, :-1], one_by_one.terms[:, :-1], 1e-9)
+    else:
+        assert close(at_once.inv, one_by_one.inv, 1e-9)
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_lookahead_rows_score_the_plays_before_them(m):
+    """Row j of `lookahead` scores the statistics after j single plays of the column
+    with the first j rewards: row 0 with the bits of `scores`, the others within the
+    drift tolerances of the kept form."""
+    r = rng_for(50 + m)
+    stats, played = kept_lanes(m, 7, 12, 30, r)
+    k = 32
+    col, rewards, beta = r.integers(0, 12, 7), r.standard_normal((k, 7)), 1 + r.random((k, 7))
+    rows = stats.lookahead(col, rewards, beta)
+    assert rows.shape == (k, 7, 12)
+    assert np.array_equal(rows[0], stats.scores(beta[0]))
+    for j in range(1, k):
+        played.add_play_coords(col, rewards[j - 1])
+        want = played.scores(beta[j])
+        assert np.max(np.abs(rows[j] - want)) < KEPT_GREEDY_RTOL * np.abs(want).max(), j
+
+
 def ellipsoid_max_oracle(stats, gram, basis, a, beta, n_grid=200_000):
     """Boundary sweep of the m=2 confidence ellipsoid (independent of the closed form)."""
     x = basis.columns.T @ a

@@ -134,6 +134,58 @@ def test_batched_run_equals_each_seed_alone(data):
             assert np.array_equal(want.inst_regret, values.max() - values[want.played])
 
 
+@hypothesis.settings(max_examples=40, deadline=None)
+@hypothesis.given(data=st.data())
+def test_lookahead_blocks_play_as_step_by_step(data):
+    """The exploit steps that blocks score at once (`policies._LOOKAHEAD` > 1) give
+    every field of every result of `harness.run` bit for bit as single steps do
+    (`_LOOKAHEAD` = 1), over the policies and shapes whose kept statistics look
+    ahead: multi, single and genie, m = 1 and 2, noiseless and noisy rewards, the
+    default action set and a single random row."""
+    policy = data.draw(st.sampled_from(["subgoss_multi", "subgoss_single", "genie"]),
+                       label="policy")
+    m = data.draw(st.sampled_from([1, 2]), label="m")
+    K = data.draw(st.sampled_from([2, 4, 6]), label="K")
+    config = RunConfig(
+        d=2 * m + data.draw(st.integers(0, 3), label="d - 2m"), m=m, K=K,
+        N=data.draw(st.sampled_from([2, K]), label="N") if policy == "subgoss_multi" else 1,
+        policy=policy,
+        T=data.draw(st.integers(1, 3000), label="T"),
+        n_seeds=data.draw(st.integers(1, 3), label="n_seeds"),
+        master_seed=data.draw(st.integers(0, 2**16), label="master_seed"),
+        noise_std=data.draw(st.sampled_from([0.0, 1.0]), label="noise_std"),
+        n_extra_actions=data.draw(st.sampled_from([None, 1]), label="n_extra_actions"),
+    )
+    blocks = harness.run(config)
+    with mock.patch.object(policies, "_LOOKAHEAD", 1):
+        steps = harness.run(config)
+    for got, want in zip(blocks, steps, strict=True):
+        for field in dataclasses.fields(RunResult):
+            a, b = getattr(got, field.name), getattr(want, field.name)
+            same = np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
+            assert same, field.name
+
+
+@pytest.mark.parametrize("policy", ["genie", "subgoss_single"])
+def test_lookahead_blocks_record_most_exploit_steps(policy):
+    """On the Fig-1 shape the kept statistics take most exploit steps as blocks:
+    `add_play_coords` runs on fewer than a quarter of the steps, and records each
+    exploit step once (the two seeds' lanes share one explore schedule)."""
+    config = RunConfig(d=24, m=2, K=12, N=1, policy=policy, T=4000, n_seeds=2, master_seed=6)
+    recorded = []
+    add = LinUcbStats.add_play_coords
+
+    def count(stats, x, reward):
+        recorded.append(len(reward) if np.ndim(reward) > 1 else 1)
+        add(stats, x, reward)
+
+    with mock.patch.object(LinUcbStats, "add_play_coords", count):
+        results = harness.run(config)
+    exploit_steps = int(sum((~r.explored).sum() for r in results)) // config.n_seeds
+    assert sum(recorded) == exploit_steps
+    assert len(recorded) < config.T / 4
+
+
 @hypothesis.settings(max_examples=100, deadline=None)
 @hypothesis.given(
     dim=st.integers(1, 6),
