@@ -194,7 +194,9 @@ def run_one_seed(config: RunConfig, seed_index: int) -> RunResult:
 def run(config: RunConfig) -> list:
     """All seeds of a config, run as lanes in batches of at most _BATCH_LANES lanes.
 
-    Each seed's result is the same in any batch, alone too (`run_one_seed`).
+    Each seed's result is the one `run_one_seed` gives it, up to the rounding of
+    the exploit blocks on a fixed action set, which depends on the batch: on a
+    near-tie a pick can differ (see `policies._kept_exploit`).
     """
     per_seed = config.N if config.policy == "subgoss_multi" else 1
     size = max(1, _BATCH_LANES // per_seed)

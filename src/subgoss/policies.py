@@ -369,43 +369,60 @@ def _kept_exploit(stats, t, steps, lanes, cand, values, noise, beta, exploiting,
 
     `values` holds each lane's values of the set's rows, `noise` the noise rows
     by step and `beta` the radius by play count. Every step plays the
-    optimistic rule. Only the lanes of `exploiting` count for a block; the
-    others play along, as rows to be discarded. Once every counted lane has
-    picked the same column for r >= `_SETTLED` steps in a row, the step and the
-    next ones, min(2r, `_LOOKAHEAD`) in all, are scored at once
+    optimistic rule. Only the lanes that `exploiting` indexes count for a
+    block; the others play along, as rows to be discarded. With `exploiting`
+    None every lane counts, and every lane has played each step from t = 1,
+    so all share the radius of t - 1 plays. Once every counted lane has
+    picked the same column for r >= `_SETTLED` steps in a row, the step and
+    the next ones, min(2r, `_LOOKAHEAD`) in all, are scored at once
     (`LinUcbStats.lookahead`) as if every lane kept its pick p at each. Row 0
     is the step's own score, so the step is always played; so are the steps
     before the first row in which a counted lane picks another column, and
-    those J plays enter the statistics as one step of J plays. A block accepted
-    whole doubles the next, and a changed pick starts r again. Blocks need kept
-    V^-1 X; with V^-1 kept apart every step is played alone. The picks equal
-    the step-by-step picks up to rounding.
+    those J plays enter the statistics as one step of J plays. That row then
+    gives the picks of the next step. A block accepted whole doubles the
+    next, and a changed pick starts r again. Blocks need kept V^-1 X; with
+    V^-1 kept apart every step is played alone.
+
+    The picks equal the step-by-step picks up to rounding. A block's length
+    depends on every counted lane of the batch, and J plays recorded at once
+    round otherwise than J single plays, so on a near-tie a lane's picks can
+    depend on the batch it runs in.
     """
     end = t + steps
     limit = _LOOKAHEAD if stats.inv is None else 1
+    counted = slice(None) if exploiting is None else exploiting
     streak, last = 0, None  # steps in a row with the same counted picks, and their bytes
+    pick = None  # the step's picks where a look-ahead row gave them
     while t < end:
-        pick = stats.scores(beta[stats.count]).argmax(axis=1)
+        if pick is None:
+            radius = beta[t - 1] if exploiting is None else beta[stats.count]
+            pick = stats.scores(radius).argmax(axis=1)
         idx = cand[lanes, pick]
         a_val = values[lanes, idx]
-        # comparing the bytes of the counted picks is the cheapest test of equal picks
-        key = pick[exploiting].tobytes()
-        streak = streak + 1 if key == last else 1
-        last = key
-        size = min(2 * streak, end - t, limit) if streak >= _SETTLED else 1
+        size, after = 1, None
+        if limit > 1:
+            # comparing the bytes of the counted picks is the cheapest test of equal picks
+            key = pick[counted].tobytes()
+            streak = streak + 1 if key == last else 1
+            last = key
+            if streak >= _SETTLED:
+                size = min(2 * streak, end - t, limit)
         if size > 1:
             rewards = a_val + noise[t:t + size]
-            picks = stats.lookahead(pick, rewards, beta[stats.count + np.arange(size)[:, None]]
-                                    ).argmax(axis=2)
-            stay = (picks[1:, exploiting] == pick[exploiting]).all(axis=1)
+            radii = (beta[t - 1:t - 1 + size, None] if exploiting is None
+                     else beta[stats.count + np.arange(size)[:, None]])
+            picks = stats.lookahead(pick, rewards, radii).argmax(axis=2)
+            stay = (picks[1:, counted] == pick[counted]).all(axis=1)
             first = int(stay.argmin())  # the first row that leaves p, if any
-            size = 1 + first if not stay[first] else size
+            if not stay[first]:
+                size, after = 1 + first, picks[1 + first]
             stats.add_play_coords(pick, rewards[:size])
             streak += size - 1
         else:
             stats.add_play_coords(pick, a_val + noise[t])
         played[:, t - 1:t - 1 + size] = idx[:, None]
         t += size
+        pick = after
 
 
 def _regret_of_rows(values, vstar, played, regret) -> None:
@@ -447,11 +464,14 @@ def _run_subgoss(instances, params, gossip, noise_rngs, gossip_rngs, seeds, acti
     the phase end, are one call of `_kept_exploit`, which plays settled picks in
     blocks. With a resampled set a lane scores every row from scratch
     (`ucb_scores`), on coordinates `X` projected every step. Before the switch
-    a lane's row of the batch is computed with the others and discarded. Each lane's sticky and active sets are rows of (lanes, K) bool
-    masks, and the protocol between plays (`explore_plan`, `gossip_exchange`,
+    a lane's row of the batch is computed with the others and discarded. Each
+    lane's sticky and active sets are rows of (lanes, K) bool masks, and the
+    protocol between plays (`explore_plan`, `gossip_exchange`,
     `update_active_set`) acts on all lanes in one call each. Each lane draws
     from its own noise stream and each seed from its own gossip and action
-    streams, so no result depends on the batch it runs in.
+    streams. Only the blocks of `_kept_exploit`, cut where any exploiting lane
+    of the batch changes its pick, tie a result to its batch, and only through
+    rounding: on a near-tie a pick can depend on the batch it runs in.
 
     Every play is recorded: `explored` once per phase, as each lane's explore
     slots are the first of the phase, and `played`, an explore play as its
@@ -595,8 +615,8 @@ def _run_subgoss(instances, params, gossip, noise_rngs, gossip_rngs, seeds, acti
                 played[:, t - 1] = idx
             elif exploiters.size:
                 steps = block_ends[bisect.bisect_right(block_ends, s)] - s
-                _kept_exploit(play, t, steps, lanes, cand, values, noise, beta, exploiters,
-                              played)
+                counted = exploiters if exploiters.size < n_lanes else slice(None)
+                _kept_exploit(play, t, steps, lanes, cand, values, noise, beta, counted, played)
             if resample and explorers.size:
                 if s % chunk_slots == 0:
                     _, ids, cols, rows = next(chunks)
@@ -654,11 +674,10 @@ def _run_linucb(instances, params, noise_rngs, seeds, action_rngs, k, track_cove
 
     Every lane plays every step, so all lanes share one play count and one radius.
     On a fixed set the statistics are kept over the block of scored columns, and
-    each step reads the scores off their kept terms: for m <= 2 all steps are one
-    call of `_kept_exploit`, which plays settled picks in blocks, and the
-    regrets are read off `played` after it; `oful`, with V^-1 kept apart, plays
-    step by step. A resampled set, or the coverage check, which needs
-    theta_hat, scores from scratch (`ucb_scores`).
+    all steps are one call of `_kept_exploit`, which reads the scores off their
+    kept terms and, for m <= 2, plays settled picks in blocks; the regrets are
+    read off `played` after it. A resampled set, or the coverage check, which
+    needs theta_hat, scores from scratch (`ucb_scores`) step by step.
     """
     first = instances[0]
     T = params.T
@@ -696,8 +715,8 @@ def _run_linucb(instances, params, noise_rngs, seeds, action_rngs, k, track_cove
     stats = LinUcbStats(dim, lam, (n_lanes,), X if kept else None)
     inst_regret = np.empty((n_lanes, T))
     played = np.empty((n_lanes, T), dtype=np.min_scalar_type(first.action_set.shape[0] - 1))
-    if kept and stats.inv is None:  # kept V^-1 X, for m <= 2
-        _kept_exploit(stats, 1, T, lanes, cand, values, noise, beta, slice(None), played)
+    if kept:
+        _kept_exploit(stats, 1, T, lanes, cand, values, noise, beta, None, played)
         _regret_of_rows(values, vstar, played, inst_regret)
     else:
         for t in range(1, T + 1):
@@ -705,16 +724,13 @@ def _run_linucb(instances, params, noise_rngs, seeds, action_rngs, k, track_cove
                 actions, values, vstar = next(sets)
                 cand, X = scored(actions)
             bval = beta[t - 1]
-            if kept:
-                pick = x = stats.scores(bval).argmax(axis=1)
-            else:
-                pick = ucb_scores(stats, X, bval).argmax(axis=1)
-                x = X[lanes, :, pick]
-                if track_coverage:
-                    diff = stats.theta_hat() - theta_k
-                    covered &= ~(np.sqrt((diff[:, None, :] @ gram @ diff[:, :, None])[:, 0, 0])
-                                 > bval)
-                    gram += x[:, :, None] * x[:, None, :]
+            pick = ucb_scores(stats, X, bval).argmax(axis=1)
+            x = X[lanes, :, pick]
+            if track_coverage:
+                diff = stats.theta_hat() - theta_k
+                covered &= ~(np.sqrt((diff[:, None, :] @ gram @ diff[:, :, None])[:, 0, 0])
+                             > bval)
+                gram += x[:, :, None] * x[:, None, :]
             idx = cand[lanes, pick]
             a_val = values[lanes, idx]
             stats.add_play_coords(x, a_val + noise[t])

@@ -12,7 +12,7 @@ sets) at T = 2*10^4, for multi N=4, multi N=2, single, genie, genie with its
 coverage check and oful, with 30 seeds under master seeds 1 and 6: 360 runs.
 At this horizon the kept score terms of a fixed set have gone through 2*10^4
 rank-1 updates, so a rounding change that `run_digest.py`'s T = 600 misses
-shows here. It takes about 15 s on a shared 2-core host (one process).
+shows here. It takes about 15 to 18 s on a shared 2-core host (one process).
 """
 
 from __future__ import annotations
