@@ -128,7 +128,9 @@ class GapReport:
 
 def _sample_unit_sphere(n: int, d: int, rng: np.random.Generator) -> np.ndarray:
     g = rng.standard_normal((n, d))
-    return g / np.linalg.norm(g, axis=1, keepdims=True)
+    # the ufuncs np.linalg.norm(g, axis=1, keepdims=True) runs on real input
+    g /= np.sqrt(np.add.reduce(g * g, axis=1, keepdims=True))
+    return g
 
 
 def generate_instance(
@@ -189,7 +191,7 @@ def generate_instance(
 def resample_actions(instance: ProblemInstance, n_actions: int, rng: np.random.Generator) -> np.ndarray:
     """Fresh unit-sphere Gaussians with the basis columns appended (time-varying action mode)."""
     randoms = _sample_unit_sphere(n_actions, instance.d, rng)
-    return np.vstack([randoms, instance.subspaces.basis_columns])
+    return np.concatenate([randoms, instance.subspaces.basis_columns])
 
 
 def compute_gap(instance: ProblemInstance) -> GapReport:

@@ -380,16 +380,21 @@ def _kept_exploit(stats, t, steps, lanes, cand, values, noise, beta, exploiting,
     before the first row in which a counted lane picks another column, and
     those J plays enter the statistics as one step of J plays. That row then
     gives the picks of the next step. A block accepted whole doubles the
-    next, and a changed pick starts r again. Blocks need kept V^-1 X; with
-    V^-1 kept apart every step is played alone.
+    next, and a changed pick starts r again.
 
     The picks equal the step-by-step picks up to rounding. A block's length
     depends on every counted lane of the batch, and J plays recorded at once
     round otherwise than J single plays, so on a near-tie a lane's picks can
     depend on the batch it runs in.
+
+    Blocks need kept V^-1 X. Statistics that keep V^-1 apart, `oful`'s and
+    those of m > 2 (`linalg._KEEP_INV_X_MAX_M`), play every step alone, in
+    the in-place loop of `_inverse_exploit`.
     """
+    if stats.inv is not None:
+        _inverse_exploit(stats, t, steps, cand, values, noise, beta, played)
+        return
     end = t + steps
-    limit = _LOOKAHEAD if stats.inv is None else 1
     counted = slice(None) if exploiting is None else exploiting
     streak, last = 0, None  # steps in a row with the same counted picks, and their bytes
     pick = None  # the step's picks where a look-ahead row gave them
@@ -400,13 +405,12 @@ def _kept_exploit(stats, t, steps, lanes, cand, values, noise, beta, exploiting,
         idx = cand[lanes, pick]
         a_val = values[lanes, idx]
         size, after = 1, None
-        if limit > 1:
-            # comparing the bytes of the counted picks is the cheapest test of equal picks
-            key = pick[counted].tobytes()
-            streak = streak + 1 if key == last else 1
-            last = key
-            if streak >= _SETTLED:
-                size = min(2 * streak, end - t, limit)
+        # comparing the bytes of the counted picks is the cheapest test of equal picks
+        key = pick[counted].tobytes()
+        streak = streak + 1 if key == last else 1
+        last = key
+        if streak >= _SETTLED:
+            size = min(2 * streak, end - t, _LOOKAHEAD)
         if size > 1:
             rewards = a_val + noise[t:t + size]
             radii = (beta[t - 1:t - 1 + size, None] if exploiting is None
@@ -423,6 +427,81 @@ def _kept_exploit(stats, t, steps, lanes, cand, values, noise, beta, exploiting,
         played[:, t - 1:t - 1 + size] = idx[:, None]
         t += size
         pick = after
+
+
+def _inverse_exploit(stats, t, steps, cand, values, noise, beta, played):
+    """Exploit steps t, ..., t + steps - 1 of every lane, one play each, from
+    statistics kept over the block of `cand` with V^-1 apart; the arguments are
+    those of `_kept_exploit`, and each lane's radius is that of its play count.
+
+    Each step does the operations of `LinUcbStats.scores` and of one play of
+    `add_play_coords`, in their order and on arrays of their layouts, so every
+    bit is theirs; but it does them in place, into buffers bound once per call.
+    With flat lane offsets, each gather at a lane's pick, of its value,
+    theta_hat^T x, w[pick] and column, is one 1-D take; the columns come from
+    a C-ordered (lanes * n, d) copy of the block, and the rows played are
+    taken from `cand` once per span of `_EXPLORE_CHUNK` entries.
+    """
+    n_lanes, d, n = stats.block.shape
+    inv, quad, block = stats.inv, stats.quad, stats.block
+    greedy = stats.terms[:, 0]  # theta_hat^T X, (lanes, n): with V^-1 apart, the one row
+    flat_greedy = greedy.reshape(-1)  # a view: the kept arrays are C-ordered
+    at = np.arange(n_lanes) * n  # flat offset of each lane's first column
+    columns = np.ascontiguousarray(block.swapaxes(1, 2)).reshape(-1, d)
+    rows = np.ravel(cand)
+    row_values = np.take_along_axis(values, cand, axis=1).reshape(-1)
+    # the step's buffers; the 2-d and 3-d views of one buffer share its memory
+    score = np.empty((n_lanes, n))  # the scores, then the change of a kept array
+    where = np.empty(n_lanes, dtype=np.int64)  # each lane's pick, then its flat index
+    reward, lift = np.empty(n_lanes), np.empty((n_lanes, 1))
+    flat_lift = lift.reshape(-1)
+    x = np.empty((n_lanes, d))
+    x_col = x[..., None]
+    u = np.empty((n_lanes, d, 1))
+    u_row = u[..., 0][:, None, :]  # (lanes, 1, d), the layout of u[..., None, :]
+    w = np.empty((n_lanes, 1, n))
+    flat_w, w_rows = w.reshape(-1), w[:, 0]
+    den = np.empty((n_lanes, 1, 1))
+    flat_den, den_col = den.reshape(-1), den[:, 0]
+    scaled, u_by_den, outer = np.empty((n_lanes, n)), np.empty((n_lanes, 1, d)), np.empty_like(inv)
+    # 0-d constants, which a ufunc takes faster than Python floats; the takes below
+    # index in range, and mode "clip" skips the copy of `out` that "raise" makes
+    zero, one = np.zeros(()), np.ones(())
+    width = max(1, _EXPLORE_CHUNK // n_lanes)
+    for lo in range(t, t + steps, width):
+        span = range(lo, min(lo + width, t + steps))
+        # every lane's radius at each step of the span, (steps, lanes, 1)
+        radii = beta[stats.count + np.arange(len(span))[:, None]][..., None]
+        picked = np.empty((len(span), n_lanes), dtype=np.int64)  # flat index of each pick
+        for i, step in enumerate(span):
+            # the optimistic scores, as `scores`
+            np.maximum(quad, zero, out=score)
+            np.sqrt(score, out=score)
+            np.multiply(score, radii[i], out=score)
+            np.add(greedy, score, out=score)
+            score.argmax(axis=1, out=where)
+            np.add(where, at, out=where)
+            picked[i] = where
+            row_values.take(where, out=reward, mode="clip")
+            np.add(reward, noise[step], out=reward)
+            # one play of each lane's pick, as `add_play_coords`
+            flat_greedy.take(where, out=flat_lift, mode="clip")
+            np.subtract(flat_lift, reward, out=flat_lift)
+            columns.take(where, axis=0, out=x, mode="clip")
+            np.matmul(inv, x_col, out=u)
+            np.matmul(u_row, block, out=w)
+            flat_w.take(where, out=flat_den, mode="clip")
+            np.add(flat_den, one, out=flat_den)
+            np.divide(w_rows, den_col, out=scaled)
+            np.multiply(w_rows, scaled, out=score)
+            np.subtract(quad, score, out=quad)
+            np.multiply(lift, scaled, out=score)
+            np.subtract(greedy, score, out=greedy)
+            np.divide(u_row, den, out=u_by_den)
+            np.multiply(u, u_by_den, out=outer)
+            np.subtract(inv, outer, out=inv)
+        stats.count += len(span)
+        played[:, span.start - 1:span.stop - 1] = rows.take(picked).T
 
 
 def _regret_of_rows(values, vstar, played, regret) -> None:
@@ -462,10 +541,10 @@ def _run_subgoss(instances, params, gossip, noise_rngs, gossip_rngs, seeds, acti
     candidate block, so a lane scores from the kept terms and the block travels
     with the statistics; the exploit steps between two switch slots, or up to
     the phase end, are one call of `_kept_exploit`, which plays settled picks in
-    blocks. With a resampled set a lane scores every row from scratch
-    (`ucb_scores`), on coordinates `X` projected every step. Before the switch
-    a lane's row of the batch is computed with the others and discarded. Each
-    lane's sticky and active sets are rows of (lanes, K) bool masks, and the
+    blocks for m <= 2 and every step alone for m > 2. With a resampled set a
+    lane scores every row from scratch (`ucb_scores`), on coordinates `X`
+    projected every step. Before the switch a lane's row of the batch is
+    computed with the others and discarded. Each lane's sticky and active sets are rows of (lanes, K) bool masks, and the
     protocol between plays (`explore_plan`, `gossip_exchange`,
     `update_active_set`) acts on all lanes in one call each. Each lane draws
     from its own noise stream and each seed from its own gossip and action
@@ -675,9 +754,11 @@ def _run_linucb(instances, params, noise_rngs, seeds, action_rngs, k, track_cove
     Every lane plays every step, so all lanes share one play count and one radius.
     On a fixed set the statistics are kept over the block of scored columns, and
     all steps are one call of `_kept_exploit`, which reads the scores off their
-    kept terms and, for m <= 2, plays settled picks in blocks; the regrets are
-    read off `played` after it. A resampled set, or the coverage check, which
-    needs theta_hat, scores from scratch (`ucb_scores`) step by step.
+    kept terms: for m <= 2 it plays settled picks in blocks, and with V^-1 kept
+    apart, as for `oful`, it plays every step alone in one in-place loop
+    (`_inverse_exploit`); the regrets are read off `played` after it. A
+    resampled set, or the coverage check, which needs theta_hat, scores from
+    scratch (`ucb_scores`) step by step.
     """
     first = instances[0]
     T = params.T

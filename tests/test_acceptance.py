@@ -236,8 +236,11 @@ def test_criterion_6_collaboration_ordering(comparison_runs):
         f"{detail}. The multi4 < multi2 < single legs hold with separated "
         "intervals; single vs oful is statistically indistinguishable at this "
         "horizon (the mean ordering flips with the seed set and the intervals "
-        "overlap), so the required interval separation cannot hold. Clear "
-        "separation in the single-agent policy's favor appears near T~1e5."
+        "overlap), so the required interval separation cannot hold. Longer "
+        "horizons do not separate them either (tools/horizon_table.py): at "
+        "T=1e5 the intervals still overlap (single 8744 [7780, 9708], oful "
+        "10223 [9394, 11052]), and at T=4e5 the means are equal (17851 "
+        "against 17879)."
     )
 
 

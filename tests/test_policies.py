@@ -1,9 +1,13 @@
 """Agent state machine, phase arithmetic, and the four run loops."""
 
+import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subgoss import bounds, harness, policies
 from subgoss.environment import (
@@ -18,6 +22,7 @@ from subgoss.linalg import Basis, ExploreStats, LinUcbStats, explore_estimate, u
 from subgoss.network import complete_graph, sample_neighbor, simulate_rumor_spread
 from subgoss.policies import (
     PolicyParams,
+    RunResult,
     _action_sets,
     _noise,
     detect_freeze,
@@ -698,6 +703,84 @@ def test_genie_and_oful_match_hand_written_loops():
             want, _ = reference_linucb(inst, p, rng_for(6), rng_for(34), genie=False)
             got = run_oful_baseline(inst, p, rng_for(6), action_rng=rng_for(34))
             assert np.array_equal(got.inst_regret, want)
+
+
+def step_by_step_inverse_exploit(stats, t, steps, cand, values, noise, beta, played):
+    """The reference for `policies._inverse_exploit`: each step scores the kept terms
+    (`LinUcbStats.scores`) and records one play of every lane (`add_play_coords`)."""
+    lanes = np.arange(len(cand))
+    for step in range(t, t + steps):
+        pick = stats.scores(beta[stats.count]).argmax(axis=1)
+        idx = cand[lanes, pick]
+        stats.add_play_coords(pick, values[lanes, idx] + noise[step])
+        played[:, step - 1] = idx
+
+
+@pytest.mark.parametrize("m,n,lanes", [(3, 10, 1), (3, 7, 3), (6, 30, 2), (24, 144, 2)])
+def test_inverse_exploit_keeps_the_bits_of_one_play_at_a_time(m, n, lanes):
+    """After 600 steps, every kept array of the statistics, and every played row, of
+    the in-place loop equal those of `scores` and `add_play_coords` one play at a
+    time, bit for bit; the lanes start at different play counts, so each scores
+    under its own radius."""
+    r = rng_for(m * n + lanes)
+    n_actions, T = n + 5, 600
+    cand = np.stack([r.permutation(n_actions)[:n] for _ in range(lanes)])
+    values = r.standard_normal((lanes, n_actions))
+    noise = r.standard_normal((T + 1, lanes))
+    beta = r.uniform(0.5, 3.0, 2 * T)
+    stats = LinUcbStats(m, 1.0, (lanes,), r.standard_normal((lanes, m, n)))
+    stats.add_play_coords(r.integers(0, n, lanes), r.standard_normal(lanes))
+    stats.count[:] = r.integers(0, T, lanes)
+    twin = LinUcbStats(m, 1.0, (lanes,), stats.block)
+    twin.copy_lanes(slice(None), stats, slice(None))
+    played, want = np.zeros((lanes, T), dtype=int), np.zeros((lanes, T), dtype=int)
+    with mock.patch.object(policies, "_EXPLORE_CHUNK", 7 * lanes):  # spans of 7 steps
+        policies._inverse_exploit(stats, 1, T, cand, values, noise, beta, played)
+    step_by_step_inverse_exploit(twin, 1, T, cand, values, noise, beta, want)
+    assert np.array_equal(played, want)
+    for name in LinUcbStats._ARRAYS:
+        assert np.array_equal(getattr(stats, name), getattr(twin, name)), name
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_inverse_exploit_plays_as_one_play_at_a_time(data):
+    """The in-place exploit loop of statistics that keep V^-1 apart gives every field
+    of every result of `harness.run` bit for bit as `scores` and `add_play_coords`
+    stepped one play at a time do: oful at d = 6 and 12, and genie, multi and single
+    at m = 3, noiseless and noisy rewards, the default action set and a single
+    random row."""
+    policy = data.draw(st.sampled_from(["oful", "genie", "subgoss_multi", "subgoss_single"]),
+                       label="policy")
+    m, K = 3, data.draw(st.sampled_from([2, 4, 6]), label="K")
+    d = data.draw(st.sampled_from([6, 12]) if policy == "oful"
+                  else st.integers(2 * m, 2 * m + 3), label="d")
+    config = RunConfig(
+        d=d, m=m, K=K,
+        N=data.draw(st.sampled_from([2, K]), label="N") if policy == "subgoss_multi" else 1,
+        policy=policy,
+        # about half the runs long, where a rounding change has time to flip a pick
+        T=data.draw(st.integers(1, 2000) | st.integers(1000, 2000), label="T"),
+        n_seeds=data.draw(st.integers(1, 3), label="n_seeds"),
+        master_seed=data.draw(st.integers(0, 2**16), label="master_seed"),
+        noise_std=data.draw(st.sampled_from([0.0, 1.0]), label="noise_std"),
+        n_extra_actions=data.draw(st.sampled_from([None, 1]), label="n_extra_actions"),
+    )
+    in_place = harness.run(config)
+    calls = []
+
+    def reference(*args):
+        calls.append(1)
+        step_by_step_inverse_exploit(*args)
+
+    with mock.patch.object(policies, "_inverse_exploit", reference):
+        stepped = harness.run(config)
+    assert calls or policy.startswith("subgoss")  # a phased run may never exploit
+    for got, want in zip(in_place, stepped, strict=True):
+        for field in dataclasses.fields(RunResult):
+            a, b = getattr(got, field.name), getattr(want, field.name)
+            same = np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
+            assert same, field.name
 
 
 def reference_refresh(active, explore, bases):
