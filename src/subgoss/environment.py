@@ -126,11 +126,21 @@ class GapReport:
     per_subspace: np.ndarray
 
 
+def unit_sphere_rows(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+    """Fill the C-contiguous (..., d) array `out` in place with uniform draws on the
+    unit sphere, one per row, and return it.
+
+    The rows are the standard normals of `rng` in C order, each divided by its
+    norm, so a (W, n, d) block holds the bits of W successive (n, d) draws.
+    """
+    rng.standard_normal(out=out)
+    # the ufuncs np.linalg.norm(out, axis=-1, keepdims=True) runs on real input
+    out /= np.sqrt(np.add.reduce(out * out, axis=-1, keepdims=True))
+    return out
+
+
 def _sample_unit_sphere(n: int, d: int, rng: np.random.Generator) -> np.ndarray:
-    g = rng.standard_normal((n, d))
-    # the ufuncs np.linalg.norm(g, axis=1, keepdims=True) runs on real input
-    g /= np.sqrt(np.add.reduce(g * g, axis=1, keepdims=True))
-    return g
+    return unit_sphere_rows(rng, np.empty((n, d)))
 
 
 def generate_instance(

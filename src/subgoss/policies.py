@@ -13,12 +13,13 @@ from __future__ import annotations
 
 import bisect
 import math
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import bounds
-from .environment import resample_actions
+from .environment import unit_sphere_rows
 from .errors import InvalidConfigError, InvariantViolationError, ProtocolError
 from .linalg import ExploreStats, LinUcbStats, ucb_candidates, ucb_scores
 from .network import GossipMatrix, sample_neighbor
@@ -251,6 +252,20 @@ def detect_freeze(recommendations, true_index: int) -> int | None:
 # environment precomputation shared by the runners
 
 
+# entries of the random rows one slot of the resample producer holds, seeds x W
+# steps x n_random x d: W = max(1, this // (seeds * n_random * d)), clipped to T.
+# The producer keeps two slots of 8-byte floats, 16 * seeds * W * n_random * d
+# bytes, at most 16 * max(_DRAW_CHUNK, seeds * n_random * d). For the Fig-1
+# shape (120 x 24 random rows) that is at most 0.79 MB up to 17 seeds (0.74 MB,
+# W = 8, at 2 seeds) and 46 KB per seed above, where W = 1: 1.4 MB at 30 seeds.
+# A larger W hands the helper thread more work per hand-over of the interpreter
+# lock; W = 11 at 2 seeds was 1.1x faster than W = 8 but raised the peak memory
+# of a 2-seed run by 5%, against 4%
+_DRAW_CHUNK = 3 << 14
+# the name of that helper thread
+PRODUCER_THREAD = "subgoss-actions"
+
+
 def _action_sets(instances, params, action_rngs):
     """Every step's action sets of a batch, t = 1, 2, ... in turn: the per-seed sets,
     their values stacked (seeds, n) and their optima (seeds,).
@@ -258,26 +273,120 @@ def _action_sets(instances, params, action_rngs):
     Every action set holds n_random random rows followed by the K*m basis
     columns, subspace by subspace. A fixed set is the same at every step, and
     the engines read it once; the resampled set of step t is the t-th draw of
-    its seed's stream in `action_rngs`. Resample mode without a stream fails
-    here, before any stream is drawn from.
+    its seed's stream in `action_rngs`, T of them (`_drawn_sets`). Resample
+    mode without a stream fails here, before any stream is drawn from. The
+    engines close the sets when they leave, whether they finish or fail.
     """
-    resample = params.resample_actions_per_step
-    if resample and None in action_rngs:
-        raise InvalidConfigError("resampled action sets need an action stream")
-    first = instances[0]
-    n_random = first.action_set.shape[0] - first.K * first.m
+    if params.resample_actions_per_step:
+        if None in action_rngs:
+            raise InvalidConfigError("resampled action sets need an action stream")
+        return _drawn_sets(instances, params.T, action_rngs)
 
-    def steps():
+    def fixed():
         while True:
-            actions = ([resample_actions(inst, n_random, rng)
-                        for inst, rng in zip(instances, action_rngs)]
-                       if resample else [inst.action_set for inst in instances])
-            # one product over the whole set: values of the random rows and of the
-            # basis rows computed apart differ in the last bit
-            values = [a @ inst.theta_star for a, inst in zip(actions, instances)]
-            yield actions, np.stack(values), np.array([v.max() for v in values])
+            yield _valued([inst.action_set for inst in instances], instances)
 
-    return steps()
+    return fixed()
+
+
+def _valued(actions, instances):
+    """A step's per-seed action sets, their values stacked and their optima."""
+    # one product over the whole set: values of the random rows and of the
+    # basis rows computed apart differ in the last bit
+    values = [a @ inst.theta_star for a, inst in zip(actions, instances)]
+    return actions, np.stack(values), np.array([v.max() for v in values])
+
+
+def _drawn_sets(instances, T, action_rngs):
+    """The T resampled action sets of a batch, step by step, as `_action_sets` gives them.
+
+    A generator: nothing runs before the first step. One helper thread then
+    draws the random rows ahead into two slots of shape (seeds, W, n_random, d),
+    W steps of every seed at a time (`_DRAW_CHUNK`), while this thread plays the
+    steps of the other slot. A chunk's seeds are claimed one at a time: the
+    helper thread claims from the first seed on, and this thread, when it
+    reaches a chunk that is not drawn yet, claims from the last seed back
+    instead of waiting. Each seed's block is drawn by `unit_sphere_rows`, the
+    draw of `environment.resample_actions`, and a chunk is started only once
+    the one before is drawn, so each stream is drawn from in step order and the
+    rows are those of T successive `resample_actions` calls whatever the timing
+    of the threads. Each set is built here as `resample_actions` builds it, the
+    rows followed by the basis columns, so it has the same layout. An error of
+    the helper thread is raised again here, at the first step it left undrawn.
+    Closing the generator stops and joins the thread; the engines close it in a
+    `finally`, since a traceback that holds their frame keeps the generator
+    alive.
+    """
+    first = instances[0]
+    n_seeds, d = len(instances), first.d
+    n_random = first.action_set.shape[0] - first.K * first.m
+    width = min(T, max(1, _DRAW_CHUNK // (n_seeds * n_random * d)))
+    slots = np.empty((2, n_seeds, width, n_random, d))
+    free = [threading.Semaphore(1), threading.Semaphore(1)]
+    filled = [threading.Semaphore(0), threading.Semaphore(0)]
+    # per slot, under `lock`: the seeds of its chunk not yet claimed, [front, back),
+    # and the number not yet drawn
+    unclaimed = [[0, 0], [0, 0]]
+    undrawn = [0, 0]
+    lock = threading.Condition()
+    stop = threading.Event()
+    failed = [None, None]  # the error of the helper thread, at the slot it left undrawn
+
+    def draw_claims(i, w, from_front):
+        # draw the seeds of slot i's chunk this thread claims, W = w steps each
+        while True:
+            with lock:
+                front, back = unclaimed[i]
+                if front == back:
+                    return
+                s = front if from_front else back - 1
+                unclaimed[i] = [front + 1, back] if from_front else [front, back - 1]
+            unit_sphere_rows(action_rngs[s], slots[i, s, :w])
+            with lock:
+                undrawn[i] -= 1
+                if undrawn[i] == 0:
+                    filled[i].release()
+                    lock.notify_all()
+
+    def produce():
+        c = 0
+        try:
+            for c, lo in enumerate(range(0, T, width)):
+                i = c % 2
+                free[i].acquire()
+                with lock:
+                    if stop.is_set():
+                        return
+                    unclaimed[i], undrawn[i] = [0, n_seeds], n_seeds
+                draw_claims(i, min(width, T - lo), True)
+                # the next chunk of a seed waits for this one, which the other
+                # thread may still be drawing
+                with lock:
+                    lock.wait_for(lambda: undrawn[i] == 0 or stop.is_set())
+        except BaseException as exc:  # raised again by the consumer, type and all
+            failed[c % 2] = exc
+            filled[c % 2].release()
+
+    producer = threading.Thread(target=produce, name=PRODUCER_THREAD, daemon=True)
+    producer.start()
+    try:
+        for c, lo in enumerate(range(0, T, width)):
+            i, w = c % 2, min(width, T - lo)
+            draw_claims(i, w, False)
+            filled[i].acquire()
+            if failed[i] is not None:
+                raise failed[i]
+            for step in range(w):
+                yield _valued([np.concatenate([rows, inst.subspaces.basis_columns])
+                               for rows, inst in zip(slots[i, :, step], instances)], instances)
+            free[i].release()
+    finally:
+        with lock:
+            stop.set()
+            lock.notify_all()
+        for slot in free:
+            slot.release()
+        producer.join()
 
 
 def _noise(instances, n_agents, T, noise_rngs) -> np.ndarray:
@@ -631,99 +740,102 @@ def _run_subgoss(instances, params, gossip, noise_rngs, gossip_rngs, seeds, acti
     # per phase, every lane's best id and active mask, kept as lists: small arrays
     # kept for the whole run fragment the heap and raise the peak memory
     recommendations, active_history = [], []
-    if not resample:
-        actions, values, vstar = next(sets)
-        values, vstar = values[lane_seed], vstar[lane_seed]
-    n_gossip = 0
-    j = 1
-    start = 1
-    while start <= T:
-        length = phase_length(params.b, j)
-        end_full = start + length - 1
-        end = min(end_full, T)
-        slots = end - start + 1
-
-        # a phase explores at most its slots within T; clipped here, the budget
-        # and length of a huge b stay in int64
-        budget = explore_budget(params.b, j, m, params.explore_budget_mode)
-        n_exp = explore_plan(active, min(budget, slots), slots)
-        switches = {s: lanes[n_exp == s] for s in set(n_exp.tolist()) if s < slots}
-        n_active = active.sum(axis=1)
-        # active ids in ascending order, each row padded by repeats of its last id;
-        # np.nonzero lists every lane's ids in order, lane after lane
-        held = np.nonzero(active)[1]
-        order = held[(np.cumsum(n_active) - n_active)[:, None]
-                     + np.minimum(np.arange(n_active.max()), n_active[:, None] - 1)]
-        explorers, exploiters = lanes, lanes[:0]
-        explored[:, start - 1:end] = np.arange(slots) < n_exp[:, None]
-        width = int(n_exp.max())
-        phase_count = explore.count.copy()
-        chunks = explore_chunks()
+    try:
         if not resample:
-            # on a fixed set every explore play of the phase enters the statistics
-            # here: a lane reads them only at its refresh, after its explore slots
-            for chunk, ids, cols, rows in chunks:
-                mine = chunk < n_exp[:, None]
-                rewards = values[lanes[:, None], rows] + noise[start + chunk].T
-                explore.add_play((np.broadcast_to(lanes[:, None], mine.shape)[mine],
-                                  ids[mine], cols[mine]), rewards[mine])
+            actions, values, vstar = next(sets)
+            values, vstar = values[lane_seed], vstar[lane_seed]
+        n_gossip = 0
+        j = 1
+        start = 1
+        while start <= T:
+            length = phase_length(params.b, j)
+            end_full = start + length - 1
+            end = min(end_full, T)
+            slots = end - start + 1
 
-        # a run of exploit steps on a fixed set ends before the next switch slot
-        block_ends = sorted(switches) + [slots]
-        s = 0 if resample else int(n_exp.min())
-        while s < slots:
-            t = start + s
-            steps = 1
-            if resample:
-                actions, values, vstar = next(sets)
-                values, vstar = values[lane_seed], vstar[lane_seed]
-            switching = switches.get(s)
-            if switching is not None:
-                refresh(switching)
-                play.copy_lanes(switching, saved, (switching, best[switching]))
-                explorers, exploiters = lanes[n_exp > s], lanes[n_exp <= s]
-                if not resample:
-                    cand[switching] = cand_table[lane_seed[switching], best[switching]]
-            if exploiters.size and resample:  # a set read for one step
-                lane_coords(exploiters)
-                pick = ucb_scores(play, X, beta[play.count]).argmax(axis=1)
-                idx = cand[lanes, pick]
-                a_val = values[lanes, idx]
-                play.add_play_coords(X[lanes, :, pick], a_val + noise[t])
-                inst_regret[:, t - 1] = vstar - a_val
-                played[:, t - 1] = idx
-            elif exploiters.size:
-                steps = block_ends[bisect.bisect_right(block_ends, s)] - s
-                counted = exploiters if exploiters.size < n_lanes else slice(None)
-                _kept_exploit(play, t, steps, lanes, cand, values, noise, beta, counted, played)
-            if resample and explorers.size:
-                if s % chunk_slots == 0:
-                    _, ids, cols, rows = next(chunks)
-                i = s % chunk_slots
-                k, col, row = ids[explorers, i], cols[explorers, i], rows[explorers, i]
-                a_val = values[explorers, row]
-                explore.add_play((explorers, k, col), a_val + noise[t, explorers])
-                inst_regret[explorers, t - 1] = vstar[explorers] - a_val
-                played[explorers, t - 1] = row
-            s += steps
+            # a phase explores at most its slots within T; clipped here, the budget
+            # and length of a huge b stay in int64
+            budget = explore_budget(params.b, j, m, params.explore_budget_mode)
+            n_exp = explore_plan(active, min(budget, slots), slots)
+            switches = {s: lanes[n_exp == s] for s in set(n_exp.tolist()) if s < slots}
+            n_active = active.sum(axis=1)
+            # active ids in ascending order, each row padded by repeats of its last id;
+            # np.nonzero lists every lane's ids in order, lane after lane
+            held = np.nonzero(active)[1]
+            order = held[(np.cumsum(n_active) - n_active)[:, None]
+                         + np.minimum(np.arange(n_active.max()), n_active[:, None] - 1)]
+            explorers, exploiters = lanes, lanes[:0]
+            explored[:, start - 1:end] = np.arange(slots) < n_exp[:, None]
+            width = int(n_exp.max())
+            phase_count = explore.count.copy()
+            chunks = explore_chunks()
+            if not resample:
+                # on a fixed set every explore play of the phase enters the statistics
+                # here: a lane reads them only at its refresh, after its explore slots
+                for chunk, ids, cols, rows in chunks:
+                    mine = chunk < n_exp[:, None]
+                    rewards = values[lanes[:, None], rows] + noise[start + chunk].T
+                    explore.add_play((np.broadcast_to(lanes[:, None], mine.shape)[mine],
+                                      ids[mine], cols[mine]), rewards[mine])
 
-        refresh(lanes[n_exp == slots])
-        if not resample:
-            # the explore slots, which the exploit steps wrote over for every lane
-            for chunk, _, _, rows in explore_chunks():
-                span = slice(start - 1 + chunk[0], start + chunk[-1])
-                np.copyto(played[:, span], rows, where=chunk < n_exp[:, None], casting="unsafe")
-        switched = lanes[n_exp < slots]
-        saved.copy_lanes((switched, best[switched]), play, switched)
+            # a run of exploit steps on a fixed set ends before the next switch slot
+            block_ends = sorted(switches) + [slots]
+            s = 0 if resample else int(n_exp.min())
+            while s < slots:
+                t = start + s
+                steps = 1
+                if resample:
+                    actions, values, vstar = next(sets)
+                    values, vstar = values[lane_seed], vstar[lane_seed]
+                switching = switches.get(s)
+                if switching is not None:
+                    refresh(switching)
+                    play.copy_lanes(switching, saved, (switching, best[switching]))
+                    explorers, exploiters = lanes[n_exp > s], lanes[n_exp <= s]
+                    if not resample:
+                        cand[switching] = cand_table[lane_seed[switching], best[switching]]
+                if exploiters.size and resample:  # a set read for one step
+                    lane_coords(exploiters)
+                    pick = ucb_scores(play, X, beta[play.count]).argmax(axis=1)
+                    idx = cand[lanes, pick]
+                    a_val = values[lanes, idx]
+                    play.add_play_coords(X[lanes, :, pick], a_val + noise[t])
+                    inst_regret[:, t - 1] = vstar - a_val
+                    played[:, t - 1] = idx
+                elif exploiters.size:
+                    steps = block_ends[bisect.bisect_right(block_ends, s)] - s
+                    counted = exploiters if exploiters.size < n_lanes else slice(None)
+                    _kept_exploit(play, t, steps, lanes, cand, values, noise, beta, counted, played)
+                if resample and explorers.size:
+                    if s % chunk_slots == 0:
+                        _, ids, cols, rows = next(chunks)
+                    i = s % chunk_slots
+                    k, col, row = ids[explorers, i], cols[explorers, i], rows[explorers, i]
+                    a_val = values[explorers, row]
+                    explore.add_play((explorers, k, col), a_val + noise[t, explorers])
+                    inst_regret[explorers, t - 1] = vstar[explorers] - a_val
+                    played[explorers, t - 1] = row
+                s += steps
 
-        recommendations.append(best.tolist())
-        if end_full <= T and n_agents > 1:
-            n_gossip += 1
-            pulled = gossip_exchange(best.reshape(n_seeds, n_agents), gossip, gossip_rngs)
-            update_active_set(active, sticky, norms, pulled.ravel())
-        active_history.append(active.tolist())
-        j += 1
-        start = end_full + 1
+            refresh(lanes[n_exp == slots])
+            if not resample:
+                # the explore slots, which the exploit steps wrote over for every lane
+                for chunk, _, _, rows in explore_chunks():
+                    span = slice(start - 1 + chunk[0], start + chunk[-1])
+                    np.copyto(played[:, span], rows, where=chunk < n_exp[:, None], casting="unsafe")
+            switched = lanes[n_exp < slots]
+            saved.copy_lanes((switched, best[switched]), play, switched)
+
+            recommendations.append(best.tolist())
+            if end_full <= T and n_agents > 1:
+                n_gossip += 1
+                pulled = gossip_exchange(best.reshape(n_seeds, n_agents), gossip, gossip_rngs)
+                update_active_set(active, sticky, norms, pulled.ravel())
+            active_history.append(active.tolist())
+            j += 1
+            start = end_full + 1
+    finally:
+        sets.close()
 
     if not resample:
         _regret_of_rows(values, vstar, played, inst_regret)
@@ -791,32 +903,35 @@ def _run_linucb(instances, params, noise_rngs, seeds, action_rngs, k, track_cove
         cand = ucb_candidates(X)
         return cand, np.take_along_axis(X, cand[:, None, :], axis=2)
 
-    actions, values, vstar = next(sets)
-    cand, X = scored(actions)
-    stats = LinUcbStats(dim, lam, (n_lanes,), X if kept else None)
     inst_regret = np.empty((n_lanes, T))
     played = np.empty((n_lanes, T), dtype=np.min_scalar_type(first.action_set.shape[0] - 1))
-    if kept:
-        _kept_exploit(stats, 1, T, lanes, cand, values, noise, beta, None, played)
-        _regret_of_rows(values, vstar, played, inst_regret)
-    else:
-        for t in range(1, T + 1):
-            if resample and t > 1:
-                actions, values, vstar = next(sets)
-                cand, X = scored(actions)
-            bval = beta[t - 1]
-            pick = ucb_scores(stats, X, bval).argmax(axis=1)
-            x = X[lanes, :, pick]
-            if track_coverage:
-                diff = stats.theta_hat() - theta_k
-                covered &= ~(np.sqrt((diff[:, None, :] @ gram @ diff[:, :, None])[:, 0, 0])
-                             > bval)
-                gram += x[:, :, None] * x[:, None, :]
-            idx = cand[lanes, pick]
-            a_val = values[lanes, idx]
-            stats.add_play_coords(x, a_val + noise[t])
-            inst_regret[:, t - 1] = vstar - a_val
-            played[:, t - 1] = idx
+    try:
+        actions, values, vstar = next(sets)
+        cand, X = scored(actions)
+        stats = LinUcbStats(dim, lam, (n_lanes,), X if kept else None)
+        if kept:
+            _kept_exploit(stats, 1, T, lanes, cand, values, noise, beta, None, played)
+            _regret_of_rows(values, vstar, played, inst_regret)
+        else:
+            for t in range(1, T + 1):
+                if resample and t > 1:
+                    actions, values, vstar = next(sets)
+                    cand, X = scored(actions)
+                bval = beta[t - 1]
+                pick = ucb_scores(stats, X, bval).argmax(axis=1)
+                x = X[lanes, :, pick]
+                if track_coverage:
+                    diff = stats.theta_hat() - theta_k
+                    covered &= ~(np.sqrt((diff[:, None, :] @ gram @ diff[:, :, None])[:, 0, 0])
+                                 > bval)
+                    gram += x[:, :, None] * x[:, None, :]
+                idx = cand[lanes, pick]
+                a_val = values[lanes, idx]
+                stats.add_play_coords(x, a_val + noise[t])
+                inst_regret[:, t - 1] = vstar - a_val
+                played[:, t - 1] = idx
+    finally:
+        sets.close()
 
     return [
         RunResult(

@@ -9,9 +9,11 @@ import numpy as np
 import pytest
 
 from subgoss import bounds as bounds_mod
-from subgoss import cli
+from subgoss import cli, policies
 from subgoss.cli import main
 from subgoss.harness import instance_gap, load_config
+
+from conftest import producer_threads
 
 
 def write_config(tmp_path, **overrides):
@@ -252,6 +254,25 @@ def test_config_too_large_to_allocate_is_exit_2(tmp_path, capsys, monkeypatch):
     assert err.startswith("config error: the run does not fit in memory: Unable to allocate")
     assert err.count("\n") == 1
     assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("policy", ["subgoss_multi", "oful"])
+def test_a_draw_past_the_memory_on_the_producer_thread_is_exit_2(tmp_path, capsys,
+                                                               monkeypatch, policy):
+    # resampled sets are drawn on a helper thread; its MemoryError reaches the
+    # command as one, and the thread does not outlive the command
+    def huge(rng, out):
+        raise MemoryError("Unable to allocate 9.2 GiB for the action sets")
+
+    monkeypatch.setattr(policies, "unit_sphere_rows", huge)
+    cfg = write_config(tmp_path, policy=policy, N=2 if policy == "subgoss_multi" else 1,
+                       resample_actions_per_step=True)
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err == ("config error: the run does not fit in memory: "
+                   "Unable to allocate 9.2 GiB for the action sets\n")
+    assert not (tmp_path / "x.csv").exists()
+    assert not producer_threads()
 
 
 def test_spread_needs_a_nonnegative_seed(capsys):

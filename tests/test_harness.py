@@ -9,7 +9,7 @@ import pytest
 
 from subgoss import policies
 from subgoss.cli import main
-from subgoss.environment import resample_actions
+from subgoss.environment import resample_actions, unit_sphere_rows
 from subgoss.errors import InvalidConfigError
 from subgoss.harness import (
     _ROLE_ACTIONS,
@@ -174,17 +174,18 @@ class TestRun:
         cfg = small_config(policy=policy, N=N, T=40, resample_actions_per_step=True)
         drawn = []
 
-        def recording(instance, n_actions, rng):
-            drawn.append(resample_actions(instance, n_actions, rng))
-            return drawn[-1]
+        def recording(rng, out):
+            drawn.extend(unit_sphere_rows(rng, out).copy())  # W steps
+            return out
 
-        monkeypatch.setattr(policies, "resample_actions", recording)
+        monkeypatch.setattr(policies, "unit_sphere_rows", recording)
         run_one_seed(cfg, 3)
         inst = _instance(cfg, 3)
         stream = _rng(cfg.master_seed, 3, _ROLE_ACTIONS)
+        n_random = cfg.extra_actions
         assert len(drawn) == cfg.T
-        for actions in drawn:
-            assert np.array_equal(actions, resample_actions(inst, cfg.extra_actions, stream))
+        for rows in drawn:
+            assert np.array_equal(rows, resample_actions(inst, n_random, stream)[:n_random])
 
     @pytest.mark.parametrize("mode", ["experimental", "theoretical"])
     @pytest.mark.parametrize("policy, N", [("subgoss_multi", 2), ("subgoss_single", 1)])

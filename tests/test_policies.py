@@ -2,6 +2,9 @@
 
 import dataclasses
 import math
+import sys
+import threading
+import time
 from unittest import mock
 
 import numpy as np
@@ -13,14 +16,17 @@ from subgoss import bounds, harness, policies
 from subgoss.environment import (
     ProblemInstance,
     SubspaceCollection,
+    _sample_unit_sphere,
     generate_instance,
     resample_actions,
+    unit_sphere_rows,
 )
 from subgoss.errors import InvalidConfigError, InvariantViolationError, ProtocolError
 from subgoss.harness import RunConfig, run_one_seed
 from subgoss.linalg import Basis, ExploreStats, LinUcbStats, explore_estimate, ucb_scores
 from subgoss.network import complete_graph, sample_neighbor, simulate_rumor_spread
 from subgoss.policies import (
+    PRODUCER_THREAD,
     PolicyParams,
     RunResult,
     _action_sets,
@@ -38,6 +44,8 @@ from subgoss.policies import (
     sticky_sets,
     update_active_set,
 )
+
+from conftest import producer_threads
 
 
 def rng_for(seed):
@@ -955,17 +963,30 @@ def run_policy(policy, inst, p, action_rng):
 
 @pytest.mark.parametrize("policy", ["multi4", "multi2", "single", "genie", "oful"])
 def test_resampled_action_set_drawn_once_per_step(policy, monkeypatch):
-    draws = []
-
-    def counting(instance, n_actions, rng):
-        draws.append(1)
-        return resample_actions(instance, n_actions, rng)
-
-    monkeypatch.setattr(policies, "resample_actions", counting)
+    # the producer draws T steps of the stream, no more: in one chunk, and in
+    # chunks of 7 steps with a clipped last one, the stream is left where T
+    # successive draws leave it
     inst = toy_instance(m=2, K=4, noise_std=1.0)
+    n_random = inst.action_set.shape[0] - inst.K * inst.m
     T = 150
-    run_policy(policy, inst, params(T, resample_actions_per_step=True), rng_for(5))
-    assert len(draws) == T
+    drawn = []
+
+    def counting(rng, out):
+        drawn.append(out.shape[0])
+        return unit_sphere_rows(rng, out)
+
+    monkeypatch.setattr(policies, "unit_sphere_rows", counting)
+    for width in (T, 7):
+        monkeypatch.setattr(policies, "_DRAW_CHUNK", width * n_random * inst.d)
+        drawn.clear()
+        stream = rng_for(5)
+        run_policy(policy, inst, params(T, resample_actions_per_step=True), stream)
+        clipped = [T % width] if T % width else []
+        assert drawn == [width] * (T // width) + clipped
+        replay = rng_for(5)
+        for _ in range(T):
+            resample_actions(inst, n_random, replay)
+        assert stream.bit_generator.state == replay.bit_generator.state
 
 
 @pytest.mark.parametrize("policy", ["multi4", "multi2", "single"])
@@ -1007,20 +1028,54 @@ class TestEnvView:
                 run()
             assert [noise.bit_generator.state, partners.bit_generator.state] == states
 
-    def test_sets_are_successive_draws(self):
-        # two seeds of a batch, each drawing from its own stream
+    def test_sets_are_successive_draws(self, monkeypatch):
+        # two seeds of a batch, each drawing from its own stream, W steps at a time;
+        # T = 5 sets and no more
         insts = [toy_instance(m=2, K=2, seed=0), toy_instance(m=2, K=2, seed=1)]
         n_random = insts[0].action_set.shape[0] - 4
-        sets = _action_sets(insts, params(5, resample_actions_per_step=True),
+        for width in (1, 2, 5):
+            monkeypatch.setattr(policies, "_DRAW_CHUNK", width * 2 * n_random * insts[0].d)
+            sets = _action_sets(insts, params(5, resample_actions_per_step=True),
+                                [rng_for(8), rng_for(9)])
+            streams = [rng_for(8), rng_for(9)]
+            for _ in range(5):
+                actions, values, vstar = next(sets)
+                for seed, (inst, stream) in enumerate(zip(insts, streams)):
+                    want = resample_actions(inst, n_random, stream)
+                    assert np.array_equal(actions[seed], want)
+                    assert np.array_equal(values[seed], want @ inst.theta_star)
+                    assert vstar[seed] == values[seed].max()
+            with pytest.raises(StopIteration):
+                next(sets)
+
+    @pytest.mark.parametrize("width", [1, 3, None])
+    @pytest.mark.parametrize("n_random", [1, 120])
+    def test_chunked_draws_are_the_per_step_draws(self, n_random, width, monkeypatch):
+        """Sets drawn W steps at a time, at widths 1, 3 and the one `_DRAW_CHUNK` gives
+        the Fig-1 shape, over T = 2W + 1 steps so that the last chunk is clipped, are
+        bit for bit the sets of per-step draws, values and memory layout alike: one
+        random row gives a Fortran-ordered set, 5d of them a C-ordered one."""
+        insts = [generate_instance(24, 2, 12, 0, n_random, 1.0, 1.0, rng_for(s)) for s in (3, 4)]
+        per_step = 2 * n_random * 24
+        if width:
+            monkeypatch.setattr(policies, "_DRAW_CHUNK", width * per_step)
+        else:
+            width = policies._DRAW_CHUNK // per_step
+        T = 2 * width + 1
+        sets = _action_sets(insts, params(T, resample_actions_per_step=True),
                             [rng_for(8), rng_for(9)])
         streams = [rng_for(8), rng_for(9)]
-        for _ in range(5):
-            actions, values, vstar = next(sets)
+        for actions, values, vstar in sets:
             for seed, (inst, stream) in enumerate(zip(insts, streams)):
-                want = resample_actions(inst, n_random, stream)
+                rows = _sample_unit_sphere(n_random, 24, stream)
+                want = np.concatenate([rows, inst.subspaces.basis_columns])
                 assert np.array_equal(actions[seed], want)
+                assert actions[seed].flags.f_contiguous == want.flags.f_contiguous
+                assert actions[seed].flags.f_contiguous == (n_random == 1)
                 assert np.array_equal(values[seed], want @ inst.theta_star)
                 assert vstar[seed] == values[seed].max()
+            T -= 1
+        assert T == 0
 
     @pytest.mark.parametrize("policy", ["multi4", "multi2", "single", "genie", "oful"])
     def test_fixed_mode_ignores_the_stream(self, policy):
@@ -1034,6 +1089,158 @@ class TestEnvView:
         assert np.array_equal(a.explored, b.explored)
         assert np.array_equal(a.played, b.played)
         assert a.coverage_ok == b.coverage_ok
+
+
+class TestProducerThread:
+    """The helper thread that draws resampled sets ahead: it makes every draw, ends
+    with its engine however the engine ends, and hands its own error to it."""
+
+    @staticmethod
+    def small_chunks(monkeypatch, inst, width=4):
+        n_random = inst.action_set.shape[0] - inst.K * inst.m
+        monkeypatch.setattr(policies, "_DRAW_CHUNK", width * n_random * inst.d)
+
+    @pytest.mark.parametrize("policy", ["multi4", "single", "genie", "oful"])
+    def test_draws_on_the_helper_thread(self, policy, monkeypatch):
+        # made by the helper thread or, on a chunk it has not drawn yet, by the
+        # engine's thread
+        threads = set()
+
+        def recording(rng, out):
+            threads.add(threading.current_thread().name)
+            return unit_sphere_rows(rng, out)
+
+        monkeypatch.setattr(policies, "unit_sphere_rows", recording)
+        inst = toy_instance(m=2, K=4, noise_std=1.0)
+        self.small_chunks(monkeypatch, inst)
+        run_policy(policy, inst, params(100, resample_actions_per_step=True), rng_for(5))
+        assert PRODUCER_THREAD in threads
+        assert threads <= {PRODUCER_THREAD, threading.main_thread().name}
+        assert not producer_threads()
+
+    def test_the_bits_do_not_depend_on_which_thread_draws(self, monkeypatch):
+        # a helper thread slowed down leaves the late seeds of each chunk to the
+        # engine's thread; the sets stay the per-step draws of each stream
+        threads = set()
+
+        def slow(rng, out):
+            if threading.current_thread().name == PRODUCER_THREAD:
+                time.sleep(0.002)
+            threads.add(threading.current_thread().name)
+            return unit_sphere_rows(rng, out)
+
+        monkeypatch.setattr(policies, "unit_sphere_rows", slow)
+        insts = [toy_instance(m=2, K=2, seed=s) for s in range(4)]
+        n_random = insts[0].action_set.shape[0] - 4
+        monkeypatch.setattr(policies, "_DRAW_CHUNK", 2 * 4 * n_random * insts[0].d)
+        drawn = [rng_for(s) for s in range(4)]
+        sets = _action_sets(insts, params(9, resample_actions_per_step=True), drawn)
+        streams = [rng_for(s) for s in range(4)]
+        for actions, _, _ in sets:
+            for seed, (inst, stream) in enumerate(zip(insts, streams)):
+                assert np.array_equal(actions[seed], resample_actions(inst, n_random, stream))
+        assert threads == {PRODUCER_THREAD, threading.main_thread().name}
+        assert ([r.bit_generator.state for r in drawn]
+                == [r.bit_generator.state for r in streams])
+
+    def test_claims_hold_under_a_short_switch_interval(self, monkeypatch):
+        # the two threads claim the seeds of each one-step chunk against each other
+        # while the interpreter switches between them as often as it can: every
+        # set is still its stream's per-step draw, and each stream is drawn T times
+        insts = [toy_instance(m=2, K=2, seed=s) for s in range(8)]
+        n_random = insts[0].action_set.shape[0] - 4
+        monkeypatch.setattr(policies, "_DRAW_CHUNK", 8 * n_random * insts[0].d)
+        drawn = [rng_for(s) for s in range(8)]
+        streams = [rng_for(s) for s in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for actions, _, _ in _action_sets(
+                    insts, params(60, resample_actions_per_step=True), drawn):
+                for seed, (inst, stream) in enumerate(zip(insts, streams)):
+                    want = resample_actions(inst, n_random, stream)
+                    assert np.array_equal(actions[seed], want)
+        finally:
+            sys.setswitchinterval(interval)
+        assert ([r.bit_generator.state for r in drawn]
+                == [r.bit_generator.state for r in streams])
+
+    def test_an_error_of_the_producer_is_raised_at_the_first_undrawn_step(self, monkeypatch):
+        # the second chunk fails: the three steps of the first are served, then the
+        # error, of its own type, and the thread is gone
+        calls = []
+
+        def failing(rng, out):
+            calls.append(out.shape[0])
+            if len(calls) == 2:
+                raise MemoryError("no room for the sets")
+            return unit_sphere_rows(rng, out)
+
+        monkeypatch.setattr(policies, "unit_sphere_rows", failing)
+        inst = toy_instance(m=2, K=2)
+        self.small_chunks(monkeypatch, inst, width=3)
+        sets = _action_sets([inst], params(10, resample_actions_per_step=True), [rng_for(8)])
+        for _ in range(3):
+            next(sets)
+        with pytest.raises(MemoryError, match="no room for the sets"):
+            next(sets)
+        assert calls == [3, 3]
+        assert not producer_threads()
+
+    @pytest.mark.parametrize("policy", ["multi4", "single", "genie", "oful"])
+    def test_an_error_of_the_producer_ends_the_run(self, policy, monkeypatch):
+        def failing(rng, out):
+            raise ZeroDivisionError("draw failed")
+
+        monkeypatch.setattr(policies, "unit_sphere_rows", failing)
+        inst = toy_instance(m=2, K=4, noise_std=1.0)
+        with pytest.raises(ZeroDivisionError, match="draw failed"):
+            run_policy(policy, inst, params(100, resample_actions_per_step=True), rng_for(5))
+        assert not producer_threads()
+
+    @pytest.mark.parametrize("policy", ["multi4", "single", "genie", "oful"])
+    def test_keyboard_interrupt_in_the_main_loop_leaves_no_thread(self, policy, monkeypatch):
+        # interrupted at an exploit step's scores, with the producer drawing ahead
+        calls = []
+
+        def interrupted(*args):
+            calls.append(1)
+            if len(calls) == 5:
+                raise KeyboardInterrupt
+            return ucb_scores(*args)
+
+        monkeypatch.setattr(policies, "ucb_scores", interrupted)
+        inst = toy_instance(m=2, K=4, noise_std=1.0)
+        self.small_chunks(monkeypatch, inst)
+        with pytest.raises(KeyboardInterrupt):
+            run_policy(policy, inst, params(300, resample_actions_per_step=True), rng_for(5))
+        assert len(calls) == 5
+        assert not producer_threads()
+
+    def test_closing_the_sets_early_stops_the_thread(self, monkeypatch):
+        inst = toy_instance(m=2, K=2)
+        self.small_chunks(monkeypatch, inst, width=1)
+        p = params(1000, resample_actions_per_step=True)
+        # closed before the first step: no thread was started
+        sets = _action_sets([inst], p, [rng_for(8)])
+        assert not producer_threads()
+        sets.close()
+        assert not producer_threads()
+        # closed after a step, with the thread drawing the second slot or waiting
+        # for a free one: it is stopped and joined, having drawn one or two steps
+        stream = rng_for(8)
+        sets = _action_sets([inst], p, [stream])
+        next(sets)
+        assert len(producer_threads()) == 1
+        sets.close()
+        assert not producer_threads()
+        replay = rng_for(8)
+        n_random = inst.action_set.shape[0] - inst.K * inst.m
+        states = []
+        for _ in range(3):
+            resample_actions(inst, n_random, replay)
+            states.append(replay.bit_generator.state)
+        assert stream.bit_generator.state in states[:2]
 
 
 @pytest.mark.parametrize("T", [0, -3, 2.5, True])

@@ -54,8 +54,8 @@ def _run(policy, inst, n_agents, params, seed):
 @hypothesis.settings(max_examples=40, deadline=None)
 @hypothesis.given(data=st.data())
 def test_resampling_the_fixed_set_reproduces_fixed_mode(data):
-    """A resample path that always returns the fixed action set must leave every
-    trajectory, recommendation and play as in fixed-action mode."""
+    """A resample path whose draws are always the fixed set's random rows must leave
+    every trajectory, recommendation and play as in fixed-action mode."""
     K = data.draw(st.integers(2, 6), label="K")
     n_agents = data.draw(st.sampled_from([n for n in range(1, K + 1) if K % n == 0]), label="N")
     m = data.draw(st.integers(1, 3), label="m")
@@ -66,16 +66,18 @@ def test_resampling_the_fixed_set_reproduces_fixed_mode(data):
     inst = generate_instance(d, m, K, seed % K, 10, 1.0, 1.0, np.random.default_rng(seed))
 
     fixed = _run(policy, inst, n_agents, PolicyParams(T=T), seed)
-    draws = []
+    steps = []
 
-    def fixed_set(instance, n_actions, rng):
-        draws.append(1)
-        return instance.action_set
+    def fixed_rows(rng, out):
+        # out is (W, n_random, d): the random rows of W steps
+        steps.append(out.shape[0])
+        out[...] = inst.action_set[:out.shape[1]]
+        return out
 
-    with mock.patch.object(policies, "resample_actions", fixed_set):
+    with mock.patch.object(policies, "unit_sphere_rows", fixed_rows):
         params = PolicyParams(T=T, resample_actions_per_step=True)
         drawn = _run(policy, inst, n_agents, params, seed)
-    assert len(draws) == T
+    assert sum(steps) == T
     assert np.array_equal(fixed.inst_regret, drawn.inst_regret)
     assert fixed.recommendations == drawn.recommendations
     assert np.array_equal(fixed.explored, drawn.explored)

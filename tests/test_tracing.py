@@ -2,6 +2,7 @@
 
 import importlib
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -51,3 +52,34 @@ def test_tracer_targets_resolve_and_count_a_multi_agent_run(monkeypatch):
     ):
         assert tracer.stat(name)[0] > 0, name
     assert not hasattr(policies.explore_plan, "__wrapped__")
+
+
+def test_the_resample_producer_calls_nothing_traced(monkeypatch):
+    # the tracer's span stack belongs to the main thread: every traced call of a
+    # resampled run, whose sets a helper thread draws, is made there
+    monkeypatch.syspath_prepend(str(BENCH))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    tracing = importlib.import_module("tracing")
+    inst = generate_instance(6, 1, 4, 0, 10, 1.0, 1.0, np.random.default_rng(0))
+    rngs = [np.random.default_rng(i) for i in range(4)]
+    tracer = tracing.Tracer()
+    threads = set()
+    enter = tracer._enter
+
+    def recording_enter():
+        threads.add(threading.current_thread().name)
+        return enter()
+
+    monkeypatch.setattr(tracer, "_enter", recording_enter)
+    tracer.install()
+    try:
+        policies.run_subgoss_multi(
+            inst, policies.PolicyParams(T=300, resample_actions_per_step=True),
+            complete_graph(2), rngs[:2], rngs[2], action_rng=rngs[3],
+        )
+    finally:
+        tracer.uninstall()
+    assert threads == {threading.main_thread().name}
+    assert tracer.stat("policies.run_subgoss_multi")[0] == 1
+    # the engine draws through the producer, not through resample_actions
+    assert tracer.stat("environment.resample_actions")[0] == 0
