@@ -59,14 +59,20 @@ def beta(delta: float, m: int, lam: float, n: int, S: float = 1.0) -> float:
     return radius(n)
 
 
-def beta_of_count(delta: float, m: int, lam: float, S: float = 1.0):
-    """`beta` as a function of the play count n >= 0 alone, the other inputs checked
-    once: a table of radii by count maps it over the counts."""
+def beta_constants(delta: float, m: int, lam: float, S: float = 1.0):
+    """The inputs checked, the constants (offset, log_term, scale) of
+    beta(n) = offset + sqrt(log_term + m log1p(n / scale))."""
     if not 0 < delta < 1:
         raise InvalidConfigError("delta must lie in (0, 1)")
     if lam <= 0 or m < 1:
         raise InvalidConfigError("need n >= 0, lambda > 0, m >= 1")
-    offset, log_term, scale = S * math.sqrt(lam), 2.0 * math.log(1.0 / delta), lam * m
+    return S * math.sqrt(lam), 2.0 * math.log(1.0 / delta), lam * m
+
+
+def beta_of_count(delta: float, m: int, lam: float, S: float = 1.0):
+    """`beta` as a function of the play count n >= 0 alone, the other inputs checked
+    once."""
+    offset, log_term, scale = beta_constants(delta, m, lam, S)
     return lambda n: offset + math.sqrt(log_term + m * math.log1p(n / scale))
 
 

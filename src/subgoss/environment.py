@@ -126,17 +126,31 @@ class GapReport:
     per_subspace: np.ndarray
 
 
+def normal_rows(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+    """Fill the C-contiguous array `out` in place with standard normals of `rng`, in
+    C order, and return it: a (W, n, d) block holds the normals of W successive
+    (n, d) draws."""
+    rng.standard_normal(out=out)
+    return out
+
+
+def normalized_rows(rows: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write each row of the (..., d) array `rows` divided by its norm into `out`,
+    which may be `rows` itself, and return it. A row's bits do not depend on the
+    other rows or on the memory layout of `out`."""
+    # the ufuncs np.linalg.norm(rows, axis=-1, keepdims=True) runs on real input
+    return np.divide(rows, np.sqrt(np.add.reduce(rows * rows, axis=-1, keepdims=True)), out=out)
+
+
 def unit_sphere_rows(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
     """Fill the C-contiguous (..., d) array `out` in place with uniform draws on the
     unit sphere, one per row, and return it.
 
-    The rows are the standard normals of `rng` in C order, each divided by its
-    norm, so a (W, n, d) block holds the bits of W successive (n, d) draws.
+    The rows are the standard normals of `rng` in C order (`normal_rows`), each
+    divided by its norm (`normalized_rows`), so a (W, n, d) block holds the bits
+    of W successive (n, d) draws.
     """
-    rng.standard_normal(out=out)
-    # the ufuncs np.linalg.norm(out, axis=-1, keepdims=True) runs on real input
-    out /= np.sqrt(np.add.reduce(out * out, axis=-1, keepdims=True))
-    return out
+    return normalized_rows(normal_rows(rng, out), out)
 
 
 def _sample_unit_sphere(n: int, d: int, rng: np.random.Generator) -> np.ndarray:

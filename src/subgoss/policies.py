@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bounds
-from .environment import unit_sphere_rows
+from .environment import normal_rows, normalized_rows
 from .errors import InvalidConfigError, InvariantViolationError, ProtocolError
 from .linalg import ExploreStats, LinUcbStats, ucb_candidates, ucb_scores
 from .network import GossipMatrix, sample_neighbor
@@ -255,12 +255,13 @@ def detect_freeze(recommendations, true_index: int) -> int | None:
 # entries of the random rows one slot of the resample producer holds, seeds x W
 # steps x n_random x d: W = max(1, this // (seeds * n_random * d)), clipped to T.
 # The producer keeps two slots of 8-byte floats, 16 * seeds * W * n_random * d
-# bytes, at most 16 * max(_DRAW_CHUNK, seeds * n_random * d). For the Fig-1
-# shape (120 x 24 random rows) that is at most 0.79 MB up to 17 seeds (0.74 MB,
-# W = 8, at 2 seeds) and 46 KB per seed above, where W = 1: 1.4 MB at 30 seeds.
-# A larger W hands the helper thread more work per hand-over of the interpreter
-# lock; W = 11 at 2 seeds was 1.1x faster than W = 8 but raised the peak memory
-# of a 2-seed run by 5%, against 4%
+# bytes, at most 16 * max(_DRAW_CHUNK, seeds * n_random * d), and the sets of a
+# chunk take 8 * seeds * W * n_actions * d more. For the Fig-1 shape (120 x 24
+# random rows, 144 actions) that is at most 0.79 + 0.47 MB up to 17 seeds
+# (0.74 + 0.44 MB, W = 8, at 2 seeds) and 46 + 28 KB per seed above, where
+# W = 1: 1.4 + 0.83 MB at 30 seeds. A larger W hands the helper thread more work
+# per hand-over of the interpreter lock; W = 11 at 2 seeds was 1.1x faster than
+# W = 8 but raised the peak memory of a 2-seed run by 5%, against 4%
 _DRAW_CHUNK = 3 << 14
 # the name of that helper thread
 PRODUCER_THREAD = "subgoss-actions"
@@ -273,9 +274,11 @@ def _action_sets(instances, params, action_rngs):
     Every action set holds n_random random rows followed by the K*m basis
     columns, subspace by subspace. A fixed set is the same at every step, and
     the engines read it once; the resampled set of step t is the t-th draw of
-    its seed's stream in `action_rngs`, T of them (`_drawn_sets`). Resample
-    mode without a stream fails here, before any stream is drawn from. The
-    engines close the sets when they leave, whether they finish or fail.
+    its seed's stream in `action_rngs`, T of them (`_drawn_sets`); a step's
+    resampled sets, values and optima are views valid until the next `next()`,
+    and the engines use them only within the step. Resample mode without a
+    stream fails here, before any stream is drawn from. The engines close the
+    sets when they leave, whether they finish or fail.
     """
     if params.resample_actions_per_step:
         if None in action_rngs:
@@ -301,27 +304,39 @@ def _drawn_sets(instances, T, action_rngs):
     """The T resampled action sets of a batch, step by step, as `_action_sets` gives them.
 
     A generator: nothing runs before the first step. One helper thread then
-    draws the random rows ahead into two slots of shape (seeds, W, n_random, d),
-    W steps of every seed at a time (`_DRAW_CHUNK`), while this thread plays the
-    steps of the other slot. A chunk's seeds are claimed one at a time: the
-    helper thread claims from the first seed on, and this thread, when it
-    reaches a chunk that is not drawn yet, claims from the last seed back
-    instead of waiting. Each seed's block is drawn by `unit_sphere_rows`, the
-    draw of `environment.resample_actions`, and a chunk is started only once
-    the one before is drawn, so each stream is drawn from in step order and the
-    rows are those of T successive `resample_actions` calls whatever the timing
-    of the threads. Each set is built here as `resample_actions` builds it, the
-    rows followed by the basis columns, so it has the same layout. An error of
-    the helper thread is raised again here, at the first step it left undrawn.
-    Closing the generator stops and joins the thread; the engines close it in a
-    `finally`, since a traceback that holds their frame keeps the generator
-    alive.
+    draws the standard normals of the random rows ahead into two slots of shape
+    (seeds, W, n_random, d), W steps of every seed at a time (`_DRAW_CHUNK`),
+    while this thread plays the steps of the other slot. A chunk's seeds are
+    claimed one at a time: the helper thread claims from the first seed on, and
+    this thread, when it reaches a chunk that is not drawn yet, claims from the
+    last seed back instead of waiting. Each seed's block is one `normal_rows`
+    call, and a chunk is started only once the one before is drawn, so each
+    stream is drawn from in step order whatever the timing of the threads.
+    This thread then takes the chunk whole: it normalizes its rows
+    (`normalized_rows`) into a (seeds, W, n_actions, d) set buffer whose basis
+    rows are written once per call, frees the slot, and values every set of the
+    chunk by one product. The sets are those of T successive `resample_actions`
+    calls, each in the memory layout `resample_actions` gives it. A step's sets,
+    values and optima are views into buffers that the next chunk writes over,
+    valid until the next `next()`. An error of the helper thread is raised
+    again here, at the first step it left undrawn. Closing the generator stops
+    and joins the thread; the engines close it in a `finally`, since a
+    traceback that holds their frame keeps the generator alive.
     """
     first = instances[0]
     n_seeds, d = len(instances), first.d
-    n_random = first.action_set.shape[0] - first.K * first.m
+    n_actions = first.action_set.shape[0]
+    n_random = n_actions - first.K * first.m
     width = min(T, max(1, _DRAW_CHUNK // (n_seeds * n_random * d)))
     slots = np.empty((2, n_seeds, width, n_random, d))
+    # each set in the layout np.concatenate gives it, on which the bits of its
+    # products depend: Fortran order for one random row and m > 1
+    if np.concatenate([slots[0, 0, 0], first.subspaces.basis_columns]).flags.c_contiguous:
+        sets = np.empty((n_seeds, width, n_actions, d))
+    else:
+        sets = np.empty((n_seeds, width, d, n_actions)).swapaxes(-1, -2)
+    sets[:, :, n_random:] = np.stack([inst.subspaces.basis_columns for inst in instances])[:, None]
+    theta = np.stack([inst.theta_star for inst in instances])[:, None, :, None]
     free = [threading.Semaphore(1), threading.Semaphore(1)]
     filled = [threading.Semaphore(0), threading.Semaphore(0)]
     # per slot, under `lock`: the seeds of its chunk not yet claimed, [front, back),
@@ -341,7 +356,7 @@ def _drawn_sets(instances, T, action_rngs):
                     return
                 s = front if from_front else back - 1
                 unclaimed[i] = [front + 1, back] if from_front else [front, back - 1]
-            unit_sphere_rows(action_rngs[s], slots[i, s, :w])
+            normal_rows(action_rngs[s], slots[i, s, :w])
             with lock:
                 undrawn[i] -= 1
                 if undrawn[i] == 0:
@@ -376,10 +391,13 @@ def _drawn_sets(instances, T, action_rngs):
             filled[i].acquire()
             if failed[i] is not None:
                 raise failed[i]
-            for step in range(w):
-                yield _valued([np.concatenate([rows, inst.subspaces.basis_columns])
-                               for rows, inst in zip(slots[i, :, step], instances)], instances)
+            chunk = sets[:, :w]
+            normalized_rows(slots[i, :, :w], chunk[:, :, :n_random])
             free[i].release()
+            values = np.matmul(chunk, theta)[..., 0]  # each set by one product, as `_valued`
+            vstar = values.max(axis=2)
+            for step in range(w):
+                yield chunk[:, step], values[:, step], vstar[:, step]
     finally:
         with lock:
             stop.set()
@@ -461,8 +479,13 @@ _EXPLORE_CHUNK = 4096
 def _beta_table(params, dim: int, S: float) -> np.ndarray:
     """Confidence radius by play count; a count is below T, as it grows by at most
     one play per step from 0."""
-    radius = bounds.beta_of_count(params.delta_value(), dim, params.lam, S)
-    return np.fromiter(map(radius, range(params.T)), dtype=float, count=params.T)
+    offset, log_term, scale = bounds.beta_constants(params.delta_value(), dim, params.lam, S)
+    # `bounds.beta_of_count` over the counts, in its operation order; math.log1p
+    # is mapped, as np.log1p rounds some counts to other bits, and over the array
+    # itself: a list of the T ratios raised the peak memory of a Fig-1 run 0.6 MB
+    ratio = np.arange(params.T) / scale
+    logs = np.fromiter(map(math.log1p, ratio), dtype=float, count=params.T)
+    return np.sqrt(log_term + dim * logs) + offset
 
 
 # the most steps one look-ahead scores

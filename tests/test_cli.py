@@ -264,7 +264,7 @@ def test_a_draw_past_the_memory_on_the_producer_thread_is_exit_2(tmp_path, capsy
     def huge(rng, out):
         raise MemoryError("Unable to allocate 9.2 GiB for the action sets")
 
-    monkeypatch.setattr(policies, "unit_sphere_rows", huge)
+    monkeypatch.setattr(policies, "normal_rows", huge)
     cfg = write_config(tmp_path, policy=policy, N=2 if policy == "subgoss_multi" else 1,
                        resample_actions_per_step=True)
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2

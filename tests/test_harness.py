@@ -9,7 +9,7 @@ import pytest
 
 from subgoss import policies
 from subgoss.cli import main
-from subgoss.environment import resample_actions, unit_sphere_rows
+from subgoss.environment import normal_rows, normalized_rows, resample_actions
 from subgoss.errors import InvalidConfigError
 from subgoss.harness import (
     _ROLE_ACTIONS,
@@ -175,10 +175,11 @@ class TestRun:
         drawn = []
 
         def recording(rng, out):
-            drawn.extend(unit_sphere_rows(rng, out).copy())  # W steps
+            normal_rows(rng, out)
+            drawn.extend(normalized_rows(out, out.copy()))  # W steps, as the sets hold them
             return out
 
-        monkeypatch.setattr(policies, "unit_sphere_rows", recording)
+        monkeypatch.setattr(policies, "normal_rows", recording)
         run_one_seed(cfg, 3)
         inst = _instance(cfg, 3)
         stream = _rng(cfg.master_seed, 3, _ROLE_ACTIONS)

@@ -1,6 +1,7 @@
 """Agent state machine, phase arithmetic, and the four run loops."""
 
 import dataclasses
+import itertools
 import math
 import sys
 import threading
@@ -18,8 +19,8 @@ from subgoss.environment import (
     SubspaceCollection,
     _sample_unit_sphere,
     generate_instance,
+    normal_rows,
     resample_actions,
-    unit_sphere_rows,
 )
 from subgoss.errors import InvalidConfigError, InvariantViolationError, ProtocolError
 from subgoss.harness import RunConfig, run_one_seed
@@ -181,6 +182,17 @@ def test_beta_table_equals_beta_at_every_count(delta, dim, lam, S):
     params = PolicyParams(T=3000, delta=delta, lam=lam)
     want = [bounds.beta(params.delta_value(), dim, lam, n, S) for n in range(params.T)]
     assert np.array_equal(policies._beta_table(params, dim, S), want)
+
+
+@pytest.mark.parametrize("T", [1, 2, 600, 20_000, 100_000])
+def test_beta_table_has_the_bits_of_beta_of_count(T):
+    # the table is computed by array operations, with math.log1p mapped over the
+    # counts; every radius keeps the bits of the scalar formula
+    for dim, lam, S in itertools.product([1, 2, 3, 24], [1.0, 0.5, 3.0, 1e-3], [1.0, 2.5]):
+        params = PolicyParams(T=T, lam=lam)
+        radius = bounds.beta_of_count(params.delta_value(), dim, lam, S)
+        want = np.fromiter(map(radius, range(T)), dtype=float, count=T)
+        assert np.array_equal(policies._beta_table(params, dim, S), want), (dim, lam, S)
 
 
 class TestExplorePlan:
@@ -973,9 +985,9 @@ def test_resampled_action_set_drawn_once_per_step(policy, monkeypatch):
 
     def counting(rng, out):
         drawn.append(out.shape[0])
-        return unit_sphere_rows(rng, out)
+        return normal_rows(rng, out)
 
-    monkeypatch.setattr(policies, "unit_sphere_rows", counting)
+    monkeypatch.setattr(policies, "normal_rows", counting)
     for width in (T, 7):
         monkeypatch.setattr(policies, "_DRAW_CHUNK", width * n_random * inst.d)
         drawn.clear()
@@ -1048,34 +1060,78 @@ class TestEnvView:
             with pytest.raises(StopIteration):
                 next(sets)
 
-    @pytest.mark.parametrize("width", [1, 3, None])
-    @pytest.mark.parametrize("n_random", [1, 120])
-    def test_chunked_draws_are_the_per_step_draws(self, n_random, width, monkeypatch):
-        """Sets drawn W steps at a time, at widths 1, 3 and the one `_DRAW_CHUNK` gives
-        the Fig-1 shape, over T = 2W + 1 steps so that the last chunk is clipped, are
-        bit for bit the sets of per-step draws, values and memory layout alike: one
-        random row gives a Fortran-ordered set, 5d of them a C-ordered one."""
-        insts = [generate_instance(24, 2, 12, 0, n_random, 1.0, 1.0, rng_for(s)) for s in (3, 4)]
-        per_step = 2 * n_random * 24
+    @staticmethod
+    def assert_chunked_draws(insts, width, monkeypatch):
+        """Sets drawn `width` steps at a time (None: the width `_DRAW_CHUNK` gives),
+        over T = 2W + 1 steps so that the last chunk is clipped, are bit for bit the
+        sets of per-step draws, values and memory layout alike: one random row
+        gives a Fortran-ordered set where m > 1, as `basis_columns` is Fortran-ordered
+        there, and a C-ordered one otherwise."""
+        first = insts[0]
+        n_random = first.action_set.shape[0] - first.K * first.m
+        per_step = len(insts) * n_random * first.d
         if width:
             monkeypatch.setattr(policies, "_DRAW_CHUNK", width * per_step)
         else:
-            width = policies._DRAW_CHUNK // per_step
+            width = max(1, policies._DRAW_CHUNK // per_step)
         T = 2 * width + 1
         sets = _action_sets(insts, params(T, resample_actions_per_step=True),
-                            [rng_for(8), rng_for(9)])
-        streams = [rng_for(8), rng_for(9)]
+                            [rng_for(8 + s) for s in range(len(insts))])
+        streams = [rng_for(8 + s) for s in range(len(insts))]
         for actions, values, vstar in sets:
             for seed, (inst, stream) in enumerate(zip(insts, streams)):
-                rows = _sample_unit_sphere(n_random, 24, stream)
+                rows = _sample_unit_sphere(n_random, first.d, stream)
                 want = np.concatenate([rows, inst.subspaces.basis_columns])
                 assert np.array_equal(actions[seed], want)
-                assert actions[seed].flags.f_contiguous == want.flags.f_contiguous
-                assert actions[seed].flags.f_contiguous == (n_random == 1)
+                assert actions[seed].strides == want.strides
+                assert actions[seed].flags.f_contiguous == (n_random == 1 and first.m > 1)
                 assert np.array_equal(values[seed], want @ inst.theta_star)
                 assert vstar[seed] == values[seed].max()
             T -= 1
         assert T == 0
+
+    @pytest.mark.parametrize("width", [1, 3, None])
+    @pytest.mark.parametrize("n_random", [1, 120])
+    def test_chunked_draws_are_the_per_step_draws(self, n_random, width, monkeypatch):
+        """Two seeds of the Fig-1 shape, with one random row or 5d of them."""
+        insts = [generate_instance(24, 2, 12, 0, n_random, 1.0, 1.0, rng_for(s)) for s in (3, 4)]
+        self.assert_chunked_draws(insts, width, monkeypatch)
+
+    @pytest.mark.parametrize("width", [1, 3, None])
+    @pytest.mark.parametrize("extra", [1, 5])
+    @pytest.mark.parametrize("d, m", [(6, 1), (12, 3)])
+    def test_chunked_draws_of_the_m1_and_m3_shapes(self, d, m, extra, width, monkeypatch):
+        """Three seeds of the m = 1 and m = 3 shapes of `tools/run_digest.py` (K = 4),
+        with one random row or 5d of them."""
+        n_random = 1 if extra == 1 else extra * d
+        insts = [generate_instance(d, m, 4, s % 4, n_random, 1.0, 1.0, rng_for(s))
+                 for s in (3, 4, 5)]
+        self.assert_chunked_draws(insts, width, monkeypatch)
+
+    @pytest.mark.parametrize("n_random", [1, 120])
+    def test_chunked_draws_of_thirty_seeds(self, n_random, monkeypatch):
+        """A batch of 30 Fig-1 seeds: with 5d random rows a chunk is one step, W = 1."""
+        insts = [generate_instance(24, 2, 12, s % 12, n_random, 1.0, 1.0, rng_for(s))
+                 for s in range(30)]
+        if n_random == 120:
+            assert policies._DRAW_CHUNK // (30 * n_random * 24) == 0
+        self.assert_chunked_draws(insts, None, monkeypatch)
+
+    @pytest.mark.parametrize("n_random", [1, 120])
+    def test_every_set_ends_with_its_seeds_basis_columns(self, n_random, monkeypatch):
+        # the basis rows of the set buffer are written once per call, and every
+        # chunk's normalized rows stop short of them: a run of 5 chunks of 3 steps
+        # ends each set of each step with its own seed's basis columns
+        insts = [generate_instance(24, 2, 12, 0, n_random, 1.0, 1.0, rng_for(s)) for s in (3, 4)]
+        monkeypatch.setattr(policies, "_DRAW_CHUNK", 3 * 2 * n_random * 24)
+        tails = np.stack([inst.subspaces.basis_columns for inst in insts])
+        steps = 0
+        for actions, _, _ in _action_sets(insts, params(15, resample_actions_per_step=True),
+                                          [rng_for(8), rng_for(9)]):
+            assert np.array_equal(actions[:, n_random:], tails)
+            assert not np.array_equal(actions[0, :n_random], actions[1, :n_random])
+            steps += 1
+        assert steps == 15
 
     @pytest.mark.parametrize("policy", ["multi4", "multi2", "single", "genie", "oful"])
     def test_fixed_mode_ignores_the_stream(self, policy):
@@ -1108,9 +1164,9 @@ class TestProducerThread:
 
         def recording(rng, out):
             threads.add(threading.current_thread().name)
-            return unit_sphere_rows(rng, out)
+            return normal_rows(rng, out)
 
-        monkeypatch.setattr(policies, "unit_sphere_rows", recording)
+        monkeypatch.setattr(policies, "normal_rows", recording)
         inst = toy_instance(m=2, K=4, noise_std=1.0)
         self.small_chunks(monkeypatch, inst)
         run_policy(policy, inst, params(100, resample_actions_per_step=True), rng_for(5))
@@ -1127,9 +1183,9 @@ class TestProducerThread:
             if threading.current_thread().name == PRODUCER_THREAD:
                 time.sleep(0.002)
             threads.add(threading.current_thread().name)
-            return unit_sphere_rows(rng, out)
+            return normal_rows(rng, out)
 
-        monkeypatch.setattr(policies, "unit_sphere_rows", slow)
+        monkeypatch.setattr(policies, "normal_rows", slow)
         insts = [toy_instance(m=2, K=2, seed=s) for s in range(4)]
         n_random = insts[0].action_set.shape[0] - 4
         monkeypatch.setattr(policies, "_DRAW_CHUNK", 2 * 4 * n_random * insts[0].d)
@@ -1174,9 +1230,9 @@ class TestProducerThread:
             calls.append(out.shape[0])
             if len(calls) == 2:
                 raise MemoryError("no room for the sets")
-            return unit_sphere_rows(rng, out)
+            return normal_rows(rng, out)
 
-        monkeypatch.setattr(policies, "unit_sphere_rows", failing)
+        monkeypatch.setattr(policies, "normal_rows", failing)
         inst = toy_instance(m=2, K=2)
         self.small_chunks(monkeypatch, inst, width=3)
         sets = _action_sets([inst], params(10, resample_actions_per_step=True), [rng_for(8)])
@@ -1192,7 +1248,7 @@ class TestProducerThread:
         def failing(rng, out):
             raise ZeroDivisionError("draw failed")
 
-        monkeypatch.setattr(policies, "unit_sphere_rows", failing)
+        monkeypatch.setattr(policies, "normal_rows", failing)
         inst = toy_instance(m=2, K=4, noise_std=1.0)
         with pytest.raises(ZeroDivisionError, match="draw failed"):
             run_policy(policy, inst, params(100, resample_actions_per_step=True), rng_for(5))

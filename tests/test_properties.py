@@ -69,12 +69,18 @@ def test_resampling_the_fixed_set_reproduces_fixed_mode(data):
     steps = []
 
     def fixed_rows(rng, out):
-        # out is (W, n_random, d): the random rows of W steps
+        # out is (W, n_random, d): the normals of W steps, here the fixed set's rows
         steps.append(out.shape[0])
         out[...] = inst.action_set[:out.shape[1]]
         return out
 
-    with mock.patch.object(policies, "unit_sphere_rows", fixed_rows):
+    def as_given(rows, out):
+        # the fixed rows are unit vectors already: the sets take them unchanged
+        out[...] = rows
+        return out
+
+    with (mock.patch.object(policies, "normal_rows", fixed_rows),
+          mock.patch.object(policies, "normalized_rows", as_given)):
         params = PolicyParams(T=T, resample_actions_per_step=True)
         drawn = _run(policy, inst, n_agents, params, seed)
     assert sum(steps) == T
