@@ -7,6 +7,7 @@ agent_id), so runs are bit-reproducible and agents are statistically independent
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 
@@ -263,31 +264,134 @@ def _write_csv(path, header: str, blocks) -> None:
         raise SubgossError(f"cannot write {path}: {exc}") from exc
 
 
+# The raw CSV's fixed-width class: +0.0 and the doubles in [1e-99, 1e99), whose
+# `.12e` field is the 18 bytes "d.dddddddddddde±XX". For such an x, take
+# e = floor(log10 x), k = 12 - e and y = fl(x * fl(10^k)). The power is
+# correctly rounded (2^-53 relative) and so is the product (half an ulp of
+# y < 2^44), so while y < 10^13 it lies within 2^-53 * 10^13 + 2^-10 < 2.1e-3
+# of x * 10^k. Python's `.12e` rounds that exact value half-to-even, so
+# M = rint(y) is its rounding whenever y lies _HALF_WINDOW or more from every
+# half-integer, and the field is M's 13 digits and e whenever also
+# 10^12 <= y and M < 10^13. (If e came out one too high, such a y puts
+# x * 10^k above 10^12 - 2.1e-3, which `.12e` carries to "1.000000000000e{e}",
+# M's field.) The other values, about 1% of those of real runs, take
+# f"{x:.12e}".
+_FIXED_LO, _FIXED_HI = 1e-99, 1e99
+_HALF_WINDOW = 5e-3  # more than twice the error bound
+# a field and its separator ("," after inst_regret, LF after cum_regret): the
+# first digit and ".", three groups of four digits, "e±XX", each as one word
+_FIELD = np.dtype({
+    "names": ["lead", "g1", "g2", "g3", "exp", "sep"],
+    "formats": ["<u2", "<u4", "<u4", "<u4", "<u4", "u1"],
+    "offsets": [0, 2, 6, 10, 14, 18],
+    "itemsize": 19,
+})
+
+
+@functools.cache
+def _field_tables():
+    """Built on the first raw write: the words "d." of 0..9 and "dddd" of 0..9999,
+    and for j = e + 100, e in -100..99, the word "e±XX" and the double nearest
+    10^(12 - e). e = -100 only comes with M = 10^13, so its "e-00" is never written.
+
+    The digit table is filled by copies, not arithmetic: each numpy kernel run
+    for the first time in a process adds its code pages to the resident size."""
+    chars = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
+    digits = np.empty((10, 10, 10, 10, 4), np.uint8)
+    digits[..., 0] = chars[:, None, None, None]
+    digits[..., 1] = chars[:, None, None]
+    digits[..., 2] = chars[:, None]
+    digits[..., 3] = chars
+    return (
+        np.frombuffer("".join(f"{d}." for d in range(10)).encode(), "<u2"),
+        digits.reshape(-1).view("<u4"),
+        np.frombuffer(("e-00" + "".join(f"e{e:+03d}" for e in range(-99, 100))).encode(), "<u4"),
+        np.array([float(f"1e{12 - e}") for e in range(-100, 100)]),
+    )
+
+
+def _fixed_fields(values: np.ndarray) -> np.ndarray:
+    """`f"{x:.12e}"` of each value, as a _FIELD record with separator "," along
+    column 0 of the last axis and LF along column 1; every value must be +0.0 or
+    in [1e-99, 1e99)."""
+    lead, digits, exps, powers = _field_tables()
+    nonzero = values != 0
+    x = np.where(nonzero, values, 1.0)
+    # e + 100, but maybe one off for x within a relative 1e-13 of a power of
+    # ten, which the range check on y and M then catches
+    j = (np.log10(x) + 100).astype(np.intp)
+    y = x * powers.take(j)
+    m = np.rint(y)
+    exact = (y >= 1e12) & (m < 1e13) & (np.abs(y - m) <= 0.5 - _HALF_WINDOW)
+    m *= nonzero & exact  # zeros get "0.000000000000e+00"
+    head = np.floor((m + 0.5) * 1e-8)  # the first 5 digits, exactly
+    tail = (m - head * 1e8).astype(np.int32)  # and the last 8
+    head = head.astype(np.int32)
+    out = np.empty(values.shape, _FIELD)
+    hi = head // 10_000
+    out["lead"] = lead.take(hi)
+    out["g1"] = digits.take(head - hi * 10_000)
+    hi = tail // 10_000
+    out["g2"] = digits.take(hi)
+    out["g3"] = digits.take(tail - hi * 10_000)
+    out["exp"] = exps.take(j)
+    out["sep"] = np.array([ord(","), ord("\n")], np.uint8)
+    slow = np.flatnonzero(~exact)
+    if slow.size:
+        text = "".join([f"{v:.12e}" for v in values.ravel()[slow].tolist()])
+        out.view(np.uint8).reshape(-1, 19)[slow, :18] = (
+            np.frombuffer(text.encode(), np.uint8).reshape(-1, 18)
+        )
+    return out
+
+
+def _decades(T: int) -> list:
+    """(first t, ASCII digits of each t) of each decade of t = 1..T: 1-9, 10-99, ..."""
+    decades = []
+    for w in range(1, len(str(T)) + 1):
+        t = np.arange(10 ** (w - 1), min(10 ** w, T + 1))
+        digits = t[:, None] // 10 ** np.arange(w - 1, -1, -1) % 10 + 48
+        decades.append((t[0], digits.astype(np.uint8)))
+    return decades
+
+
 def _raw_blocks(results):
     """The rows "t,seed,agent,inst_regret,cum_regret" of each (seed, agent) block as
     one string, one block at a time, so that memory stays flat in the seed count.
 
-    Each distinct instant regret of a block is formatted once, keyed by its bits
-    so that 0.0 and -0.0 stay apart: the phased policies repeat few values (about
-    15 distinct of 2000 on a fixed action set, 300 on resampled ones); on a block
-    whose values are all distinct, as oful gives on resampled sets, this is slower
-    than formatting every value in the template. The cumulative column fills a
-    T-row template by one % operation.
+    A block whose values are all in the fixed-width class (+0.0 or [1e-99, 1e99),
+    which holds every real run's) is built as one byte array: its fields by
+    `_fixed_fields`, exact in array operations but for the values near a
+    rounding tie, and its rows a decade of t at a time, every row of a decade
+    having the same width. Any other block, one with a negative value, -0.0, a
+    subnormal, inf, nan or a value of 1e99 or more, is formatted row by row with
+    an f-string.
     """
-    templates = {}  # T -> the T-row template
+    T = None
     for r in results:
-        if r.T not in templates:
-            templates[r.T] = "".join(f"{t},%s,%.12e\n" for t in range(1, r.T + 1))
+        if r.T != T:
+            T, decades = r.T, _decades(r.T)
         cum = r.cum_regret()
         for i in range(r.n_agents):
-            bits = np.ascontiguousarray(r.inst_regret[i]).view(np.int64)
-            distinct, where = np.unique(bits, return_inverse=True)
-            prefix = f"{r.seed},{i},"
-            heads = [f"{prefix}{x:.12e}" for x in distinct.view(np.float64).tolist()]
-            cells = [None] * (2 * r.T)
-            cells[::2] = np.array(heads, dtype=object)[where].tolist()
-            cells[1::2] = cum[i].tolist()
-            yield (templates[r.T] % tuple(cells),)
+            values = np.stack([r.inst_regret[i], cum[i]], axis=-1)
+            fixed = ((values >= _FIXED_LO) & (values < _FIXED_HI)) | (values.view(np.int64) == 0)
+            if not fixed.all():
+                rows = zip(range(1, T + 1), values[:, 0].tolist(), values[:, 1].tolist())
+                yield [f"{t},{r.seed},{i},{x:.12e},{c:.12e}\n" for t, x, c in rows]
+                continue
+            tails = _fixed_fields(values).view(np.uint8)  # (T, 38)
+            mid = np.frombuffer(f",{r.seed},{i},".encode(), np.uint8)
+            block = np.empty(sum(d.shape[0] * (d.shape[1] + len(mid) + 38) for _, d in decades),
+                             np.uint8)
+            at = 0
+            for first, digits in decades:
+                n, w = digits.shape
+                rows = block[at:at + n * (w + len(mid) + 38)].reshape(n, -1)
+                rows[:, :w] = digits
+                rows[:, w:w + len(mid)] = mid
+                rows[:, w + len(mid):] = tails[first - 1:first - 1 + n]
+                at += rows.size
+            yield (str(block, "ascii"),)
 
 
 def emit_csv(obj, path) -> None:

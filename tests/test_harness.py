@@ -6,6 +6,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subgoss import policies
 from subgoss.cli import main
@@ -15,6 +17,7 @@ from subgoss.harness import (
     _ROLE_ACTIONS,
     Aggregate,
     RunConfig,
+    _fixed_fields,
     _instance,
     _rng,
     aggregate,
@@ -348,6 +351,114 @@ class TestRawBlocks:
         out = tmp_path / "out.csv"
         assert main(["run", "--config", str(cfg), "--out", str(out), "--n-seeds", "1"]) == 0
         assert out.read_bytes() == per_row_csv(run(RunConfig(**fields, n_seeds=1)))
+
+
+def assert_fixed_fields(values):
+    """`_fixed_fields` formats each value as f"{x:.12e}", with its separators, in
+    both columns."""
+    x = np.asarray(values, dtype=float).ravel()
+    rows = _fixed_fields(np.stack([x, x], axis=-1)).view(np.uint8)
+    got = rows.tobytes().decode("ascii").splitlines()
+    wrong = [(v, g) for v, g in zip(x.tolist(), got) if g != f"{v:.12e},{v:.12e}"]
+    assert len(got) == x.size and not wrong, wrong[:5]
+
+
+def in_fixed_class(x):
+    return x[(x >= 1e-99) & (x < 1e99)]
+
+
+class TestFixedFields:
+    """The fixed-width formatter against Python's `.12e`, which rounds the exact
+    binary value half-to-even."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(1e-99, 1e99, exclude_max=True) | st.just(0.0), min_size=1))
+    def test_any_value_of_the_class(self, values):
+        assert_fixed_fields(values)
+
+    def test_random_doubles(self):
+        rng = np.random.default_rng(23)
+        lo, hi = np.array([1e-99, 1e99]).view(np.int64)
+        bits = rng.integers(lo, hi, 100_000).view(np.float64)  # uniform in the exponent
+        assert_fixed_fields(bits)
+        assert_fixed_fields(in_fixed_class(10.0 ** rng.uniform(-99, 99, 100_000)))
+        assert_fixed_fields(rng.uniform(0, 2, 100_000))  # the range of instant regret
+
+    def test_near_half_way_values(self):
+        # (M + 0.5) * 10^(e - 12), the closest double to a tie of 13 digits, and
+        # its neighbours: the values the rounding window must catch
+        rng = np.random.default_rng(24)
+        mantissas = rng.integers(10**12, 10**13, 20_000).tolist()
+        exponents = rng.integers(-99, 99, 20_000).tolist()
+        ties = np.array([float(f"{M}.5e{e - 12}") for M, e in zip(mantissas, exponents)])
+        assert_fixed_fields(in_fixed_class(ties))
+        assert_fixed_fields(in_fixed_class(np.nextafter(ties, 0)))
+        assert_fixed_fields(in_fixed_class(np.nextafter(ties, np.inf)))
+
+    def test_powers_of_ten_and_their_neighbours(self):
+        powers = np.array([float(f"1e{k}") for k in range(-99, 99)])
+        assert_fixed_fields(in_fixed_class(powers))
+        assert_fixed_fields(in_fixed_class(np.nextafter(powers, 0)))
+        assert_fixed_fields(in_fixed_class(np.nextafter(powers, np.inf)))
+
+    def test_carries_and_zero(self):
+        # 13 nines round up to the next exponent, up to 1.000000000000e+99
+        assert_fixed_fields([float(f"9.9999999999995e{k}") for k in range(-99, 99)])
+        assert_fixed_fields([float(f"9.9999999999994e{k}") for k in range(-99, 99)])
+        assert_fixed_fields([float(f"9.9999999999996e{k}") for k in range(-99, 99)])
+        assert_fixed_fields([float(f"9.99999999999996e{k}") for k in range(-99, 99)])
+        assert_fixed_fields([9.99999999999995e98, np.nextafter(1e99, 0), 1e-99, 0.0])
+
+
+    @pytest.mark.parametrize("shift", [-1.0, 1.0])
+    def test_an_exponent_one_off_only_costs_the_f_string(self, monkeypatch, shift):
+        # the exponent comes from log10; one too high or too low puts M outside
+        # [10^12, 10^13), and the value is formatted by the f-string
+        log10 = np.log10
+        monkeypatch.setattr(np, "log10", lambda x: log10(x) + shift)
+        rng = np.random.default_rng(25)
+        assert_fixed_fields(in_fixed_class(10.0 ** rng.uniform(-98, 98, 2000)))
+
+
+class TestFixedWidthBlocks:
+    """`emit_csv` has the bytes of the per-row f-string for blocks in and out of the
+    fixed-width class, at every decade edge of T and for ids of two digits."""
+
+    @pytest.mark.parametrize(
+        "value",
+        [-0.5, -0.0, 5e-324, 2.2e-308 / 4, 1e-100, np.inf, -np.inf, np.nan, 1e99, 3e300],
+        ids=["negative", "minus-zero", "least-subnormal", "subnormal", "below-1e-99", "inf",
+             "minus-inf", "nan", "1e99", "3e300"],
+    )
+    def test_a_block_outside_the_class_is_written_row_by_row(self, tmp_path, value):
+        # agent 1 holds the value; agents 0 and 2, in the class, take the fixed path
+        curves = [[0.25, 0.0, 1.5], [0.5, value, 0.125], [1e-99, 0.0, 7.0]]
+        res = [fake_result(curves, seed=4), fake_result(curves[::-1], seed=5)]
+        path = tmp_path / "raw.csv"
+        emit_csv(res, path)
+        assert path.read_bytes() == per_row_csv(res)
+
+    def test_a_running_sum_of_1e99_or_more_leaves_the_class(self, tmp_path):
+        res = [fake_result([[6e98, 6e98, 0.0], [6e98, 1e98, 1e98]])]
+        path = tmp_path / "raw.csv"
+        emit_csv(res, path)
+        assert path.read_bytes() == per_row_csv(res)
+
+    @pytest.mark.parametrize("T", [1, 9, 10, 11, 99, 100, 1000, 10**4, 10**4 + 1])
+    def test_decade_edges_of_t(self, tmp_path, T):
+        rng = np.random.default_rng(T)
+        res = [fake_result(rng.uniform(0, 2, (2, T)) * (rng.uniform(size=(2, T)) < 0.7), seed=s)
+               for s in range(2)]
+        path = tmp_path / "raw.csv"
+        emit_csv(res, path)
+        assert path.read_bytes() == per_row_csv(res)
+
+    def test_two_digit_seed_and_agent_ids(self, tmp_path):
+        rng = np.random.default_rng(3)
+        res = [fake_result(rng.uniform(0, 2, (12, 120)), seed=s) for s in (9, 10, 57)]
+        path = tmp_path / "raw.csv"
+        emit_csv(res, path)
+        assert path.read_bytes() == per_row_csv(res)
 
 
 def test_freeze_phase_recorded_in_multi_runs():

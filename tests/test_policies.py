@@ -6,6 +6,7 @@ import math
 import sys
 import threading
 import time
+from contextlib import closing
 from unittest import mock
 
 import numpy as np
@@ -1050,15 +1051,16 @@ class TestEnvView:
             sets = _action_sets(insts, params(5, resample_actions_per_step=True),
                                 [rng_for(8), rng_for(9)])
             streams = [rng_for(8), rng_for(9)]
-            for _ in range(5):
-                actions, values, vstar = next(sets)
-                for seed, (inst, stream) in enumerate(zip(insts, streams)):
-                    want = resample_actions(inst, n_random, stream)
-                    assert np.array_equal(actions[seed], want)
-                    assert np.array_equal(values[seed], want @ inst.theta_star)
-                    assert vstar[seed] == values[seed].max()
-            with pytest.raises(StopIteration):
-                next(sets)
+            with closing(sets):
+                for _ in range(5):
+                    actions, values, vstar = next(sets)
+                    for seed, (inst, stream) in enumerate(zip(insts, streams)):
+                        want = resample_actions(inst, n_random, stream)
+                        assert np.array_equal(actions[seed], want)
+                        assert np.array_equal(values[seed], want @ inst.theta_star)
+                        assert vstar[seed] == values[seed].max()
+                with pytest.raises(StopIteration):
+                    next(sets)
 
     @staticmethod
     def assert_chunked_draws(insts, width, monkeypatch):
@@ -1078,16 +1080,17 @@ class TestEnvView:
         sets = _action_sets(insts, params(T, resample_actions_per_step=True),
                             [rng_for(8 + s) for s in range(len(insts))])
         streams = [rng_for(8 + s) for s in range(len(insts))]
-        for actions, values, vstar in sets:
-            for seed, (inst, stream) in enumerate(zip(insts, streams)):
-                rows = _sample_unit_sphere(n_random, first.d, stream)
-                want = np.concatenate([rows, inst.subspaces.basis_columns])
-                assert np.array_equal(actions[seed], want)
-                assert actions[seed].strides == want.strides
-                assert actions[seed].flags.f_contiguous == (n_random == 1 and first.m > 1)
-                assert np.array_equal(values[seed], want @ inst.theta_star)
-                assert vstar[seed] == values[seed].max()
-            T -= 1
+        with closing(sets):
+            for actions, values, vstar in sets:
+                for seed, (inst, stream) in enumerate(zip(insts, streams)):
+                    rows = _sample_unit_sphere(n_random, first.d, stream)
+                    want = np.concatenate([rows, inst.subspaces.basis_columns])
+                    assert np.array_equal(actions[seed], want)
+                    assert actions[seed].strides == want.strides
+                    assert actions[seed].flags.f_contiguous == (n_random == 1 and first.m > 1)
+                    assert np.array_equal(values[seed], want @ inst.theta_star)
+                    assert vstar[seed] == values[seed].max()
+                T -= 1
         assert T == 0
 
     @pytest.mark.parametrize("width", [1, 3, None])
@@ -1126,11 +1129,12 @@ class TestEnvView:
         monkeypatch.setattr(policies, "_DRAW_CHUNK", 3 * 2 * n_random * 24)
         tails = np.stack([inst.subspaces.basis_columns for inst in insts])
         steps = 0
-        for actions, _, _ in _action_sets(insts, params(15, resample_actions_per_step=True),
-                                          [rng_for(8), rng_for(9)]):
-            assert np.array_equal(actions[:, n_random:], tails)
-            assert not np.array_equal(actions[0, :n_random], actions[1, :n_random])
-            steps += 1
+        with closing(_action_sets(insts, params(15, resample_actions_per_step=True),
+                                  [rng_for(8), rng_for(9)])) as sets:
+            for actions, _, _ in sets:
+                assert np.array_equal(actions[:, n_random:], tails)
+                assert not np.array_equal(actions[0, :n_random], actions[1, :n_random])
+                steps += 1
         assert steps == 15
 
     @pytest.mark.parametrize("policy", ["multi4", "multi2", "single", "genie", "oful"])
@@ -1192,9 +1196,10 @@ class TestProducerThread:
         drawn = [rng_for(s) for s in range(4)]
         sets = _action_sets(insts, params(9, resample_actions_per_step=True), drawn)
         streams = [rng_for(s) for s in range(4)]
-        for actions, _, _ in sets:
-            for seed, (inst, stream) in enumerate(zip(insts, streams)):
-                assert np.array_equal(actions[seed], resample_actions(inst, n_random, stream))
+        with closing(sets):
+            for actions, _, _ in sets:
+                for seed, (inst, stream) in enumerate(zip(insts, streams)):
+                    assert np.array_equal(actions[seed], resample_actions(inst, n_random, stream))
         assert threads == {PRODUCER_THREAD, threading.main_thread().name}
         assert ([r.bit_generator.state for r in drawn]
                 == [r.bit_generator.state for r in streams])
@@ -1211,11 +1216,12 @@ class TestProducerThread:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            for actions, _, _ in _action_sets(
-                    insts, params(60, resample_actions_per_step=True), drawn):
-                for seed, (inst, stream) in enumerate(zip(insts, streams)):
-                    want = resample_actions(inst, n_random, stream)
-                    assert np.array_equal(actions[seed], want)
+            with closing(_action_sets(
+                    insts, params(60, resample_actions_per_step=True), drawn)) as sets:
+                for actions, _, _ in sets:
+                    for seed, (inst, stream) in enumerate(zip(insts, streams)):
+                        want = resample_actions(inst, n_random, stream)
+                        assert np.array_equal(actions[seed], want)
         finally:
             sys.setswitchinterval(interval)
         assert ([r.bit_generator.state for r in drawn]

@@ -66,14 +66,17 @@ def digest(result: RunResult) -> str:
     return h.hexdigest()
 
 
+def label(config) -> str:
+    return (f"d={config.d},m={config.m},K={config.K},N={config.N},{config.policy},"
+            f"{config.explore_budget_mode},resample={config.resample_actions_per_step},"
+            f"extra={config.n_extra_actions},coverage={config.track_coverage}")
+
+
 def main() -> None:
     total = hashlib.sha256()
     for config in configs():
-        label = (f"d={config.d},m={config.m},K={config.K},N={config.N},{config.policy},"
-                 f"{config.explore_budget_mode},resample={config.resample_actions_per_step},"
-                 f"extra={config.n_extra_actions},coverage={config.track_coverage}")
         for result in harness.run(config):
-            line = f"{label} seed={result.seed} {digest(result)}"
+            line = f"{label(config)} seed={result.seed} {digest(result)}"
             total.update(line.encode())
             print(line)
     print(f"total {total.hexdigest()}")
