@@ -84,12 +84,6 @@ def h_of_bt(b: float, T: int) -> float:
     return b * (1.0 + (T - 1) * (b - 1.0))
 
 
-def _explore_tail(b: float, T: int) -> float:
-    """Phase-count factor log h / log b + (sqrt h - 1) / (sqrt b - 1) of the exploration terms."""
-    h = h_of_bt(b, T)
-    return math.log(h) / math.log(b) + (math.sqrt(h) - 1.0) / (math.sqrt(b) - 1.0)
-
-
 # most phase indices tau0 scans: the scan takes about 2 log 2 / log(b) steps, so b
 # near 1 would make it run for minutes
 TAU0_MAX_SCAN = 10**6
@@ -133,38 +127,67 @@ def tau0(b: float, m: int, K: int, N: int) -> int:
     return result
 
 
+def _projected(T: int, m: int, lam: float, radius) -> float:
+    bT = radius(T - 1)
+    return math.sqrt(8.0 * m * T * bT * bT * math.log1p(T / (m * lam)))
+
+
 def projected_linucb_bound(T: int, m: int, lam: float, delta: float, S: float = 1.0) -> float:
     """High-probability regret bound sqrt(8 m T beta_T^2 log(1 + T/(m lambda)))."""
     if T < 1:
         raise InvalidConfigError("need T >= 1")
-    bT = beta(delta, m, lam, T - 1, S)
-    return math.sqrt(8.0 * m * T * bT * bT * math.log1p(T / (m * lam)))
+    return _projected(T, m, lam, beta_of_count(delta, m, lam, S))
+
+
+def bound_curve(inputs: BoundInputs, tau0_value: int | None = None, start: int = 1) -> list:
+    """(projected_linucb, communication, exploration) of the per-agent bound at
+    every horizon t = start..inputs.T: Theorem 1's multi-agent bound given
+    tau0_value, the no-communication bound without it, whose search constant
+    scales with K instead of K/N.
+
+    The inputs are checked once, by BoundInputs, and the terms that do not
+    depend on t (the communication or search term, beta's constants, the
+    exploration factor) are computed once. Each term keeps the operation order
+    of its formula, so a horizon gives the same bits on any curve.
+    """
+    b, m, K, S = inputs.b, inputs.m, inputs.K, inputs.S
+    radius = beta_of_count(inputs.delta, m, inputs.lam, S)
+    if tau0_value is None:
+        comm = 2.0 * S * g_of_b(b) * (
+            math.ceil(b * (16.0 * m * K) ** 2)
+            + (8.0 * b**2 / math.log(b)) * (m**2 / inputs.Delta**2)
+        )
+        factor = 16.0 * m * K * S
+    else:
+        comm = 2.0 * S * g_of_b(b) * (
+            math.ceil(b ** (2 * tau0_value))
+            + (48.0 * b**3 / math.log(b)) * (m**4 * inputs.N / inputs.Delta**6)
+            + b * inputs.spread_moment
+        )
+        per = K / inputs.N + 2.0
+        factor = 16.0 * m * S * per
+    # the exploration phase-count factor log h / log b + (sqrt h - 1) / (sqrt b - 1)
+    log_b, root_b = math.log(b), math.sqrt(b) - 1.0
+    lam, slack = inputs.lam, 2.0 * S
+    curve = []
+    for t in range(start, inputs.T + 1):
+        h = h_of_bt(b, t)
+        curve.append((
+            _projected(t, m, lam, radius) + slack,
+            comm,
+            factor * (math.log(h) / log_b + (math.sqrt(h) - 1.0) / root_b),
+        ))
+    return curve
 
 
 def theorem1_bound(inputs: BoundInputs, tau0_value: int) -> BoundBreakdown:
     """Multi-agent per-agent expected regret bound, split into its three named terms."""
-    b, m, S = inputs.b, inputs.m, inputs.S
-    proj = projected_linucb_bound(inputs.T, m, inputs.lam, inputs.delta, S) + 2.0 * S
-    comm = 2.0 * S * g_of_b(b) * (
-        math.ceil(b ** (2 * tau0_value))
-        + (48.0 * b**3 / math.log(b)) * (m**4 * inputs.N / inputs.Delta**6)
-        + b * inputs.spread_moment
-    )
-    per = inputs.K / inputs.N + 2.0
-    explore = 16.0 * m * S * per * _explore_tail(b, inputs.T)
-    return BoundBreakdown(proj, comm, explore)
+    return BoundBreakdown(*bound_curve(inputs, tau0_value, start=inputs.T)[0])
 
 
 def single_agent_bound(inputs: BoundInputs) -> BoundBreakdown:
     """No-communication variant: search constant scales with K instead of K/N."""
-    b, m, K, S = inputs.b, inputs.m, inputs.K, inputs.S
-    proj = projected_linucb_bound(inputs.T, m, inputs.lam, inputs.delta, S) + 2.0 * S
-    search = 2.0 * S * g_of_b(b) * (
-        math.ceil(b * (16.0 * m * K) ** 2)
-        + (8.0 * b**2 / math.log(b)) * (m**2 / inputs.Delta**2)
-    )
-    explore = 16.0 * m * K * S * _explore_tail(b, inputs.T)
-    return BoundBreakdown(proj, search, explore)
+    return BoundBreakdown(*bound_curve(inputs, start=inputs.T)[0])
 
 
 def lemma2_tail_count(eps: float, m: int, n: int) -> float:

@@ -107,26 +107,26 @@ def _cmd_bounds(args) -> int:
     delta = config.policy_params().delta_value()
     try:
         tau = bounds_mod.tau0(config.b, config.m, config.K, config.N)
-        rows = []
-        for t in range(1, config.T + 1):
-            inputs = bounds_mod.BoundInputs(
-                T=t, d=config.d, m=config.m, K=config.K, N=max(config.N, 1),
-                b=config.b, lam=config.lam, delta=delta, S=config.s_bound,
-                Delta=gap, spread_moment=args.spread_moment,
-            )
-            if args.single_agent:
-                br = bounds_mod.single_agent_bound(inputs)
-            else:
-                br = bounds_mod.theorem1_bound(inputs, tau)
-            terms = (br.projected_linucb, br.communication, br.exploration, br.total)
-            # a product past the float range gives inf without raising
-            if not all(map(math.isfinite, terms)):
-                raise InvalidConfigError(f"bound leaves the float range at t={t}: {terms}")
-            rows.append("{},{:.12e},{:.12e},{:.12e},{:.12e}\n".format(t, *terms))
+        inputs = bounds_mod.BoundInputs(
+            T=config.T, d=config.d, m=config.m, K=config.K, N=max(config.N, 1),
+            b=config.b, lam=config.lam, delta=delta, S=config.s_bound,
+            Delta=gap, spread_moment=args.spread_moment,
+        )
+        curve = bounds_mod.bound_curve(inputs, None if args.single_agent else tau)
     except (OverflowError, ZeroDivisionError) as exc:
         raise InvalidConfigError(f"bound leaves the float range: {exc}") from exc
+    rows = []
+    for t, (proj, comm, explore) in enumerate(curve, 1):
+        total = proj + comm + explore
+        # a product past the float range gives inf without raising, and a term
+        # that is inf or nan makes the total so
+        if not math.isfinite(total):
+            terms = (proj, comm, explore, total)
+            raise InvalidConfigError(f"bound leaves the float range at t={t}: {terms}")
+        rows.append(f"{t},{proj:.12e},{comm:.12e},{explore:.12e},{total:.12e}\n")
     # every row is computed before the file is opened, so a bad input leaves no file
-    _write_csv(args.out, "t,projected_linucb,communication,exploration,total", [rows])
+    _write_csv(args.out, "t,projected_linucb,communication,exploration,total",
+               map(str.encode, rows))
     print(f"wrote {args.out} (gap={gap:.6g}, tau0={tau})")
     return 0
 

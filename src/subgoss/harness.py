@@ -254,12 +254,18 @@ def aggregate(results: list) -> Aggregate:
 
 
 def _write_csv(path, header: str, blocks) -> None:
-    """Write the header line, then each block, an iterable of LF-terminated lines."""
+    """Write the header line, then each block, a bytes-like object of LF-terminated
+    ASCII lines: a row of text, or a raw block's byte array.
+
+    Text rows go one at a time: the aggregate or `bounds` rows joined into one
+    string and encoded made two transient copies of the file, and raised the peak
+    RSS of the `cli-seeds` benchmark by about 3 MB.
+    """
     try:
-        with open(path, "w", newline="\n") as fh:
-            fh.write(header + "\n")
+        with open(path, "wb") as fh:
+            fh.write(f"{header}\n".encode())
             for block in blocks:
-                fh.writelines(block)
+                fh.write(block)
     except OSError as exc:
         raise SubgossError(f"cannot write {path}: {exc}") from exc
 
@@ -356,8 +362,9 @@ def _decades(T: int) -> list:
 
 
 def _raw_blocks(results):
-    """The rows "t,seed,agent,inst_regret,cum_regret" of each (seed, agent) block as
-    one string, one block at a time, so that memory stays flat in the seed count.
+    """The rows "t,seed,agent,inst_regret,cum_regret" of each (seed, agent) block,
+    one block at a time, so that memory stays flat in the seed count: one byte
+    array, or the block's rows one by one as bytes.
 
     A block whose values are all in the fixed-width class (+0.0 or [1e-99, 1e99),
     which holds every real run's) is built as one byte array: its fields by
@@ -377,7 +384,8 @@ def _raw_blocks(results):
             fixed = ((values >= _FIXED_LO) & (values < _FIXED_HI)) | (values.view(np.int64) == 0)
             if not fixed.all():
                 rows = zip(range(1, T + 1), values[:, 0].tolist(), values[:, 1].tolist())
-                yield [f"{t},{r.seed},{i},{x:.12e},{c:.12e}\n" for t, x, c in rows]
+                yield from (f"{t},{r.seed},{i},{x:.12e},{c:.12e}\n".encode()
+                            for t, x, c in rows)
                 continue
             tails = _fixed_fields(values).view(np.uint8)  # (T, 38)
             mid = np.frombuffer(f",{r.seed},{i},".encode(), np.uint8)
@@ -391,7 +399,7 @@ def _raw_blocks(results):
                 rows[:, w:w + len(mid)] = mid
                 rows[:, w + len(mid):] = tails[first - 1:first - 1 + n]
                 at += rows.size
-            yield (str(block, "ascii"),)
+            yield block
 
 
 def emit_csv(obj, path) -> None:
@@ -400,6 +408,6 @@ def emit_csv(obj, path) -> None:
         columns = (obj.mean_curve.tolist(), obj.ci95_low.tolist(), obj.ci95_high.tolist())
         rows = [f"{t},{a:.12e},{lo:.12e},{hi:.12e}\n"
                 for t, (a, lo, hi) in enumerate(zip(*columns), 1)]
-        _write_csv(path, "t,mean,ci_low,ci_high", [rows])
+        _write_csv(path, "t,mean,ci_low,ci_high", map(str.encode, rows))
     else:
         _write_csv(path, "t,seed,agent,inst_regret,cum_regret", _raw_blocks(obj))

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -110,11 +111,76 @@ def sample_neighbor(G: GossipMatrix, i: int, rng: np.random.Generator) -> int:
     return int(_pull(G.row_cdf[i, None], rng.random(1))[0])
 
 
+MAX_ROUNDS = 10**6
+# uniforms the spread core draws from the generator at its first refill; each
+# refill draws twice the last, up to _MAX_CHUNK
+_FIRST_CHUNK, _MAX_CHUNK = 64, 4096
+
+
+def _spreads(G: GossipMatrix, source: int, rng: np.random.Generator, trials: int,
+             max_rounds: int):
+    """Yield (rounds, per-agent first-informed round list) of each of `trials`
+    PULL spreads from source, one after another on rng.
+
+    Each round walks the list of agents still uninformed, in ascending order, on
+    one uniform each, as `_pull` would: on a nondecreasing CDF row, bisect_right
+    over all but the last entry counts the entries <= u, clipped to the last
+    agent. The uniforms are drawn ahead in chunks. On return or raise, rng is put
+    back where drawing each round's uniforms in one call would have left it:
+    float64 `random(a)` then `random(b)` gives the bits of `random(a + b)`, so the
+    saved state is restored and the count consumed drawn again. That happens when
+    the generator is exhausted or raises, so consume it to the end, and draw
+    nothing else from rng until then.
+    """
+    if not (G.probs >= 0).all():
+        # a negative entry makes a CDF row decrease, where bisection pulls other agents
+        raise InvalidConfigError("the pull needs a gossip matrix with nonnegative entries")
+    rows = G.row_cdf.tolist()
+    n = G.n_agents
+    last = n - 1
+    source = range(n)[source]  # an index as numpy reads it, or IndexError
+    others = [i for i in range(n) if i != source]
+    state = rng.bit_generator.state
+    uniforms, at, drawn, chunk = [], 0, 0, _FIRST_CHUNK
+    try:
+        for _ in range(trials):
+            times = [-1] * n
+            times[source] = 0
+            waiting = others
+            rounds = 0
+            while waiting:
+                rounds += 1
+                if rounds > max_rounds:
+                    raise InvalidConfigError(
+                        f"rumor did not spread within {max_rounds} rounds; is G irreducible?"
+                    )
+                k = len(waiting)
+                if at + k > len(uniforms):
+                    size = max(k, chunk)
+                    uniforms = uniforms[at:] + rng.random(size).tolist()
+                    drawn += size
+                    at, chunk = 0, min(2 * chunk, _MAX_CHUNK)
+                # informed at the start of the round: times are written after the pulls
+                newly = [i for i, u in zip(waiting, uniforms[at:at + k])
+                         if times[bisect_right(rows[i], u, 0, last)] >= 0]
+                at += k
+                if newly:
+                    for i in newly:
+                        times[i] = rounds
+                    waiting = [i for i in waiting if times[i] < 0]
+            yield rounds, times
+    finally:
+        rng.bit_generator.state = state
+        consumed = drawn - (len(uniforms) - at)
+        for lo in range(0, consumed, _MAX_CHUNK):
+            rng.random(min(_MAX_CHUNK, consumed - lo))
+
+
 def simulate_rumor_spread(
     G: GossipMatrix,
     source: int,
     rng: np.random.Generator,
-    max_rounds: int = 10**6,
+    max_rounds: int = MAX_ROUNDS,
 ):
     """Synchronous PULL rumor process.
 
@@ -122,24 +188,8 @@ def simulate_rumor_spread(
     becomes informed iff that neighbor was informed at the start of the round.
     Returns (rounds until all informed, per-agent first-informed round).
     """
-    n = G.n_agents
-    informed = np.zeros(n, dtype=bool)
-    informed[source] = True
-    times = np.full(n, -1, dtype=np.int64)
-    times[source] = 0
-    rounds = 0
-    while not informed.all():
-        rounds += 1
-        if rounds > max_rounds:
-            raise InvalidConfigError(
-                f"rumor did not spread within {max_rounds} rounds; is G irreducible?"
-            )
-        uninformed = np.flatnonzero(~informed)
-        partners = _pull(G.row_cdf[uninformed], rng.random(uninformed.size))
-        newly = uninformed[informed[partners]]
-        informed[newly] = True
-        times[newly] = rounds
-    return rounds, times
+    [(rounds, times)] = _spreads(G, source, rng, 1, max_rounds)
+    return rounds, np.array(times, dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -165,9 +215,8 @@ def estimate_spread_moment(
         raise InvalidConfigError(f"need trials >= 1, got {trials}")
     if G.n_agents == 1:
         return SpreadMomentEstimate(1.0, 0.0, trials, np.zeros(trials, dtype=np.int64))
-    taus = np.empty(trials, dtype=np.int64)
-    for t in range(trials):
-        taus[t], _ = simulate_rumor_spread(G, source, rng)
+    spreads = _spreads(G, source, rng, trials, MAX_ROUNDS)
+    taus = np.fromiter((rounds for rounds, _ in spreads), dtype=np.int64, count=trials)
     with np.errstate(over="raise"):
         try:
             vals = np.power(float(b), 2.0 * taus)

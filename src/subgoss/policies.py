@@ -719,6 +719,7 @@ def _run_subgoss(instances, params, gossip, noise_rngs, gossip_rngs, seeds, acti
     if resample:
         cand = np.broadcast_to(np.arange(n_actions), (n_lanes, n_actions))
         X = np.zeros((n_lanes, m, n_actions))
+        X_by_seed = X.reshape(n_seeds, n_agents, m, n_actions)  # a view
         saved = LinUcbStats(m, lam, (n_lanes, K))
         play = LinUcbStats(m, lam, (n_lanes,))
     else:
@@ -731,14 +732,6 @@ def _run_subgoss(instances, params, gossip, noise_rngs, gossip_rngs, seeds, acti
     inst_regret = np.empty((n_lanes, T))
     explored = np.empty((n_lanes, T), dtype=bool)
     played = np.empty((n_lanes, T), dtype=np.min_scalar_type(n_actions - 1))
-
-    def lane_coords(ls):
-        # U_k^T A^T of the step's resampled set for each lane of ls in its best
-        # subspace k. Seed by seed, so that the lanes of a seed share its A^T: a
-        # gather would copy it once per lane
-        for seed in dict.fromkeys(lane_seed[ls].tolist()):
-            mine = ls[lane_seed[ls] == seed]
-            X[mine] = projectors[seed, best[mine]] @ actions[seed].T
 
     chunk_slots = max(1, _EXPLORE_CHUNK // n_lanes)
 
@@ -818,7 +811,11 @@ def _run_subgoss(instances, params, gossip, noise_rngs, gossip_rngs, seeds, acti
                     if not resample:
                         cand[switching] = cand_table[lane_seed[switching], best[switching]]
                 if exploiters.size and resample:  # a set read for one step
-                    lane_coords(exploiters)
+                    # U_k^T A^T for every lane in its best subspace k, each (m, d) by
+                    # (d, n) product in the layout of the seed's own `U_k.T @ A.T`;
+                    # a seed's A^T is broadcast over its lanes, not copied
+                    np.matmul(projectors[lane_seed, best].reshape(n_seeds, n_agents, m, -1),
+                              actions.swapaxes(-1, -2)[:, None], out=X_by_seed)
                     pick = ucb_scores(play, X, beta[play.count]).argmax(axis=1)
                     idx = cand[lanes, pick]
                     a_val = values[lanes, idx]

@@ -4,6 +4,7 @@ The fixture constants below were computed with a 40-digit mpmath script prior
 to implementing the evaluators, then frozen here as regression anchors.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ import pytest
 from subgoss.bounds import (
     BoundInputs,
     beta,
+    bound_curve,
     g_of_b,
     h_of_bt,
     lemma2_tail_count,
@@ -238,6 +240,20 @@ class TestLemmaTails:
                 assert lemma3_tail(Delta, 2, 2.0, j) <= 2 * lemma2_tail_count(
                     Delta / 2, 2, n
                 ) + 1e-15
+
+
+@pytest.mark.parametrize("single_agent", [False, True], ids=["theorem1", "single"])
+def test_curve_rows_are_the_one_horizon_bounds(single_agent):
+    base = BoundInputs(T=300, d=24, m=2, K=12, N=4, b=1.7, lam=1.5, delta=1e-3, S=0.8,
+                       Delta=0.4, spread_moment=42.0)
+    tau = None if single_agent else tau0(1.7, 2, 12, 4)
+    curve = bound_curve(base, tau)
+    assert len(curve) == 300
+    for t in (1, 2, 17, 299, 300):
+        one = dataclasses.replace(base, T=t)
+        br = single_agent_bound(one) if single_agent else theorem1_bound(one, tau)
+        assert curve[t - 1] == (br.projected_linucb, br.communication, br.exploration)
+    assert bound_curve(base, tau, start=290) == curve[289:]
 
 
 def test_pure_functions_bit_identical():

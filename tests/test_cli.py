@@ -200,6 +200,71 @@ class TestBounds:
         assert math.isclose(total, want.total, rel_tol=1e-11)
 
 
+def reference_bounds_csv(config, gap, moment, single_agent):
+    """The `bounds` CSV row by row, each term by its closed form in full at every t,
+    or the message of the first row that leaves the float range."""
+    b, m, K, N, S, lam = config.b, config.m, config.K, max(config.N, 1), config.s_bound, config.lam
+    delta = config.policy_params().delta_value()
+    tau = bounds_mod.tau0(config.b, config.m, config.K, config.N)
+    lines = ["t,projected_linucb,communication,exploration,total\n"]
+    for t in range(1, config.T + 1):
+        bT = bounds_mod.beta(delta, m, lam, t - 1, S)
+        proj = math.sqrt(8.0 * m * t * bT * bT * math.log1p(t / (m * lam))) + 2.0 * S
+        h = b * (1.0 + (t - 1) * (b - 1.0))
+        tail = math.log(h) / math.log(b) + (math.sqrt(h) - 1.0) / (math.sqrt(b) - 1.0)
+        if single_agent:
+            comm = 2.0 * S * bounds_mod.g_of_b(b) * (
+                math.ceil(b * (16.0 * m * K) ** 2) + (8.0 * b**2 / math.log(b)) * (m**2 / gap**2)
+            )
+            explore = 16.0 * m * K * S * tail
+        else:
+            comm = 2.0 * S * bounds_mod.g_of_b(b) * (
+                math.ceil(b ** (2 * tau))
+                + (48.0 * b**3 / math.log(b)) * (m**4 * N / gap**6)
+                + b * moment
+            )
+            per = K / N + 2.0
+            explore = 16.0 * m * S * per * tail
+        terms = (proj, comm, explore, proj + comm + explore)
+        if not all(map(math.isfinite, terms)):
+            return f"bound leaves the float range at t={t}: {terms}"
+        lines.append("{},{:.12e},{:.12e},{:.12e},{:.12e}\n".format(t, *terms))
+    return "".join(lines)
+
+
+@pytest.mark.parametrize("single_agent", [False, True], ids=["theorem1", "single"])
+@pytest.mark.parametrize("N", [1, 2, 4])
+@pytest.mark.parametrize("b", [1.3, 2.0, 3.0])
+def test_bounds_csv_has_the_bytes_of_the_per_row_reference(tmp_path, b, N, single_agent):
+    policy = "subgoss_multi" if N > 1 else "subgoss_single"
+    flags = [] if single_agent else ["--spread-moment", "123.4"]
+    for T, more in [(1, {}), (2000, {}), (20_000 if b == 2.0 else 3000, {}),
+                    (2000, dict(d=24, m=2, K=12)), (500, {"m": 3, "s_bound": 0.7, "lambda": 2.5})]:
+        cfg = write_config(tmp_path, T=T, b=b, N=N, policy=policy, **more)
+        config = load_config(cfg)
+        out = tmp_path / "bounds.csv"
+        argv = ["bounds", "--config", str(cfg), "--out", str(out), *flags]
+        assert main([*argv, *(["--single-agent"] if single_agent else [])]) == 0
+        gap = instance_gap(config)
+        want = reference_bounds_csv(config, gap, 123.4 if flags else 1.0, single_agent)
+        assert out.read_bytes() == want.encode()
+
+
+@pytest.mark.parametrize("single_agent", [False, True], ids=["theorem1", "single"])
+@pytest.mark.parametrize("s_bound", [1e152, 1e153, 3e153])
+def test_bounds_out_of_float_range_names_the_first_row(tmp_path, capsys, s_bound,
+                                                       single_agent):
+    # beta_t grows with S, and the projected term overflows at a t that grows as S falls
+    cfg = write_config(tmp_path, T=3000, s_bound=s_bound)
+    out = tmp_path / "bounds.csv"
+    flags = ["--gap", "0.3", *(["--single-agent"] if single_agent else [])]
+    assert main(["bounds", "--config", str(cfg), "--out", str(out), *flags]) == 2
+    want = reference_bounds_csv(load_config(cfg), 0.3, 1.0, single_agent)
+    assert want.startswith("bound leaves the float range at t=")
+    assert capsys.readouterr().err == f"config error: {want}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "overrides, flags, message",
     [

@@ -8,6 +8,7 @@ import pytest
 from subgoss.errors import InvalidConfigError, SpreadMomentOverflowError
 from subgoss.network import (
     GossipMatrix,
+    _pull,
     complete_graph,
     estimate_spread_moment,
     sample_neighbor,
@@ -15,9 +16,45 @@ from subgoss.network import (
     validate,
 )
 
+hypothesis = pytest.importorskip("hypothesis")
+st = pytest.importorskip("hypothesis.strategies")
+
 
 def rng_for(seed):
     return np.random.default_rng(seed)
+
+
+def reference_rumor_spread(G, source, rng, max_rounds=10**6):
+    """The per-round PULL process: one `rng.random` call per round, on the agents
+    still uninformed in ascending order, and the pulls counted as (cdf <= u)."""
+    n = G.n_agents
+    informed = np.zeros(n, dtype=bool)
+    informed[source] = True
+    times = np.full(n, -1, dtype=np.int64)
+    times[source] = 0
+    rounds = 0
+    while not informed.all():
+        rounds += 1
+        if rounds > max_rounds:
+            raise InvalidConfigError(f"rumor did not spread within {max_rounds} rounds")
+        uninformed = np.flatnonzero(~informed)
+        partners = _pull(G.row_cdf[uninformed], rng.random(uninformed.size))
+        newly = uninformed[informed[partners]]
+        informed[newly] = True
+        times[newly] = rounds
+    return rounds, times
+
+
+def random_gossip(data, n):
+    """A matrix with zero diagonal and some entries zero, drawn by data. Its rows sum
+    to 1, or to 0.6, so that a pull past the last agent is clipped to it."""
+    seed = data.draw(st.integers(0, 2**32 - 1), label="matrix seed")
+    r = np.random.default_rng(seed)
+    probs = r.random((n, n)) * (r.random((n, n)) < data.draw(st.sampled_from([0.4, 1.0])))
+    np.fill_diagonal(probs, 0.0)
+    probs[np.arange(n), (np.arange(n) + 1) % n] += 0.05  # a ring keeps it irreducible
+    mass = data.draw(st.sampled_from([1.0, 0.6]), label="row sum")
+    return GossipMatrix(mass * probs / probs.sum(axis=1, keepdims=True))
 
 
 class TestCompleteGraph:
@@ -112,6 +149,50 @@ class TestRumorSpread:
         with pytest.raises(InvalidConfigError):
             simulate_rumor_spread(GossipMatrix(block), 0, rng_for(0), max_rounds=50)
 
+    @hypothesis.settings(max_examples=60, deadline=None)
+    @hypothesis.given(data=st.data())
+    def test_matches_the_per_round_process(self, data):
+        """Every source of a complete or random graph: the same rounds and times as
+        the per-round process, and the generator left where it leaves it, over
+        several spreads on one generator."""
+        n = data.draw(st.sampled_from([2, 3, 4, 8, 16]), label="N")
+        g = data.draw(st.sampled_from(["complete", "random"]), label="graph")
+        g = complete_graph(n) if g == "complete" else random_gossip(data, n)
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        mine, theirs = rng_for(seed), rng_for(seed)
+        for source in [*range(n), -1]:  # -1 is the last agent, as numpy reads it
+            for _ in range(3):
+                rounds, times = simulate_rumor_spread(g, source, mine)
+                want_rounds, want_times = reference_rumor_spread(g, source, theirs)
+                assert rounds == want_rounds
+                assert times.dtype == want_times.dtype and np.array_equal(times, want_times)
+        assert mine.random() == theirs.random()
+
+    def test_max_rounds_raises_at_the_same_round_and_state(self):
+        block = np.zeros((4, 4))
+        block[0, 1] = block[1, 0] = 1.0
+        block[2, 3] = block[3, 2] = 1.0
+        g = GossipMatrix(block)
+        for max_rounds in (1, 7, 50):
+            mine, theirs = rng_for(max_rounds), rng_for(max_rounds)
+            with pytest.raises(InvalidConfigError, match=f"within {max_rounds} rounds"):
+                simulate_rumor_spread(g, 0, mine, max_rounds=max_rounds)
+            with pytest.raises(InvalidConfigError):
+                reference_rumor_spread(g, 0, theirs, max_rounds=max_rounds)
+            assert mine.bit_generator.state == theirs.bit_generator.state
+
+    def test_negative_entry_is_refused(self):
+        # the CDF row [0.5, 0.0, 1.0] decreases: bisection would pull agent 2 where
+        # counting the entries <= u pulls agent 1
+        p = np.array([[0.0, 1.0, 0.0], [0.5, -0.5, 1.0], [0.5, 0.5, 0.0]])
+        r = rng_for(0)
+        state = r.bit_generator.state
+        with pytest.raises(InvalidConfigError, match="nonnegative"):
+            simulate_rumor_spread(GossipMatrix(p), 0, r)
+        with pytest.raises(InvalidConfigError, match="nonnegative"):
+            estimate_spread_moment(GossipMatrix(p), 2.0, 10, r)
+        assert r.bit_generator.state == state
+
     def test_complete16_mean_below_theory_anchor(self):
         # mean tau_spr <= log2(16) + ln(16) + 2 over 2000 trials
         r = rng_for(10)
@@ -174,6 +255,18 @@ class TestSpreadMoment:
         oracle = spread_moment_dp_oracle(g, b)
         est = estimate_spread_moment(g, b, 5000, rng_for(3))
         assert abs(est.mean - oracle) <= 3 * est.stderr
+
+    @pytest.mark.parametrize("seed", [0, 1, 5, 2718])
+    def test_shared_generator_matches_the_per_round_process(self, seed):
+        """As criterion 7 uses it: N = 4 then N = 2 on one generator, then a draw."""
+        mine, theirs = rng_for(seed), rng_for(seed)
+        for n, trials in ((4, 2000), (2, 2000), (16, 300), (3, 1)):
+            g = complete_graph(n)
+            est = estimate_spread_moment(g, 2.0, trials, mine)
+            taus = np.array([reference_rumor_spread(g, 0, theirs)[0] for _ in range(trials)])
+            assert est.taus.dtype == np.int64 and np.array_equal(est.taus, taus)
+            assert est.mean == float(np.power(2.0, 2.0 * taus).mean())
+        assert mine.random(3).tolist() == theirs.random(3).tolist()
 
     def test_overflow_guard(self):
         with pytest.raises(SpreadMomentOverflowError):
